@@ -17,7 +17,7 @@ from palab import (
 print("A Binomial(2, 1/2) pmf against a truncated Poisson(1) pmf.")
 binom = bernoulli_sum_pmf(np.array([[0.5], [0.5]]))
 pois = poisson_vector_pmf(PoissonVectorParams((1.0,)), eps=1e-12)
-print(f"  Poisson truncation keeps {len(pois.atoms)} atoms, "
+print(f"  Poisson truncation keeps {len(pois.probs)} atoms, "
       f"tail mass {pois.tail_mass:.2e}, tail moment {pois.tail_moment:.2e}")
 
 w1 = wasserstein_l1(binom, pois, want_flow=True)

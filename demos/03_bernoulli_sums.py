@@ -9,7 +9,7 @@ import numpy as np
 
 from palab import PoissonVectorParams, bernoulli_sum_pmf, empirical_pmf, poisson_vector_pmf, wasserstein_l1
 from palab.coupling import BernoulliArrayModel, corollary_bound, mdep_bound, q_factor, sample_mdep_counts
-from palab.measures import batch_from_rows, truncate_small_atoms
+from palab.measures import truncate_small_atoms
 
 rng = np.random.default_rng(3)
 
@@ -31,7 +31,7 @@ model = BernoulliArrayModel(n=n, d=d, p=p, m=m)
 print(f"  Q factors are exact for the shipped family; Q(5) = {q_factor(model, 5).value:.3e}")
 bound_m = mdep_bound(model)
 counts = sample_mdep_counts(model, reps=10**5, seed=42)
-pmf = empirical_pmf(batch_from_rows(counts, dim=d, seed=42))
+pmf = empirical_pmf(counts)
 target = truncate_small_atoms(poisson_vector_pmf(PoissonVectorParams(tuple(p.sum(axis=0))), 1e-9), 1e-7)
 res = wasserstein_l1(pmf, target)
 print(f"  empirical d_W = {res.value:.6f} (upward-biased plug-in estimate)")

@@ -12,7 +12,6 @@ dominates the corresponding distance.
 from .measures import (
     LatticePmf,
     PoissonVectorParams,
-    SampleBatch,
     bernoulli_sum_pmf,
     empirical_pmf,
     poisson_vector_pmf,
@@ -23,7 +22,6 @@ from .transport import DistanceResult, total_variation, wasserstein_l1
 __all__ = [
     "LatticePmf",
     "PoissonVectorParams",
-    "SampleBatch",
     "bernoulli_sum_pmf",
     "empirical_pmf",
     "poisson_vector_pmf",

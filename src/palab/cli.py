@@ -7,7 +7,8 @@ Wall-clock metadata goes to a ``<out>.meta.json`` sidecar so reruns with the
 same config and seed are byte-identical.
 
 Exit codes: 0 all checks pass, 2 a dominance or statistical check failed,
-1 usage or configuration error.
+1 usage or configuration error (including any ``palab.errors`` failure),
+3 internal failure (a failed solver certificate check or a bug).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,11 +27,10 @@ import numpy as np
 
 from . import jsonio, streams
 from .coupling import BernoulliArrayModel, corollary_bound, mdep_bound, q_factor, sample_mdep_counts
-from .errors import ParameterError
+from .errors import PalabError, ParameterError
 from .measures import (
     LatticePmf,
     PoissonVectorParams,
-    batch_from_rows,
     bernoulli_sum_pmf,
     empirical_pmf,
     poisson_vector_pmf,
@@ -63,6 +64,7 @@ from .transport import wasserstein_l1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
+EXIT_INTERNAL = 3
 SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
@@ -424,16 +426,14 @@ def _cmd_bernoulli_verify(cfg: ExperimentConfig):
         payload.update(mode="exact", distance=res.value, truncation_error=res.truncation_error)
     else:
         counts = sample_mdep_counts(model, cfg.reps, cfg.seed)
-        pmf = empirical_pmf(batch_from_rows(counts, dim=model.d, seed=cfg.seed))
+        pmf = empirical_pmf(counts)
         res = wasserstein_l1(pmf, target)
         n_boot = cfg.overrides.get("n_boot", 24)
         boots = np.zeros(n_boot)
         for b in range(n_boot):
             rng_b = streams.derive(cfg.seed, 30, b)
             rows = counts[rng_b.integers(0, len(counts), size=len(counts))]
-            boots[b] = wasserstein_l1(
-                empirical_pmf(batch_from_rows(rows, dim=model.d, seed=0)), target
-            ).value
+            boots[b] = wasserstein_l1(empirical_pmf(rows), target).value
         se = float(boots.std(ddof=1))
         ok = res.value <= bound + res.truncation_error + 3.0 * se
         payload.update(
@@ -605,15 +605,19 @@ def _write_outputs(cfg: ExperimentConfig, payload: dict, rows) -> None:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute a validated config; exit code 0 (pass), 2 (check failed)."""
+    """Execute a validated config; exit code 0 (pass), 2 (check failed),
+    1 (a ``palab.errors`` failure) or 3 (any other exception)."""
     fn, _schema = _COMMANDS[cfg.subcommand]
     try:
         code, payload, rows = fn(cfg)
-    except Exception as exc:  # flush a failed marker, then report usage error
+    except Exception as exc:  # flush a failed marker, then report the failure
         if cfg.out:
             jsonio.write(cfg.out, {"failed": True, "error": str(exc), "subcommand": cfg.subcommand})
-        print(f"{cfg.subcommand}: FAILED ({exc})", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, PalabError):
+            print(f"{cfg.subcommand}: FAILED ({exc})", file=sys.stderr)
+            return EXIT_USAGE
+        traceback.print_exc()
+        return EXIT_INTERNAL
     jsonschema.validate(payload, OUTPUT_SCHEMAS[cfg.subcommand])
     _write_outputs(cfg, payload, rows)
     print(f"{cfg.subcommand}: {payload.get('verdict', 'PASS')}", file=sys.stderr)

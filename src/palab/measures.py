@@ -1,17 +1,19 @@
 """Finitely supported probability mass functions on the integer lattice N_0^d.
 
 ``LatticePmf`` is the common currency of every distance computation in this
-package: a sparse map of lattice atoms plus a certified account of the mass
-and first absolute moment living outside the stored support.  Truncations are
-never silent; whoever drops mass must put it into ``tail_mass``/``tail_moment``
-so downstream distances can report a rigorous error interval.
+package: sorted arrays of lattice atoms and their probabilities, plus a
+certified account of the mass and first absolute moment living outside the
+stored support.  Truncations are never silent; whoever drops mass must put it
+into ``tail_mass``/``tail_moment`` so downstream distances can report a
+rigorous error interval.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -28,86 +30,110 @@ DEFAULT_ATOM_BUDGET = 4_000_000
 Point = tuple[int, ...]
 
 
-def _as_point(x: Sequence[int], dim: int) -> Point:
-    pt = tuple(int(v) for v in x)
-    if len(pt) != dim:
-        raise ParameterError(f"point {x!r} has length {len(pt)}, expected {dim}")
-    if any(v != w for v, w in zip(pt, x)) or any(v < 0 for v in pt):
-        raise ParameterError(f"point {x!r} is not in N_0^{dim}")
-    return pt
+def _point_array(points, dim: int) -> np.ndarray:
+    """``points`` as an (n, dim) int64 array of points of N_0^dim."""
+    try:
+        xs = np.asarray(points)
+    except ValueError as exc:  # ragged input
+        raise ParameterError(f"points do not form an (n, {dim}) array: {exc}") from None
+    xs = xs.reshape(0, dim) if xs.size == 0 else xs
+    if xs.ndim != 2 or xs.shape[1] != dim:
+        raise ParameterError(f"points must form an (n, {dim}) array, got shape {xs.shape}")
+    integral = xs.dtype.kind in "biu" or (
+        xs.dtype.kind == "f" and np.isfinite(xs).all() and (xs == np.round(xs)).all()
+    )
+    if not integral or (xs < 0).any():
+        raise ParameterError(f"points must lie in N_0^{dim}")
+    return xs.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
 class LatticePmf:
     """Probability mass function on N_0^dim with a certified truncation account.
+
+    Built from a ``{point: p}`` dict or by ``from_arrays``; atoms of
+    probability 0 are dropped and a repeated point is rejected.
 
     Attributes
     ----------
     dim : dimension d of the lattice.
-    atoms : map from lattice point (d-tuple of non-negative ints) to probability.
+    points : (n, d) read-only int64 array of the atoms, lexicographically sorted.
+    probs : (n,) read-only float64 array of their probabilities, all > 0.
     tail_mass : probability mass outside the stored support.
     tail_moment : upper bound on E[|X|_1 ; X outside the stored support].
     """
 
-    dim: int
-    atoms: dict[Point, float]
-    tail_mass: float = 0.0
-    tail_moment: float = 0.0
+    __slots__ = ("dim", "points", "probs", "tail_mass", "tail_moment", "_atoms")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, atoms: Mapping[Sequence[int], float],
+                 tail_mass: float = 0.0, tail_moment: float = 0.0):
+        self._init(dim, list(atoms), np.fromiter(atoms.values(), float, len(atoms)), tail_mass, tail_moment)
+
+    @classmethod
+    def from_arrays(cls, dim: int, points, probs, tail_mass: float = 0.0,
+                    tail_moment: float = 0.0) -> "LatticePmf":
+        """Pmf from an (n, dim) point array and n probabilities, in any order."""
+        pmf = cls.__new__(cls)
+        pmf._init(dim, points, probs, tail_mass, tail_moment)
+        return pmf
+
+    def _init(self, dim, points, probs, tail_mass, tail_moment) -> None:
+        if dim < 1:
             raise ParameterError("dim must be a positive integer")
-        if self.tail_mass < 0 or self.tail_moment < 0:
+        if tail_mass < 0 or tail_moment < 0:
             raise ParameterError("tail_mass and tail_moment must be >= 0")
-        clean: dict[Point, float] = {}
-        for x, p in self.atoms.items():
-            pt = _as_point(x, self.dim)
-            if not (p >= 0.0):
-                raise ParameterError(f"atom {pt} has negative probability {p}")
-            if p > 0.0:
-                clean[pt] = float(p)
-        if not clean and self.tail_mass == 0.0:
+        xs = _point_array(points, dim)
+        ps = np.asarray(probs, dtype=float)
+        if ps.shape != (len(xs),) or not (ps >= 0.0).all():
+            raise ParameterError(f"need {len(xs)} probabilities, all >= 0")
+        order = np.lexsort(xs.T[::-1])
+        xs, ps = xs[order], ps[order]
+        dup = np.flatnonzero((xs[1:] == xs[:-1]).all(axis=1))
+        if len(dup):
+            raise ParameterError(f"duplicate atom {tuple(xs[dup[0]].tolist())}")
+        xs, ps = xs[ps > 0.0], ps[ps > 0.0]
+        if not len(ps) and tail_mass == 0.0:
             raise ParameterError("pmf must have at least one atom of positive mass")
-        defect = abs(sum(clean.values()) + self.tail_mass - 1.0)
+        defect = abs(float(ps.sum()) + tail_mass - 1.0)
         if defect > NORMALIZATION_DEFECT_LIMIT:
             raise ParameterError(f"normalization defect {defect:.3e} exceeds {NORMALIZATION_DEFECT_LIMIT:g}")
-        object.__setattr__(self, "atoms", clean)
+        xs.flags.writeable = ps.flags.writeable = False
+        self.dim, self.points, self.probs = int(dim), xs, ps
+        self.tail_mass, self.tail_moment, self._atoms = float(tail_mass), float(tail_moment), None
 
     # -- views -----------------------------------------------------------
+    @property
+    def atoms(self) -> Mapping[Point, float]:
+        """Read-only {point tuple: probability} view, for code keyed by points."""
+        if self._atoms is None:
+            self._atoms = MappingProxyType(dict(zip(map(tuple, self.points.tolist()), self.probs.tolist())))
+        return self._atoms
+
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Stored support as an (n, dim) int array plus the matching weights,
         in lexicographic point order (deterministic)."""
-        pts = sorted(self.atoms)
-        xs = np.array(pts, dtype=np.int64).reshape(len(pts), self.dim)
-        ps = np.array([self.atoms[p] for p in pts], dtype=float)
-        return xs, ps
-
-    def stored_mass(self) -> float:
-        return float(sum(self.atoms.values()))
+        return self.points, self.probs
 
     def mean(self) -> np.ndarray:
         """Mean of the stored atoms (ignores tail by construction)."""
-        xs, ps = self.support_arrays()
-        return ps @ xs
+        return self.probs @ self.points
 
     def prob(self, x: Sequence[int]) -> float:
-        return self.atoms.get(tuple(int(v) for v in x), 0.0)
+        hit = np.flatnonzero((self.points == x).all(axis=1)) if len(x) == self.dim else ()
+        return float(self.probs[hit[0]]) if len(hit) else 0.0
 
     def prefix_marginal(self, i: int) -> "LatticePmf":
         """Marginal law of the first ``i`` coordinates (tail account carried over)."""
         if not 1 <= i <= self.dim:
             raise ParameterError(f"prefix length {i} out of range 1..{self.dim}")
-        acc: dict[Point, float] = {}
-        for x, p in self.atoms.items():
-            key = x[:i]
-            acc[key] = acc.get(key, 0.0) + p
-        return LatticePmf(i, acc, self.tail_mass, self.tail_moment)
+        xs, inverse = np.unique(self.points[:, :i], axis=0, return_inverse=True)
+        ps = np.bincount(inverse.ravel(), weights=self.probs, minlength=len(xs))
+        return LatticePmf.from_arrays(i, xs, ps, self.tail_mass, self.tail_moment)
 
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "atoms": [{"x": list(x), "p": p} for x, p in sorted(self.atoms.items())],
+            "atoms": [{"x": x, "p": p} for x, p in zip(self.points.tolist(), self.probs.tolist())],
             "tail_mass": self.tail_mass,
             "tail_moment": self.tail_moment,
         }
@@ -117,8 +143,11 @@ class LatticePmf:
 
     @staticmethod
     def from_json_dict(obj: Mapping) -> "LatticePmf":
-        atoms = {tuple(a["x"]): float(a["p"]) for a in obj["atoms"]}
-        return LatticePmf(int(obj["dim"]), atoms, float(obj["tail_mass"]), float(obj["tail_moment"]))
+        atoms = obj["atoms"]
+        return LatticePmf.from_arrays(
+            int(obj["dim"]), [a["x"] for a in atoms], [float(a["p"]) for a in atoms],
+            float(obj["tail_mass"]), float(obj["tail_moment"]),
+        )
 
     @staticmethod
     def from_json(text: str) -> "LatticePmf":
@@ -140,21 +169,6 @@ class PoissonVectorParams:
     @property
     def dim(self) -> int:
         return len(self.lambdas)
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """A seeded batch of lattice draws (rows are d-tuples of counts)."""
-
-    dim: int
-    rows: list[Point]
-    seed: int
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1 or len(self.rows) != self.count:
-            raise ParameterError("rows.length must equal count >= 1")
-        object.__setattr__(self, "rows", [_as_point(r, self.dim) for r in self.rows])
 
 
 def poisson_vector_pmf(
@@ -197,13 +211,7 @@ def poisson_vector_pmf(
     table = marg[0]
     for v in marg[1:]:
         table = np.multiply.outer(table, v)
-    atoms: dict[Point, float] = {}
-    it = np.ndindex(*table.shape)
-    flat = table.ravel()
-    for idx, p in zip(it, flat):
-        if p > 0.0:
-            atoms[tuple(int(v) for v in idx)] = float(p)
-    stored = float(flat.sum())
+    stored = float(table.ravel().sum())
     tail_mass = max(0.0, 1.0 - stored)
     # E[|X|_1 ; X outside box] <= sum_j [ E[P_j; P_j > N_j] + sum_{i != j} lam_i P(P_j > N_j) ]
     lam_total = float(lam.sum())
@@ -215,7 +223,8 @@ def poisson_vector_pmf(
         p_ge = float(stats.poisson.sf(n - 1, lv))      # P(P_j >= N_j)
         tail_moment += lv * p_ge + (lam_total - lv) * p_gt
     tail_moment = max(tail_moment, tail_mass)
-    return LatticePmf(d, atoms, tail_mass, tail_moment)
+    positive = table > 0.0
+    return LatticePmf.from_arrays(d, np.argwhere(positive), table[positive], tail_mass, tail_moment)
 
 
 def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> LatticePmf:
@@ -252,46 +261,41 @@ def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> 
             dst[j] = slice(1, n + 1)
             nxt[tuple(dst)] += p[r, j] * table[tuple(src)]
         table = nxt
-    atoms = {
-        tuple(int(v) for v in idx): float(table[tuple(idx)])
-        for idx in np.argwhere(table > 0.0)
-    }
-    return LatticePmf(d, atoms, 0.0, 0.0)
+    positive = table > 0.0
+    return LatticePmf.from_arrays(d, np.argwhere(positive), table[positive], 0.0, 0.0)
 
 
-def empirical_pmf(batch: SampleBatch) -> LatticePmf:
-    """Relative frequencies of a sample batch; deterministic given the rows."""
-    acc: dict[Point, int] = {}
-    for row in batch.rows:
-        acc[row] = acc.get(row, 0) + 1
-    inv = 1.0 / batch.count
-    return LatticePmf(batch.dim, {x: c * inv for x, c in acc.items()}, 0.0, 0.0)
-
-
-def batch_from_rows(rows: Iterable[Sequence[int]], dim: int, seed: int) -> SampleBatch:
-    rows = [tuple(int(v) for v in r) for r in rows]
-    return SampleBatch(dim=dim, rows=rows, seed=seed, count=len(rows))
+def empirical_pmf(rows) -> LatticePmf:
+    """Relative frequencies of the rows of an (n, d) array of lattice points;
+    deterministic given the rows."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
+        raise ParameterError(f"rows must form a non-empty (n, d) array, got shape {rows.shape}")
+    xs, counts = np.unique(_point_array(rows, rows.shape[1]), axis=0, return_counts=True)
+    return LatticePmf.from_arrays(rows.shape[1], xs, counts * (1.0 / len(rows)))
 
 
 def truncate_small_atoms(pmf: LatticePmf, drop_mass: float) -> LatticePmf:
     """Move the smallest atoms, up to total mass ``drop_mass``, into the tail
-    account.  Dropped mass is added to tail_mass and its exact first absolute
-    moment to tail_moment, so downstream error intervals stay rigorous."""
+    account.  Atoms go in increasing (p, x) order and at least one is kept.
+    Dropped mass is added to tail_mass and its exact first absolute moment to
+    tail_moment, so downstream error intervals stay rigorous."""
     if drop_mass <= 0.0:
         return pmf
-    order = sorted(pmf.atoms.items(), key=lambda kv: (kv[1], kv[0]))
-    dropped_mass = 0.0
-    dropped_moment = 0.0
-    kept = dict(pmf.atoms)
-    for x, p in order:
-        if dropped_mass + p > drop_mass or len(kept) == 1:
-            break
-        dropped_mass += p
-        dropped_moment += p * sum(x)
-        del kept[x]
-    return LatticePmf(
+    xs, ps = pmf.points, pmf.probs
+    order = np.lexsort((*xs.T[::-1], ps))
+    # running sums in drop order, accumulated left to right
+    mass = np.cumsum(ps[order])
+    k = min(int(np.searchsorted(mass, drop_mass, side="right")), len(ps) - 1)
+    if k <= 0:
+        return pmf
+    dropped = order[:k]
+    moment = np.cumsum(ps[dropped] * xs[dropped].sum(axis=1))
+    kept = np.sort(order[k:])
+    return LatticePmf.from_arrays(
         pmf.dim,
-        kept,
-        pmf.tail_mass + dropped_mass,
-        pmf.tail_moment + dropped_moment,
+        xs[kept],
+        ps[kept],
+        pmf.tail_mass + float(mass[k - 1]),
+        pmf.tail_moment + float(moment[-1]),
     )

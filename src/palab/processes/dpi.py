@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import streams
 from ..errors import ParameterError
-from ..measures import LatticePmf, PoissonVectorParams, empirical_pmf, batch_from_rows, poisson_vector_pmf, truncate_small_atoms
+from ..measures import LatticePmf, PoissonVectorParams, empirical_pmf, poisson_vector_pmf, truncate_small_atoms
 from ..transport import wasserstein_l1
 from .patterns import IntensityMeasure, PartitionSpec, PointPattern, count_vector
 
@@ -54,7 +54,7 @@ class DiracCountLaw:
         self.pattern = pattern
 
     def count_pmf(self, partition: PartitionSpec) -> LatticePmf:
-        return LatticePmf(partition.dim, {count_vector(self.pattern, partition): 1.0})
+        return LatticePmf.from_arrays(partition.dim, [count_vector(self.pattern, partition)], [1.0])
 
 
 Sampler = Callable[[np.random.Generator], PointPattern]
@@ -84,10 +84,6 @@ def _collect_rows(source: Sampler, partitions: Sequence[PartitionSpec], reps: in
     return rows
 
 
-def _pmf_from_rows(rows: np.ndarray) -> LatticePmf:
-    return empirical_pmf(batch_from_rows(rows, dim=rows.shape[1], seed=0))
-
-
 def dpi_lower_bound(
     xi: CountSource,
     eta: CountSource,
@@ -109,12 +105,15 @@ def dpi_lower_bound(
     eta_exact = hasattr(eta, "count_pmf")
     xi_rows = None if xi_exact else _collect_rows(xi, partitions, reps, streams.derive(seed, 10))
     eta_rows = None if eta_exact else _collect_rows(eta, partitions, reps, streams.derive(seed, 11))
+    # exact count laws are deterministic: build them once, not per replicate
+    xi_laws = [xi.count_pmf(part) for part in partitions] if xi_exact else None
+    eta_laws = [eta.count_pmf(part) for part in partitions] if eta_exact else None
 
     def eval_max(xi_rows_b, eta_rows_b) -> tuple[float, list[float], float]:
         vals, trunc = [], 0.0
-        for t, part in enumerate(partitions):
-            pmf_xi = xi.count_pmf(part) if xi_exact else _pmf_from_rows(xi_rows_b[t])
-            pmf_eta = eta.count_pmf(part) if eta_exact else _pmf_from_rows(eta_rows_b[t])
+        for t in range(len(partitions)):
+            pmf_xi = xi_laws[t] if xi_exact else empirical_pmf(xi_rows_b[t])
+            pmf_eta = eta_laws[t] if eta_exact else empirical_pmf(eta_rows_b[t])
             res = wasserstein_l1(pmf_xi, pmf_eta)
             vals.append(res.value)
             trunc = max(trunc, res.truncation_error)
@@ -127,12 +126,8 @@ def dpi_lower_bound(
     boots = []
     for b in range(n_boot):
         rng_b = streams.derive(seed, 20, b)
-        xi_b = None
-        eta_b = None
-        if not xi_exact:
-            xi_b = [rows[rng_b.integers(0, reps, size=reps)] for rows in xi_rows]
-        if not eta_exact:
-            eta_b = [rows[rng_b.integers(0, reps, size=reps)] for rows in eta_rows]
+        xi_b = None if xi_exact else [rows[rng_b.integers(0, reps, size=reps)] for rows in xi_rows]
+        eta_b = None if eta_exact else [rows[rng_b.integers(0, reps, size=reps)] for rows in eta_rows]
         boots.append(eval_max(xi_b, eta_b)[0])
     boots = np.array(boots)
     se = float(boots.std(ddof=1)) if n_boot > 1 else float("inf")

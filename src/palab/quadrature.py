@@ -82,18 +82,3 @@ def integrate_box(
         f"(last error estimate {err:.3e})"
     )
 
-
-def integrate_box_fixed(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: Sequence[float],
-    hi: Sequence[float],
-    level: int,
-) -> QuadResult:
-    """One-shot quadrature at a fixed refinement level; error estimated against
-    the next-coarser level.  Used for piecewise-smooth integrands where the
-    adaptive driver's stopping rule is wasteful."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    coarse = _tensor_integral(f, *_panel_nodes(lo, hi, max(1, 2 ** (level - 1))))
-    fine = _tensor_integral(f, *_panel_nodes(lo, hi, 2**level))
-    return QuadResult(fine, abs(fine - coarse))

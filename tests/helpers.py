@@ -14,6 +14,11 @@ from scipy.optimize import linprog
 
 from palab.measures import LatticePmf
 
+# HiGHS feasibility tolerances are absolute, so the LP is solved with supplies
+# scaled by this factor and the optimum divided by it: at unit mass a
+# 55 x 2932 instance disagreed with the exact simplex by 1.6e-8.
+SUPPLY_SCALE = 1e3
+
 
 def lp_wasserstein(P: LatticePmf, Q: LatticePmf) -> float:
     """Direct LP formulation of the optimal-transport problem (HiGHS)."""
@@ -35,7 +40,7 @@ def lp_wasserstein(P: LatticePmf, Q: LatticePmf) -> float:
     res = linprog(
         cost.ravel(),
         A_eq=A_eq[:-1],
-        b_eq=np.concatenate([a, b])[:-1],
+        b_eq=SUPPLY_SCALE * np.concatenate([a, b])[:-1],
         bounds=(0, None),
         method="highs",
         options={
@@ -44,7 +49,7 @@ def lp_wasserstein(P: LatticePmf, Q: LatticePmf) -> float:
         },
     )
     assert res.status == 0, f"LP oracle failed: {res.message}"
-    return float(res.fun)
+    return float(res.fun) / SUPPLY_SCALE
 
 
 def random_pmf(rng: np.random.Generator, dim: int, n_atoms: int, span: int = 12) -> LatticePmf:

@@ -24,7 +24,6 @@ from palab.coupling import (
 from palab.measures import (
     LatticePmf,
     PoissonVectorParams,
-    batch_from_rows,
     bernoulli_sum_pmf,
     empirical_pmf,
     poisson_vector_pmf,
@@ -205,15 +204,13 @@ def test_criterion_5_mdep_bound():
         lam = PoissonVectorParams(tuple(p.sum(axis=0)))
         target = truncate_small_atoms(poisson_vector_pmf(lam, 1e-9), 1e-7)
         counts = sample_mdep_counts(model, reps, seed=977 + inst)
-        pmf = empirical_pmf(batch_from_rows(counts, dim=d, seed=0))
+        pmf = empirical_pmf(counts)
         value = wasserstein_l1(pmf, target).value
         boots = np.zeros(n_boot)
         for b in range(n_boot):
             rng_b = streams.derive(20240025, inst, b)
             rows = counts[rng_b.integers(0, reps, size=reps)]
-            boots[b] = wasserstein_l1(
-                empirical_pmf(batch_from_rows(rows, dim=d, seed=0)), target
-            ).value
+            boots[b] = wasserstein_l1(empirical_pmf(rows), target).value
         se = float(boots.std(ddof=1))
         margin = bound + 3 * se - value
         worst_margin = min(worst_margin, margin)

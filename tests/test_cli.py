@@ -159,6 +159,39 @@ def test_failed_marker_written(tmp_path):
     assert payload["failed"] is True
 
 
+def test_wasserstein_duplicate_atoms_exit_1(tmp_path):
+    dup = {
+        "dim": 1,
+        "atoms": [{"x": [0], "p": 0.3}, {"x": [0], "p": 0.5}, {"x": [1], "p": 0.5}],
+        "tail_mass": 0.0,
+        "tail_moment": 0.0,
+    }
+    ok = {"dim": 1, "atoms": [{"x": [1], "p": 1.0}], "tail_mass": 0.0, "tail_moment": 0.0}
+    p_path = write_json(tmp_path / "p.json", dup)
+    q_path = write_json(tmp_path / "q.json", ok)
+    out = tmp_path / "w.json"
+    assert run_cli(["wasserstein", "--p", p_path, "--q", q_path, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failed"] is True
+
+
+def test_internal_failure_exits_3(tmp_path, monkeypatch):
+    from palab import cli
+    from palab.transport import _SimplexFailure
+
+    def failing_solve(P, Q, want_flow=False):
+        raise _SimplexFailure("duality gap 1e-3")
+
+    monkeypatch.setattr(cli, "wasserstein_l1", failing_solve)
+    point = {"dim": 1, "atoms": [{"x": [0], "p": 1.0}], "tail_mass": 0.0, "tail_moment": 0.0}
+    p_path = write_json(tmp_path / "p.json", point)
+    out = tmp_path / "w.json"
+    code = run_cli(["wasserstein", "--p", p_path, "--q", p_path, "--out", str(out)])
+    assert code == cli.EXIT_INTERNAL == 3
+    payload = json.loads(out.read_text())
+    assert payload["failed"] is True
+    assert "duality gap" in payload["error"]
+
+
 def test_gnz_check_cli(tmp_path, gibbs_model):
     out = tmp_path / "gnz.json"
     code = run_cli([

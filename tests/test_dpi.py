@@ -9,7 +9,7 @@ import pytest
 from palab import streams
 from palab.coupling import CouplingTable, q_terms_from_coupling
 from palab.errors import ParameterError
-from palab.measures import LatticePmf, batch_from_rows, empirical_pmf
+from palab.measures import LatticePmf, empirical_pmf
 from palab.processes import (
     Box,
     DiracCountLaw,
@@ -154,7 +154,7 @@ def test_tuple_bound_papangelou_route_q_below_integral_bound():
     total_q = 0.0
     total_se = 0.0
     for i in (1, 2):
-        pmf = empirical_pmf(batch_from_rows(rows[:, :i], dim=i, seed=0))
+        pmf = empirical_pmf(rows[:, :i])
         lam_i = 2.0 * 0.5
         keys = set(pmf.atoms)
         keys |= {x[:-1] + (x[-1] + 1,) for x in pmf.atoms}

@@ -2,6 +2,7 @@
 identities, Monte Carlo frequency oracles, truncation accounting."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from palab.errors import CapacityError, ParameterError
 from palab.measures import (
     LatticePmf,
     PoissonVectorParams,
-    SampleBatch,
-    batch_from_rows,
     bernoulli_sum_pmf,
     empirical_pmf,
     poisson_vector_pmf,
@@ -116,9 +115,9 @@ def test_bernoulli_row_sum_error():
 # -- empirical_pmf -----------------------------------------------------------
 
 def test_empirical_trivial_cases():
-    b = batch_from_rows([(0,), (0,), (1,), (1,)], dim=1, seed=0)
+    b = [(0,), (0,), (1,), (1,)]
     assert empirical_pmf(b).atoms == pytest.approx({(0,): 0.5, (1,): 0.5})
-    b2 = batch_from_rows([(2, 3)], dim=2, seed=0)
+    b2 = [(2, 3)]
     assert empirical_pmf(b2).atoms == {(2, 3): 1.0}
 
 
@@ -126,8 +125,7 @@ def test_empirical_poisson_frequency_within_4_sigma():
     rng = np.random.default_rng(23)
     reps = 10**5
     draws = rng.poisson(1.0, size=reps)
-    b = batch_from_rows([(int(d),) for d in draws], dim=1, seed=23)
-    pmf = empirical_pmf(b)
+    pmf = empirical_pmf(draws[:, None])
     p0 = math.exp(-1.0)
     sigma = math.sqrt(p0 * (1 - p0) / reps)
     assert abs(pmf.prob((0,)) - p0) <= 4 * sigma
@@ -139,14 +137,55 @@ def test_empirical_tv_convergence_to_exact():
     xs, ps = exact.support_arrays()
     count = 20000
     rows = xs[rng.choice(len(ps), p=ps / ps.sum(), size=count)]
-    pmf = empirical_pmf(batch_from_rows(rows, dim=2, seed=29))
+    pmf = empirical_pmf(rows)
     tv = total_variation(pmf, exact).value
     assert tv <= 4 * math.sqrt(len(ps) / count)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ParameterError):
-        SampleBatch(dim=1, rows=[], seed=0, count=0)
+        empirical_pmf(np.zeros((0, 1), dtype=np.int64))
+
+
+def _counter_reference(rows: np.ndarray):
+    """Points in sorted-tuple order and count * (1/n), by plain Python counting."""
+    counts = Counter(map(tuple, rows.tolist()))
+    inv = 1.0 / len(rows)
+    points = sorted(counts)
+    return points, [counts[x] * inv for x in points]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_empirical_matches_counter_reference(dim):
+    rng = np.random.default_rng(100 + dim)
+    cases = [
+        rng.poisson(1.5, size=(1, dim)),                     # one row
+        np.full((257, dim), 3),                              # all rows identical
+        rng.integers(0, 2, size=(5000, dim)),                # heavy ties
+        rng.poisson(rng.uniform(0.2, 4.0, size=dim), size=(3001, dim)),
+    ]
+    for rows in cases:
+        pmf = empirical_pmf(rows)
+        points, probs = _counter_reference(rows)
+        assert pmf.dim == dim
+        assert [tuple(x) for x in pmf.points.tolist()] == points
+        assert pmf.probs.tolist() == probs  # bitwise: same count * (1/n)
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([1, 2, 3]),                   # 1-D
+    np.array([[0, 1], [-1, 2]]),           # negative
+    np.array([[0.0, 1.5], [1.0, 2.0]]),    # non-integer
+    np.array([[0.0, np.nan]]),             # non-finite
+])
+def test_empirical_rejects_bad_rows(rows):
+    with pytest.raises(ParameterError):
+        empirical_pmf(rows)
+
+
+def test_empirical_accepts_integral_floats():
+    pmf = empirical_pmf(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+    assert pmf.atoms == pytest.approx({(0, 0): 1 / 3, (1, 2): 2 / 3})
 
 
 # -- LatticePmf invariants and plumbing ---------------------------------------
@@ -159,6 +198,36 @@ def test_normalization_defect_rejected():
 def test_negative_coordinates_rejected():
     with pytest.raises(ParameterError):
         LatticePmf(1, {(-1,): 1.0})
+
+
+def test_duplicate_atoms_rejected():
+    with pytest.raises(ParameterError, match="duplicate"):
+        LatticePmf.from_arrays(1, [[0], [0], [1]], [0.3, 0.5, 0.5])
+    with pytest.raises(ParameterError, match="duplicate"):
+        LatticePmf.from_json_dict({
+            "dim": 1,
+            "atoms": [{"x": [0], "p": 0.3}, {"x": [0], "p": 0.5}, {"x": [1], "p": 0.5}],
+            "tail_mass": 0.0,
+            "tail_moment": 0.0,
+        })
+
+
+def test_wrong_point_length_rejected():
+    with pytest.raises(ParameterError):
+        LatticePmf(2, {(0,): 0.5, (1, 0): 0.5})
+    with pytest.raises(ParameterError):
+        LatticePmf.from_arrays(2, [[0, 0, 0]], [1.0])
+
+
+def test_arrays_sorted_and_read_only():
+    pmf = LatticePmf(2, {(1, 0): 0.25, (0, 3): 0.25, (0, 1): 0.5, (2, 2): 0.0})
+    assert pmf.points.tolist() == [[0, 1], [0, 3], [1, 0]]
+    assert pmf.probs.tolist() == [0.5, 0.25, 0.25]
+    assert pmf.support_arrays()[0] is pmf.points
+    with pytest.raises(ValueError):
+        pmf.probs[0] = 1.0
+    with pytest.raises(TypeError):
+        pmf.atoms[(0, 1)] = 1.0
 
 
 def test_json_round_trip():
@@ -178,6 +247,36 @@ def test_prefix_marginal_sums():
     # P(X1 = 0) = (1 - 0.2) * (1 - 0.1) ... careful: coordinate 1 can only
     # increase via e_1 outcomes, independent across rows
     assert marg.prob((0,)) == pytest.approx(0.8 * 0.9, abs=1e-12)
+
+
+def _truncate_reference(pmf, drop_mass):
+    """Per-atom loop: drop atoms in sorted (p, x) order while the running
+    dropped mass stays <= drop_mass, keeping at least one atom."""
+    kept = dict(pmf.atoms)
+    mass = moment = 0.0
+    for x, p in sorted(pmf.atoms.items(), key=lambda kv: (kv[1], kv[0])):
+        if mass + p > drop_mass or len(kept) == 1:
+            break
+        mass += p
+        moment += p * sum(x)
+        del kept[x]
+    return kept, pmf.tail_mass + mass, pmf.tail_moment + moment
+
+
+def test_truncate_small_atoms_tie_order_matches_loop_reference():
+    # four atoms tie at p = 0.1: they must go in lexicographic point order
+    atoms = {(2, 0): 0.1, (0, 2): 0.1, (1, 1): 0.1, (0, 1): 0.1, (0, 0): 0.35, (3, 0): 0.25}
+    pmf = LatticePmf(2, atoms, 0.0, 0.0)
+    pruned = truncate_small_atoms(pmf, 0.25)
+    assert sorted(pruned.atoms) == [(0, 0), (1, 1), (2, 0), (3, 0)]
+    cases = [(pmf, drop) for drop in (0.05, 0.1, 0.25, 0.3, 0.45, 1.0, 5.0)]
+    cases += [(poisson_vector_pmf(PoissonVectorParams((1.2, 0.7)), 1e-10), drop)
+              for drop in (1e-12, 1e-9, 1e-6, 0.2)]
+    for base, drop in cases:
+        got = truncate_small_atoms(base, drop)
+        kept, tail_mass, tail_moment = _truncate_reference(base, drop)
+        assert got.atoms == kept
+        assert (got.tail_mass, got.tail_moment) == (tail_mass, tail_moment)  # bitwise
 
 
 def test_truncate_small_atoms_accounting():
