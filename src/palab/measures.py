@@ -11,6 +11,7 @@ rigorous error interval.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -267,11 +268,23 @@ def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> 
 
 def empirical_pmf(rows) -> LatticePmf:
     """Relative frequencies of the rows of an (n, d) array of lattice points;
-    deterministic given the rows."""
+    deterministic given the rows.
+
+    Rows are counted through one int64 key per row: the mixed-radix index of
+    the row, shifted by the column minima, in the box the rows span.  Key
+    order is lexicographic order.  A box of more than 2**63 - 1 cells falls
+    back to sorting the rows themselves."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
         raise ParameterError(f"rows must form a non-empty (n, d) array, got shape {rows.shape}")
-    xs, counts = np.unique(_point_array(rows, rows.shape[1]), axis=0, return_counts=True)
+    xs = _point_array(rows, rows.shape[1])
+    lo = xs.min(axis=0)
+    span = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), xs.max(axis=0).tolist())]
+    if math.prod(span) <= np.iinfo(np.int64).max:
+        keys, counts = np.unique(np.ravel_multi_index(tuple((xs - lo).T), span), return_counts=True)
+        xs = np.column_stack(np.unravel_index(keys, span)) + lo
+    else:
+        xs, counts = np.unique(xs, axis=0, return_counts=True)
     return LatticePmf.from_arrays(rows.shape[1], xs, counts * (1.0 / len(rows)))
 
 

@@ -1,8 +1,10 @@
 """Exact 1-norm Wasserstein and total-variation distances between lattice pmfs.
 
 The Wasserstein solver is a transportation network simplex on the complete
-bipartite graph of the two stored supports, with cost |x - y|_1.  Costs are
-integers, so the simplex multipliers (duals) are exact integers as well: the
+bipartite graph of the two stored supports, with cost |x - y|_1.  It starts
+from a least-cost (matrix-minimum) basis, built in one walk over the arcs
+sorted by cost, and improves it by block-priced pivots.  Costs are integers,
+so the simplex multipliers (duals) are exact integers as well: the
 optimality test involves no rounding, and every solve ends with a
 complementary-slackness verification pass.
 
@@ -28,6 +30,9 @@ from .measures import LatticePmf, Point
 # Reduced costs are exact integers; anything below this is a real violation.
 _OPT_TOL = 1e-7
 _VERIFY_TOL = 1e-9
+# Arcs per numpy step of the start's sorted walk: turning the whole m*n order
+# into Python ints at once costs tens of bytes of peak memory per arc.
+_START_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -52,57 +57,64 @@ def _l1_cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Row-greedy start: each source fills its cheapest remaining sinks.
+def _perturb(a: np.ndarray, b: np.ndarray):
+    """Tie-breaking perturbation of the supplies, removed again before the
+    final flow solve."""
+    m = len(a)
+    eps0 = 1e-13 / (m + 1)
+    a_p = a + eps0 * np.arange(1, m + 1)
+    return a_p, b * (a_p.sum() / b.sum())
 
-    With perturbed (tie-free) supplies every allocation exhausts exactly one
-    node, which yields m + n - 1 arcs forming a spanning tree.
+
+def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """Least-cost (matrix-minimum) start.
+
+    Arcs are visited once in increasing cost order (ties by row-major index);
+    each arc whose row and column both still have supply carries
+    min(remaining row supply, remaining column demand).  Every allocation
+    exhausts at least one of its two nodes, so the arcs form a forest, and with
+    perturbed (tie-free) supplies exactly m + n - 1 of them: a spanning tree.
+    An allocation that exhausts both nodes at once leaves fewer arcs; the same
+    order is then walked again, adding zero-flow arcs that join two distinct
+    components, until the tree spans.
     """
     m, n = cost.shape
+    need = m + n - 1
     rem_a = a.copy()
     rem_b = b.copy()
-    order = np.argsort(cost, axis=1, kind="stable")
+    order = np.argsort(cost, axis=None, kind="stable")
     flows: dict[tuple[int, int], float] = {}
-    for i in range(m):
-        for j in order[i]:
-            if rem_b[j] <= 0.0:
-                continue
-            take = min(rem_a[i], rem_b[j])
-            flows[(i, j)] = take
-            rem_a[i] -= take
-            rem_b[j] -= take
-            if rem_a[i] <= 0.0:
+    for i, j in _sorted_arcs(order, n, lambda rows, cols: (rem_a[rows] > 0.0) & (rem_b[cols] > 0.0)):
+        ra, rb = rem_a[i], rem_b[j]
+        if ra <= 0.0 or rb <= 0.0:
+            continue
+        take = min(ra, rb)
+        flows[(i, j)] = take
+        rem_a[i] = ra - take
+        rem_b[j] = rb - take
+        if len(flows) == need:
+            return flows
+    label = np.arange(m + n)  # component of each node, rows first
+    for i, j in flows:
+        label[label == label[m + j]] = label[i]
+    for i, j in _sorted_arcs(order, n, lambda rows, cols: label[rows] != label[m + cols]):
+        li, lj = label[i], label[m + j]
+        if li != lj:
+            label[label == lj] = li
+            flows[(i, j)] = 0.0
+            if len(flows) == need:
                 break
-    # Perturbation should leave exactly m + n - 1 arcs; mop up degenerate
-    # shortfall by adding zero-flow arcs that keep the graph acyclic.
-    if len(flows) != m + n - 1:
-        _repair_tree(flows, m, n, cost)
     return flows
 
 
-def _repair_tree(flows, m: int, n: int, cost: np.ndarray) -> None:
-    """Grow the arc set into a spanning tree using zero-flow arcs (cheapest
-    first among arcs joining distinct components)."""
-    parent_dsu = list(range(m + n))
-
-    def find(x):
-        while parent_dsu[x] != x:
-            parent_dsu[x] = parent_dsu[parent_dsu[x]]
-            x = parent_dsu[x]
-        return x
-
-    for (i, j) in flows:
-        ri, rj = find(i), find(m + j)
-        if ri != rj:
-            parent_dsu[ri] = rj
-    pairs = sorted(((cost[i, j], i, j) for i in range(m) for j in range(n)))
-    for _, i, j in pairs:
-        if len(flows) == m + n - 1:
-            break
-        ri, rj = find(i), find(m + j)
-        if ri != rj:
-            parent_dsu[ri] = rj
-            flows.setdefault((i, j), 0.0)
+def _sorted_arcs(order: np.ndarray, n: int, keep):
+    """Arcs (i, j) of the flat cost ``order``, chunk by chunk; ``keep(rows,
+    cols)`` masks each chunk when it is reached, so it sees the state left by
+    the arcs before it and only candidate arcs reach the Python loop."""
+    for lo in range(0, len(order), _START_CHUNK):
+        rows, cols = np.divmod(order[lo : lo + _START_CHUNK], n)
+        live = keep(rows, cols)
+        yield from zip(rows[live].tolist(), cols[live].tolist())
 
 
 def _tree_structure(flows, m: int, n: int, cost: np.ndarray):
@@ -171,11 +183,7 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     free of rounding.
     """
     m, n = cost.shape
-    # tie-breaking perturbation, removed again before the final flow solve
-    eps0 = 1e-13 / (m + 1)
-    a_p = a + eps0 * np.arange(1, m + 1)
-    b_p = b * (a_p.sum() / b.sum())
-    flows = _initial_basis(a_p, b_p, cost)
+    flows = _initial_basis(*_perturb(a, b), cost)
     parent, depth, u, v, order = _tree_structure(flows, m, n, cost)
     adj: list[set[int]] = [set() for _ in range(m + n)]
     for (i, j) in flows:

@@ -163,13 +163,29 @@ def test_empirical_matches_counter_reference(dim):
         np.full((257, dim), 3),                              # all rows identical
         rng.integers(0, 2, size=(5000, dim)),                # heavy ties
         rng.poisson(rng.uniform(0.2, 4.0, size=dim), size=(3001, dim)),
+        rng.integers(0, 3, size=(700, dim)) + 10**15,         # far from the origin
+        rng.integers(0, int(2 ** (62 / dim)), size=(400, dim)),  # wide box, still one int64 key
     ]
     for rows in cases:
-        pmf = empirical_pmf(rows)
-        points, probs = _counter_reference(rows)
-        assert pmf.dim == dim
-        assert [tuple(x) for x in pmf.points.tolist()] == points
-        assert pmf.probs.tolist() == probs  # bitwise: same count * (1/n)
+        _assert_counts_match(empirical_pmf(rows), rows)
+
+
+def _assert_counts_match(pmf, rows):
+    points, probs = _counter_reference(rows)
+    assert pmf.dim == rows.shape[1]
+    assert [tuple(x) for x in pmf.points.tolist()] == points
+    assert pmf.probs.tolist() == probs  # bitwise: same count * (1/n)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_empirical_counts_rows_whose_box_overflows_int64(dim):
+    # a column spanning 2**62 times a column of 3+ values is more than 2**63 - 1
+    # cells, so no int64 key exists and the rows are sorted as they are
+    rng = np.random.default_rng(200 + dim)
+    rows = rng.integers(0, 3, size=(600, dim))
+    rows[:, 0] = rng.choice([0, 5, 2**62], size=600)
+    assert math.prod(int(c.max()) - int(c.min()) + 1 for c in rows.T) > np.iinfo(np.int64).max
+    _assert_counts_match(empirical_pmf(rows), rows)
 
 
 @pytest.mark.parametrize("rows", [

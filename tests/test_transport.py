@@ -1,16 +1,26 @@
 """Wasserstein/TV distance tests: trivial anchors, LP oracle agreement,
-metric axioms, dual feasibility spot checks."""
+metric axioms, dual feasibility spot checks, property tests against the d = 1
+CDF formula and the LP, and the simplex's degenerate starting bases."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from palab.errors import ParameterError
 from palab.measures import LatticePmf, PoissonVectorParams, bernoulli_sum_pmf, poisson_vector_pmf
-from palab.transport import total_variation, wasserstein_l1
+from palab.transport import (
+    _initial_basis,
+    _l1_cost_matrix,
+    _perturb,
+    _tree_structure,
+    total_variation,
+    wasserstein_l1,
+)
 
-from helpers import lp_wasserstein, random_lipschitz_table, random_pmf
+from helpers import lp_wasserstein, random_lipschitz_table, random_pmf, w1_1d
 
 
 def dirac(*x):
@@ -139,3 +149,99 @@ def test_truncation_error_formula():
     assert res.truncation_error == pytest.approx(0.5 + 0.0 + 0.1 * 3.0)
     tv = total_variation(P, Q)
     assert tv.truncation_error == pytest.approx(0.1)
+
+
+# -- property tests ----------------------------------------------------------
+
+def uniform_on(P):
+    """Equal probabilities on the support of P."""
+    return LatticePmf(P.dim, {x: 1.0 / len(P.atoms) for x in P.atoms})
+
+
+@st.composite
+def pmf_pairs(draw, dims, max_atoms):
+    """Two random pmfs of one dimension from ``random_pmf``; a small span
+    makes the supports overlap, and either law may get equal probabilities."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from(dims))
+    span = draw(st.sampled_from([2, 4, 12]))
+    P, Q = (random_pmf(rng, dim, draw(st.integers(1, max_atoms)), span) for _ in range(2))
+    if draw(st.booleans()):
+        P = uniform_on(P)
+    if draw(st.booleans()):
+        Q = uniform_on(Q)
+    return P, Q
+
+
+@given(pmf_pairs(dims=[1], max_atoms=40))
+def test_w1_matches_cdf_formula_at_d1(pair):
+    P, Q = pair
+    assert abs(wasserstein_l1(P, Q).value - w1_1d(P, Q)) <= 1e-12
+
+
+@given(pmf_pairs(dims=[2, 3, 4], max_atoms=30))
+def test_w1_matches_lp_oracle_at_d2_to_4(pair):
+    P, Q = pair
+    assert abs(wasserstein_l1(P, Q).value - lp_wasserstein(P, Q)) <= 1e-8
+
+
+@given(pmf_pairs(dims=[1, 2, 3], max_atoms=40))
+def test_w1_of_identical_laws_is_exactly_zero(pair):
+    P, _ = pair
+    assert wasserstein_l1(P, P).value == 0.0
+    assert wasserstein_l1(uniform_on(P), uniform_on(P)).value == 0.0
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(*[st.lists(st.integers(0, 10**6), min_size=d, max_size=d)] * 2)))
+def test_w1_between_single_atoms_is_l1_distance(xy):
+    x, y = xy
+    assert wasserstein_l1(dirac(*x), dirac(*y)).value == sum(abs(s - t) for s, t in zip(x, y))
+
+
+# -- degenerate starting bases -----------------------------------------------
+
+def _degenerate_cases():
+    rng = np.random.default_rng(46)
+    P = uniform_on(random_pmf(rng, 1, 7))
+    yield "identical equal masses", P, P
+    Q = uniform_on(random_pmf(rng, 2, 9))
+    yield "identical equal masses, d = 2", Q, Q
+    yield "one atom against many", dirac(3), random_pmf(rng, 1, 12)
+    yield "many against one atom", uniform_on(random_pmf(rng, 2, 10)), dirac(1, 1)
+    dup = [0.25, 0.25, 0.125, 0.125, 0.25]
+    yield (
+        "duplicated probabilities",
+        LatticePmf(1, {(x,): p for x, p in zip([0, 2, 3, 5, 9], dup)}),
+        LatticePmf(1, {(x,): p for x, p in zip([1, 2, 4, 6, 7], dup[::-1])}),
+    )
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("case", list(_degenerate_cases()), ids=lambda c: c[0])
+def test_initial_basis_is_spanning_tree_on_degenerate_supplies(case, perturbed):
+    _, P, Q = case
+    (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
+    if perturbed:
+        a, b = _perturb(a, b)
+    cost = _l1_cost_matrix(xs, ys)
+    m, n = cost.shape
+    flows = _initial_basis(a, b, cost)
+    assert len(flows) == m + n - 1
+    _tree_structure(flows, m, n, cost)  # raises unless the arcs span all nodes
+    row, col = np.zeros(m), np.zeros(n)
+    for (i, j), f in flows.items():
+        assert f >= 0.0
+        row[i] += f
+        col[j] += f
+    assert np.abs(row - a).max() <= 1e-12
+    assert np.abs(col - b).max() <= 1e-12
+
+
+def test_initial_basis_joins_components_after_double_exhaustion():
+    # equal masses on equal supports: each zero-cost diagonal arc exhausts its
+    # row and its column at once, so the tree needs m - 1 zero-flow arcs
+    P = uniform_on(random_pmf(np.random.default_rng(47), 1, 6))
+    xs, a = P.support_arrays()
+    flows = _initial_basis(a, a, _l1_cost_matrix(xs, xs))
+    assert len(flows) == 11
+    assert list(flows.values()).count(0.0) == 5
