@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
@@ -58,6 +57,8 @@ from .processes import (
     ustat_R,
     ustat_bound,
 )
+from .processes.dpi import DEFAULT_N_BOOT
+from .processes.gibbs import DEFAULT_GRID
 from .stein import solve_stein_batch
 from .transport import wasserstein_l1
 
@@ -66,6 +67,8 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
 SCHEMA_VERSION = 1
+
+BERNOULLI_N_BOOT = 24
 
 # ---------------------------------------------------------------------------
 # model schemas
@@ -283,7 +286,6 @@ class ExperimentConfig:
     reps: int
     out: Optional[str]
     fmt: str
-    threads: int
     overrides: dict
 
 
@@ -308,14 +310,14 @@ def _partitions_from(obj: list) -> list[PartitionSpec]:
     return [PartitionSpec([_set_from(s) for s in sets]) for sets in obj]
 
 
-def _source_from(obj: dict, eps: float):
+def _source_from(obj: dict):
     kind = obj["type"]
     if kind == "dirac_labels":
         return DiracCountLaw(PointPattern(list(obj["points"])))
     if kind == "poisson":
         intensity = IntensityMeasure(_window_from(obj["window"]), float(obj["rate"]))
         if obj.get("exact", True):
-            return PoissonCountLaw(intensity, eps=eps, prune_mass=1e-9)
+            return PoissonCountLaw(intensity, prune_mass=1e-9)
         return lambda rng: sample_poisson_process(intensity, rng)
     if kind == "gibbs":
         model = GibbsModel(
@@ -428,9 +430,8 @@ def _cmd_bernoulli_verify(cfg: ExperimentConfig):
         counts = sample_mdep_counts(model, cfg.reps, cfg.seed)
         pmf = empirical_pmf(counts)
         res = wasserstein_l1(pmf, target)
-        n_boot = cfg.overrides.get("n_boot", 24)
-        boots = np.zeros(n_boot)
-        for b in range(n_boot):
+        boots = np.zeros(BERNOULLI_N_BOOT)
+        for b in range(BERNOULLI_N_BOOT):
             rng_b = streams.derive(cfg.seed, 30, b)
             rows = counts[rng_b.integers(0, len(counts), size=len(counts))]
             boots[b] = wasserstein_l1(empirical_pmf(rows), target).value
@@ -476,8 +477,7 @@ def _cmd_papangelou_bound(cfg: ExperimentConfig):
     f = float(cfg.model.get("target_density", cfg.model["beta"]))
     target = IntensityMeasure(model.window, f)
     res = papangelou_bound(
-        model, target, reps=cfg.reps, seed=cfg.seed,
-        grid_n=cfg.overrides.get("grid_n", 48), threads=cfg.threads,
+        model, target, reps=cfg.reps, seed=cfg.seed, grid_n=cfg.overrides["grid_n"],
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -502,11 +502,8 @@ def _cmd_gnz_check(cfg: ExperimentConfig):
             region_a=_window_from(u_spec["region_a"]) if "region_a" in u_spec else None,
             region_b=_window_from(u_spec["region_b"]) if "region_b" in u_spec else None,
         )
-    report = gnz_check(
-        model, u, reps=cfg.reps, seed=cfg.seed,
-        grid_n=cfg.overrides.get("grid_n", 48), threads=cfg.threads,
-    )
-    z_tol = cfg.overrides.get("z_threshold", 4.0)
+    report = gnz_check(model, u, reps=cfg.reps, seed=cfg.seed, grid_n=cfg.overrides["grid_n"])
+    z_tol = cfg.overrides["z_threshold"]
     ok = abs(report.z_score) <= z_tol
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -524,13 +521,9 @@ def _cmd_gnz_check(cfg: ExperimentConfig):
 
 def _cmd_dpi_estimate(cfg: ExperimentConfig):
     m = cfg.model
-    eps = cfg.overrides.get("eps", 1e-10)
-    xi = _source_from(m["xi"], eps)
-    eta = _source_from(m["eta"], eps)
-    partitions = _partitions_from(m["partitions"])
     est = dpi_lower_bound(
-        xi, eta, partitions, reps=cfg.reps, seed=cfg.seed,
-        n_boot=cfg.overrides.get("n_boot", 32),
+        _source_from(m["xi"]), _source_from(m["eta"]), _partitions_from(m["partitions"]),
+        reps=cfg.reps, seed=cfg.seed, n_boot=cfg.overrides["n_boot"],
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -610,6 +603,8 @@ def run(cfg: ExperimentConfig) -> int:
     fn, _schema = _COMMANDS[cfg.subcommand]
     try:
         code, payload, rows = fn(cfg)
+        jsonschema.validate(payload, OUTPUT_SCHEMAS[cfg.subcommand])
+        _write_outputs(cfg, payload, rows)
     except Exception as exc:  # flush a failed marker, then report the failure
         if cfg.out:
             jsonio.write(cfg.out, {"failed": True, "error": str(exc), "subcommand": cfg.subcommand})
@@ -618,8 +613,6 @@ def run(cfg: ExperimentConfig) -> int:
             return EXIT_USAGE
         traceback.print_exc()
         return EXIT_INTERNAL
-    jsonschema.validate(payload, OUTPUT_SCHEMAS[cfg.subcommand])
-    _write_outputs(cfg, payload, rows)
     print(f"{cfg.subcommand}: {payload.get('verdict', 'PASS')}", file=sys.stderr)
     return code
 
@@ -640,7 +633,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=10_000)
         p.add_argument("--out", default=None)
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted for old scripts; no effect")
 
     p = sub.add_parser("stein-check", help="magic-factor and residual sweep")
     common(p, needs_model=False)
@@ -654,14 +647,14 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sub.add_parser(name))
     p = sub.add_parser("papangelou-bound")
     common(p)
-    p.add_argument("--grid", type=int, default=48)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p = sub.add_parser("gnz-check")
     common(p)
-    p.add_argument("--grid", type=int, default=48)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--z-threshold", type=float, default=4.0)
     p = sub.add_parser("dpi-estimate")
     common(p)
-    p.add_argument("--n-boot", type=int, default=32)
+    p.add_argument("--n-boot", type=int, default=DEFAULT_N_BOOT)
     p = sub.add_parser("wasserstein")
     common(p, needs_model=False)
     p.add_argument("--p", required=True, dest="p_path")
@@ -672,9 +665,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("PAL_THREADS", "1"))
     overrides: dict = {}
     model: dict = {}
     _fn, schema = _COMMANDS[args.subcommand]
@@ -705,7 +695,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     cfg = ExperimentConfig(
         subcommand=args.subcommand, model=model, seed=args.seed, reps=args.reps,
-        out=args.out, fmt=args.fmt, threads=threads, overrides=overrides,
+        out=args.out, fmt=args.fmt, overrides=overrides,
     )
     return run(cfg)
 

@@ -21,6 +21,8 @@ from ..measures import LatticePmf, PoissonVectorParams, empirical_pmf, poisson_v
 from ..transport import wasserstein_l1
 from .patterns import IntensityMeasure, PartitionSpec, PointPattern, count_vector
 
+DEFAULT_N_BOOT = 32
+
 
 class CountLawFromMeasure:
     """Exact product-Poisson count law for a Poisson process whose intensity
@@ -90,19 +92,22 @@ def dpi_lower_bound(
     partitions: Sequence[PartitionSpec],
     reps: int = 10_000,
     seed: int = 0,
-    n_boot: int = 32,
+    n_boot: int = DEFAULT_N_BOOT,
 ) -> DpiEstimate:
     """Maximum over partitions of W1 between the two count laws.
 
     Exact sources (objects with ``count_pmf``) contribute no sampling error;
     for sampled sources the bootstrap resamples the empirical count rows and
-    the confidence interval is the 2.5%..97.5% range over replicates.
+    the confidence interval is the 2.5%..97.5% range over replicates.  A
+    sampled source needs ``reps >= 2`` and ``n_boot >= 2``.
     """
     partitions = list(partitions)
     if not partitions:
         raise ParameterError("need at least one partition")
     xi_exact = hasattr(xi, "count_pmf")
     eta_exact = hasattr(eta, "count_pmf")
+    if not (xi_exact and eta_exact) and min(reps, n_boot) < 2:
+        raise ParameterError(f"a sampled source needs reps >= 2 and n_boot >= 2, got {reps} and {n_boot}")
     xi_rows = None if xi_exact else _collect_rows(xi, partitions, reps, streams.derive(seed, 10))
     eta_rows = None if eta_exact else _collect_rows(eta, partitions, reps, streams.derive(seed, 11))
     # exact count laws are deterministic: build them once, not per replicate
@@ -130,7 +135,7 @@ def dpi_lower_bound(
         eta_b = None if eta_exact else [rows[rng_b.integers(0, reps, size=reps)] for rows in eta_rows]
         boots.append(eval_max(xi_b, eta_b)[0])
     boots = np.array(boots)
-    se = float(boots.std(ddof=1)) if n_boot > 1 else float("inf")
+    se = float(boots.std(ddof=1))
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return DpiEstimate(value, se, float(lo), float(hi), tuple(per_partition), trunc)
 

@@ -8,14 +8,13 @@ on every cell not crossed by one of the interaction circles; the crossed cells
 are counted exactly per sample, which yields a deterministic quadrature error
 bound alongside the Monte Carlo standard error.
 
-Repetitions are split over a fixed layout of 32 stream chunks, so estimates
-are bitwise identical for any worker count.
+Repetitions draw from a fixed layout of 32 random streams: chunk c of the
+repetitions samples from ``streams.derive(seed, stream, c)``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,18 +27,6 @@ from .patterns import Box, IntensityMeasure, PointPattern
 DEFAULT_GRID = 48
 DEFAULT_MAX_TRIES = 20_000
 _CHUNKS = 32
-
-
-def _run_chunked(worker, reps: int, threads: int) -> list:
-    """Evaluate ``worker(chunk_index, chunk_size)`` over the fixed chunk
-    layout, merging results in chunk order regardless of scheduling."""
-    sizes = streams.chunk_sizes(reps, _CHUNKS)
-    jobs = [(c, size) for c, size in enumerate(sizes) if size > 0]
-    if threads <= 1:
-        return [worker(c, size) for c, size in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, c, size) for c, size in jobs]
-        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,7 @@ class GibbsModel:
         """#{y in pattern : |x - y| <= rho} for each row x of xs."""
         if len(pattern) == 0:
             return np.zeros(len(xs), dtype=np.int64)
-        pts = pattern.as_array()
+        pts = pattern.points
         d2 = ((xs[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         return (d2 <= self.rho**2).sum(axis=1)
 
@@ -94,7 +81,7 @@ def sample_gibbs(model: GibbsModel, seed_or_rng, max_tries: int = DEFAULT_MAX_TR
 
     for _ in range(max_tries):
         pattern = sample_poisson_process(proposal, rng)
-        w = model.close_pairs(pattern.as_array()) if len(pattern) >= 2 else 0
+        w = model.close_pairs(pattern.points)
         if w == 0 or rng.random() < math.exp(-model.theta * w):
             return pattern
     raise BudgetError(
@@ -175,6 +162,8 @@ class _Grid:
 
 
 def _midpoint_grid(window: Box, grid_n: int) -> _Grid:
+    if grid_n < 1:
+        raise ParameterError(f"grid needs at least one cell per axis, got {grid_n}")
     axes = [np.linspace(l, h, grid_n + 1) for l, h in zip(window.lows, window.highs)]
     mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
     mesh = np.meshgrid(*mids, indexing="ij")
@@ -190,7 +179,7 @@ def _crossed_cells(grid: _Grid, model: GibbsModel, pattern: PointPattern) -> int
     points can intersect (midpoint rule exact on all other cells)."""
     if len(pattern) == 0:
         return 0
-    pts = pattern.as_array()
+    pts = pattern.points
     d = np.sqrt(((grid.centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     return int((np.abs(d - model.rho) <= grid.half_diag).any(axis=1).sum())
 
@@ -198,6 +187,22 @@ def _crossed_cells(grid: _Grid, model: GibbsModel, pattern: PointPattern) -> int
 # ---------------------------------------------------------------------------
 # GNZ check and Papangelou bound
 # ---------------------------------------------------------------------------
+
+def _gibbs_draws(model: GibbsModel, reps: int, seed: int, stream: int):
+    """Iterator over ``reps`` exact draws; chunk c of the fixed layout draws
+    from ``streams.derive(seed, stream, c)``.  At least two repetitions are
+    required, so that a standard error exists."""
+    if reps < 2:
+        raise ParameterError(f"need at least 2 repetitions, got {reps}")
+
+    def draws():
+        for c, size in enumerate(streams.chunk_sizes(reps, _CHUNKS)):
+            rng = streams.derive(seed, stream, c)
+            for _ in range(size):
+                yield sample_gibbs(model, rng)
+
+    return draws()
+
 
 @dataclass(frozen=True)
 class GnzReport:
@@ -215,7 +220,6 @@ def gnz_check(
     reps: int,
     seed: int,
     grid_n: int = DEFAULT_GRID,
-    threads: int = 1,
 ) -> GnzReport:
     """Monte Carlo check of E sum_{x in xi} u(x, xi \\ x)  =  int E[c(x, xi) u(x, xi)] dx.
 
@@ -224,30 +228,22 @@ def gnz_check(
     bound; the z-score uses the combined uncertainty.
     """
     grid = _midpoint_grid(model.window, grid_n)
-
-    def chunk(c: int, size: int):
-        rng = streams.derive(seed, 1, c)
-        lhs_acc = np.zeros(size)
-        rhs_acc = np.zeros(size)
-        quad_acc = np.zeros(size)
-        for s in range(size):
-            xi = sample_gibbs(model, rng)
-            lhs_acc[s] = sum(u(x, xi.drop_index(i)) for i, x in enumerate(xi.points))
-            c_vals = model.papangelou(grid.centers, xi)
-            u_vals = u.eval_grid(grid.centers, xi)
-            rhs_acc[s] = float(c_vals @ u_vals) * grid.cell_vol
-            range_factor = model.beta * (1.0 - math.exp(-model.theta * max(len(xi), 1)))
-            quad_acc[s] = (
-                range_factor * u.sample_bound(xi) * grid.cell_vol * _crossed_cells(grid, model, xi)
-            )
-        return lhs_acc, rhs_acc, quad_acc
-
-    parts = _run_chunked(chunk, reps, threads)
-    lhs_acc = np.concatenate([p[0] for p in parts])
-    rhs_acc = np.concatenate([p[1] for p in parts])
-    quad_acc = np.concatenate([p[2] for p in parts])
+    draws = _gibbs_draws(model, reps, seed, 1)
+    lhs_acc = np.zeros(reps)
+    rhs_acc = np.zeros(reps)
+    quad_acc = np.zeros(reps)
+    for s, xi in enumerate(draws):
+        pts = xi.points
+        lhs_acc[s] = sum(u(x, PointPattern(np.delete(pts, i, axis=0))) for i, x in enumerate(pts))
+        c_vals = model.papangelou(grid.centers, xi)
+        u_vals = u.eval_grid(grid.centers, xi)
+        rhs_acc[s] = float(c_vals @ u_vals) * grid.cell_vol
+        range_factor = model.beta * (1.0 - math.exp(-model.theta * max(len(xi), 1)))
+        quad_acc[s] = (
+            range_factor * u.sample_bound(xi) * grid.cell_vol * _crossed_cells(grid, model, xi)
+        )
     delta = lhs_acc - rhs_acc
-    se = float(np.std(delta, ddof=1) / math.sqrt(reps)) if reps > 1 else float("inf")
+    se = float(np.std(delta, ddof=1) / math.sqrt(reps))
     quad = float(np.mean(quad_acc))
     denom = math.sqrt(se**2 + quad**2) if (se > 0 or quad > 0) else 1.0
     z = float(np.mean(delta)) / denom
@@ -275,7 +271,6 @@ def papangelou_bound(
     reps: int,
     seed: int,
     grid_n: int = DEFAULT_GRID,
-    threads: int = 1,
 ) -> PapangelouBound:
     """Monte Carlo / midpoint-grid estimate of int E|c(x, xi) - f(x)| dx,
     the process-distance bound for the Poisson target with density f.
@@ -290,23 +285,15 @@ def papangelou_bound(
         raise ParameterError("the grid bound requires a constant target density")
     f = float(target.density)
     grid = _midpoint_grid(model.window, grid_n)
-
-    def chunk(c: int, size: int):
-        rng = streams.derive(seed, 2, c)
-        vals = np.zeros(size)
-        quad_acc = np.zeros(size)
-        for s in range(size):
-            xi = sample_gibbs(model, rng)
-            c_vals = model.papangelou(grid.centers, xi)
-            vals[s] = float(np.abs(c_vals - f).sum()) * grid.cell_vol
-            range_factor = model.beta * (1.0 - math.exp(-model.theta * max(len(xi), 1)))
-            quad_acc[s] = range_factor * grid.cell_vol * _crossed_cells(grid, model, xi)
-        return vals, quad_acc
-
-    parts = _run_chunked(chunk, reps, threads)
-    vals = np.concatenate([p[0] for p in parts])
-    quad_acc = np.concatenate([p[1] for p in parts])
-    se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else float("inf")
+    draws = _gibbs_draws(model, reps, seed, 2)
+    vals = np.zeros(reps)
+    quad_acc = np.zeros(reps)
+    for s, xi in enumerate(draws):
+        c_vals = model.papangelou(grid.centers, xi)
+        vals[s] = float(np.abs(c_vals - f).sum()) * grid.cell_vol
+        range_factor = model.beta * (1.0 - math.exp(-model.theta * max(len(xi), 1)))
+        quad_acc[s] = range_factor * grid.cell_vol * _crossed_cells(grid, model, xi)
+    se = float(np.std(vals, ddof=1) / math.sqrt(reps))
     return PapangelouBound(
         estimate=float(np.mean(vals)),
         std_error=se,

@@ -85,44 +85,49 @@ Window = Union[Box, LabelSpace]
 SetSpec = Union[Box, LabelSet]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointPattern:
-    """Finite counting measure: a list of locations, multiplicities allowed."""
+    """Finite counting measure: locations with multiplicities.
 
-    points: tuple
+    Box-window locations are one read-only ``(n, w)`` float64 array, kept as
+    given (a float64 array is not copied); label patterns are a tuple of
+    labels.  An empty pattern is a ``(0, 0)`` array unless given a shape, and
+    counts 0 in every set.
+    """
 
-    def __init__(self, points: Sequence):
-        pts = tuple(
-            tuple(float(c) for c in p) if isinstance(p, (tuple, list, np.ndarray)) else p
-            for p in points
-        )
+    points: Union[np.ndarray, tuple]
+
+    def __init__(self, points: Union[np.ndarray, Sequence]):
+        if isinstance(points, np.ndarray) or not len(points) or isinstance(points[0], (tuple, list, np.ndarray)):
+            pts = np.asarray(points, dtype=np.float64)
+            if pts.size == 0 and pts.ndim < 2:
+                pts = pts.reshape(0, 0)
+            if pts.ndim != 2:
+                raise ParameterError(f"locations need an (n, w) array, got shape {pts.shape}")
+            pts = pts.view()
+            pts.flags.writeable = False
+        else:
+            pts = tuple(points)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def as_array(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 0))
-        return np.asarray(self.points, dtype=float)
-
     def count_in(self, region: SetSpec) -> int:
         if isinstance(region, LabelSet):
             return sum(1 for p in self.points if p in region.members)
-        if not self.points:
+        if len(self) == 0:
             return 0
-        return int(region.contains(self.as_array()).sum())
-
-    def drop_index(self, idx: int) -> "PointPattern":
-        return PointPattern(self.points[:idx] + self.points[idx + 1 :])
-
-    def add(self, extra: Sequence) -> "PointPattern":
-        return PointPattern(tuple(self.points) + tuple(PointPattern(extra).points))
+        return int(region.contains(self.points).sum())
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """d pairwise-disjoint measurable subsets of the window."""
+    """d pairwise-disjoint measurable subsets of the window.
+
+    A partition of boxes also keeps their corners as ``(d, w)`` arrays, so a
+    pattern is counted in all sets by one membership test.
+    """
 
     sets: tuple[SetSpec, ...]
 
@@ -142,6 +147,9 @@ class PartitionSpec:
                 else:
                     raise ParameterError("partition mixes box and label sets")
         object.__setattr__(self, "sets", sets)
+        if isinstance(sets[0], Box):
+            object.__setattr__(self, "_lows", np.array([s.lows for s in sets]))
+            object.__setattr__(self, "_highs", np.array([s.highs for s in sets]))
 
     @property
     def dim(self) -> int:
@@ -149,7 +157,15 @@ class PartitionSpec:
 
 
 def count_vector(pattern: PointPattern, partition: PartitionSpec) -> tuple[int, ...]:
-    return tuple(pattern.count_in(s) for s in partition.sets)
+    """Points of the pattern in each set; boxes are closed, so a point on an
+    edge shared by two boxes counts in both."""
+    if len(pattern) == 0:
+        return (0,) * partition.dim
+    if isinstance(partition.sets[0], LabelSet):
+        return tuple(pattern.count_in(s) for s in partition.sets)
+    pts = pattern.points[:, None, :]
+    inside = ((pts >= partition._lows) & (pts <= partition._highs)).all(axis=2)
+    return tuple(inside.sum(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -240,13 +256,13 @@ def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPat
         pts = rng.uniform(lows, highs, size=(n, len(lows)))
         return PointPattern(pts)
     out = []
-    guard = 0
-    while len(out) < n:
-        m = max(16, 2 * (n - len(out)))
+    got = 0
+    while got < n:
+        m = max(16, 2 * (n - got))
         cand = rng.uniform(lows, highs, size=(m, len(lows)))
         acc = rng.random(m) * intensity.density_max < np.asarray(intensity.density(cand))
-        out.extend(map(tuple, cand[acc]))
-        guard += 1
-        if guard > 10_000:
+        out.append(cand[acc])
+        got += len(out[-1])
+        if len(out) > 10_000:
             raise ParameterError("rejection sampler stalled; is density_max a valid bound?")
-    return PointPattern(out[:n])
+    return PointPattern(np.concatenate(out)[:n])

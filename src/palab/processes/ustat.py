@@ -191,7 +191,7 @@ def build_ustat_process(
     if n**k > tuple_budget:
         raise BudgetError(f"{n}^{k} ordered tuples exceed the budget {tuple_budget}")
     out = []
-    for combo in itertools.combinations(points.points, k):
+    for combo in itertools.combinations(points.points.tolist(), k):
         if model.in_domain(combo):
             out.append(model.kernel(combo))
     return PointPattern(out)

@@ -3,9 +3,8 @@
 Every sampler in palab takes an explicit 64-bit seed.  Derived streams are
 produced with a counter-based discipline: a Philox generator keyed by
 ``SeedSequence(seed, spawn_key=key)``, where ``key`` is a tuple of integers
-identifying the consumer (worker index, repetition chunk, bootstrap slot).
-The derivation depends only on ``(seed, key)``, never on thread scheduling,
-so a run parallelised over any number of workers reproduces the serial one.
+identifying the consumer (pipeline stream, repetition chunk, bootstrap slot).
+The derivation depends only on ``(seed, key)``.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ def derive(seed: int, *key: int) -> np.random.Generator:
 
 
 def chunk_sizes(total: int, chunks: int) -> list[int]:
-    """Split ``total`` repetitions into a fixed chunk layout (independent of
-    worker count, so merged results do not depend on scheduling)."""
+    """Split ``total`` repetitions into at most ``chunks`` near-equal chunks;
+    chunk c draws from its own stream, so the layout fixes the results."""
     chunks = max(1, min(chunks, total)) if total > 0 else 1
     base, extra = divmod(total, chunks)
     return [base + (1 if c < extra else 0) for c in range(chunks)]

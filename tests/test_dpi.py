@@ -122,7 +122,7 @@ def test_tuple_bound_ustat_coupling_route():
             eta = sample_poisson_process(model.mu, rng)
             xa = sample_xA(model, target, rng)
             xi_plain = build_ustat_process(eta, model)
-            xi_aug = build_ustat_process(eta.add(xa), model)
+            xi_aug = build_ustat_process(PointPattern([*eta.points.tolist(), *xa]), model)
             y_atom = model.kernel(xa)
             for j in range(i):
                 region = part.sets[j]

@@ -43,8 +43,8 @@ def test_positive_theta_suppresses_close_pairs():
     reps = 8000
     free = GibbsModel(beta=4.0, theta=0.0, rho=0.15, window=WINDOW)
     inter = GibbsModel(beta=4.0, theta=1.5, rho=0.15, window=WINDOW)
-    pairs_free = np.array([free.close_pairs(sample_gibbs(free, rng).as_array()) for _ in range(reps)])
-    pairs_int = np.array([inter.close_pairs(sample_gibbs(inter, rng).as_array()) for _ in range(reps)])
+    pairs_free = np.array([free.close_pairs(sample_gibbs(free, rng).points) for _ in range(reps)])
+    pairs_int = np.array([inter.close_pairs(sample_gibbs(inter, rng).points) for _ in range(reps)])
     gap = pairs_free.mean() - pairs_int.mean()
     se = math.sqrt(pairs_free.var(ddof=1) / reps + pairs_int.var(ddof=1) / reps)
     assert gap > 3 * se  # one-sided: interaction suppresses pairs at range rho

@@ -1,0 +1,68 @@
+"""Pinned outputs of the sampled process checks on fixed seeds.
+
+The values were recorded before point patterns became arrays and before the
+thread pool was removed; they pin the random-stream consumption of the Gibbs
+and U-statistic samplers, the GNZ/Papangelou grid estimators and the dpi
+bootstrap.  A change that alters any of them changes RNG consumption and
+must update these numbers deliberately and say so.
+"""
+
+from palab.processes import (
+    Box,
+    CountLawFromMeasure,
+    GibbsModel,
+    IndicatorTimesEmpty,
+    IntensityMeasure,
+    IntervalPairModel,
+    PartitionSpec,
+    PoissonCountLaw,
+    build_ustat_process,
+    dpi_lower_bound,
+    gnz_check,
+    papangelou_bound,
+    sample_gibbs,
+    sample_poisson_process,
+)
+
+WINDOW = Box((0.0, 0.0), (1.0, 1.0))
+MODEL = GibbsModel(beta=3.0, theta=0.7, rho=0.2, window=WINDOW)
+
+
+def test_gnz_check_pinned():
+    u = IndicatorTimesEmpty(region_a=Box((0.0, 0.0), (0.5, 1.0)), region_b=Box((0.5, 0.5), (1.0, 1.0)))
+    r = gnz_check(MODEL, u, reps=40, seed=5, grid_n=8)
+    assert [r.lhs, r.rhs, r.z_score, r.std_error, r.quad_bound] == [
+        0.675, 0.725178988950133, -0.054966763105477434, 0.12803278422859854, 0.9038741060805044,
+    ]
+
+
+def test_papangelou_bound_pinned():
+    r = papangelou_bound(MODEL, IntensityMeasure(WINDOW, 2.0), reps=40, seed=6, grid_n=8)
+    assert [r.estimate, r.std_error, r.quad_bound] == [0.8976396489423559, 0.006159853133617334, 0.9524471139136145]
+
+
+def test_sampled_dpi_lower_bound_pinned():
+    parts = [
+        PartitionSpec([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))]),
+        PartitionSpec([Box((0.0, 0.0), (0.5, 0.5)), Box((0.5, 0.5), (1.0, 1.0))]),
+    ]
+    d = dpi_lower_bound(
+        lambda rng: sample_gibbs(MODEL, rng), PoissonCountLaw(IntensityMeasure(WINDOW, 2.0)),
+        parts, reps=300, seed=7, n_boot=4,
+    )
+    assert [d.value, d.std_error, d.ci_low, d.ci_high, d.truncation_error] == [
+        0.5386242014191684, 0.022389540775297548, 0.5367683069407846, 0.5865195229635783, 4.883423839039273e-10,
+    ]
+    assert d.per_partition == (0.5386242014191684, 0.30469475745854435)
+
+
+def test_sampled_ustat_dpi_lower_bound_pinned():
+    model = IntervalPairModel(rate=3.0, delta=0.3)
+    d = dpi_lower_bound(
+        lambda rng: build_ustat_process(sample_poisson_process(model.mu, rng), model),
+        CountLawFromMeasure(model.count_intensity),
+        [PartitionSpec([Box((0.0,), (0.5,)), Box((0.5,), (1.0,))])], reps=300, seed=8, n_boot=4,
+    )
+    assert [d.value, d.std_error, d.ci_low, d.ci_high, d.truncation_error] == [
+        1.2785645205526137, 0.09546806338470036, 1.232476672218165, 1.4460108064868016, 2.33865729694164e-09,
+    ]

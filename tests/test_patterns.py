@@ -2,8 +2,12 @@
 
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from palab import streams
@@ -114,3 +118,66 @@ def test_measure_of_subregions():
     assert im.measure_of(Box((0.0, 0.0), (0.5, 0.5))) == pytest.approx(0.5)
     im2 = IntensityMeasure(LabelSpace(("a", "b", "c")), {"a": 1.0, "b": 2.0, "c": 0.5})
     assert im2.measure_of(LabelSet({"a", "c"})) == pytest.approx(1.5)
+
+
+# -- count_vector against a per-point, per-set reference --------------------
+
+EDGES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def reference_counts(points, sets):
+    """Per-point, per-set loop: closed boxes, label membership."""
+    out = []
+    for s in sets:
+        if isinstance(s, LabelSet):
+            out.append(sum(1 for p in points if p in s.members))
+        else:
+            out.append(sum(all(l <= c <= h for c, l, h in zip(p, s.lows, s.highs)) for p in points))
+    return tuple(out)
+
+
+@st.composite
+def box_cases(draw):
+    """Boxes of a grid over [0, 1]^w (w = 1, 2) that share edges, and points
+    on grid lines, corners, repeated, outside the window, or none at all."""
+    w = draw(st.integers(1, 2))
+    cuts = [sorted(draw(st.sets(st.sampled_from(EDGES), min_size=2))) for _ in range(w)]
+    cells = list(itertools.product(*[list(zip(c[:-1], c[1:])) for c in cuts]))
+    chosen = draw(st.lists(st.sampled_from(range(len(cells))), min_size=1, unique=True))
+    sets = [Box(tuple(lo for lo, _ in cells[i]), tuple(hi for _, hi in cells[i])) for i in chosen]
+    coord = st.sampled_from(EDGES) | st.floats(-0.5, 1.5)
+    points = draw(st.lists(st.tuples(*[coord] * w), max_size=12))
+    if points and draw(st.booleans()):
+        points = points + points[: draw(st.integers(1, len(points)))]
+    return points, sets
+
+
+@given(box_cases())
+def test_count_vector_matches_reference_on_boxes(case):
+    points, sets = case
+    part = PartitionSpec(sets)
+    w = sets[0].dim
+    expected = reference_counts(points, sets)
+    assert count_vector(PointPattern(points), part) == expected
+    assert count_vector(PointPattern(np.array(points, dtype=float).reshape(-1, w)), part) == expected
+
+
+@given(
+    st.lists(st.sampled_from("abcde"), max_size=12),
+    st.lists(st.sampled_from("abcdef"), min_size=1, unique=True),
+    st.data(),
+)
+def test_count_vector_matches_reference_on_labels(points, labels, data):
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(labels) - 1))) if len(labels) > 1 else set())
+    sets = [LabelSet(labels[a:b]) for a, b in zip([0, *cuts], [*cuts, len(labels)])]
+    assert count_vector(PointPattern(points), PartitionSpec(sets)) == reference_counts(points, sets)
+
+
+def test_pattern_points_are_the_given_array_read_only():
+    pts = np.array([[0.1, 0.2], [0.5, 0.5]])
+    pattern = PointPattern(pts)
+    assert np.shares_memory(pattern.points, pts)
+    assert not pattern.points.flags.writeable
+    assert pts.flags.writeable
+    with pytest.raises(ParameterError):
+        PointPattern(np.array([0.1, 0.2]))

@@ -1,6 +1,7 @@
 """Wasserstein/TV distance tests: trivial anchors, LP oracle agreement,
 metric axioms, dual feasibility spot checks, property tests against the d = 1
-CDF formula and the LP, and the simplex's degenerate starting bases."""
+CDF formula and the LP, metric properties under shifts, and the simplex's
+degenerate starting bases."""
 
 import math
 
@@ -190,6 +191,31 @@ def test_w1_of_identical_laws_is_exactly_zero(pair):
     P, _ = pair
     assert wasserstein_l1(P, P).value == 0.0
     assert wasserstein_l1(uniform_on(P), uniform_on(P)).value == 0.0
+
+
+@st.composite
+def pmf_triples(draw, dims, max_atoms):
+    """Three random pmfs of one dimension and a shift in N_0^d."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from(dims))
+    span = draw(st.sampled_from([2, 4, 12]))
+    laws = [random_pmf(rng, dim, draw(st.integers(1, max_atoms)), span) for _ in range(3)]
+    shift = draw(st.lists(st.integers(0, 50), min_size=dim, max_size=dim))
+    return laws, np.array(shift)
+
+
+def shifted(P, shift):
+    xs, ps = P.support_arrays()
+    return LatticePmf.from_arrays(P.dim, xs + shift, ps)
+
+
+@given(pmf_triples(dims=[1, 2, 3], max_atoms=25))
+def test_w1_is_symmetric_shift_invariant_and_triangular(case):
+    (P, Q, R), shift = case
+    dpq = wasserstein_l1(P, Q).value
+    assert abs(dpq - wasserstein_l1(Q, P).value) <= 1e-12
+    assert abs(dpq - wasserstein_l1(shifted(P, shift), shifted(Q, shift)).value) <= 1e-12
+    assert wasserstein_l1(P, R).value <= dpq + wasserstein_l1(Q, R).value + 1e-12
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(*[st.lists(st.integers(0, 10**6), min_size=d, max_size=d)] * 2)))

@@ -40,21 +40,21 @@ def test_build_k1_identity_returns_input():
     model = MonotoneMapModel(1.0, lambda x: x, lambda y: y)
     pts = PointPattern([(0.3,), (0.7,), (0.7,)])
     out = build_ustat_process(pts, model)
-    assert sorted(out.points) == sorted(pts.points)
+    assert sorted(out.points.tolist()) == sorted(pts.points.tolist())
 
 
 def test_build_k2_two_points_single_midpoint_atom():
     model = IntervalPairModel(rate=1.0, delta=2.0)  # D = everything
     out = build_ustat_process(PointPattern([(0.2,), (0.6,)]), model)
     assert len(out) == 1
-    assert out.points[0] == pytest.approx((0.4,))
+    assert out.points[0].tolist() == pytest.approx([0.4])
 
 
 def test_build_respects_domain():
     model = IntervalPairModel(rate=1.0, delta=0.1)
     out = build_ustat_process(PointPattern([(0.1,), (0.15,), (0.9,)]), model)
     assert len(out) == 1  # only the first two are delta-close
-    assert out.points[0] == pytest.approx((0.125,))
+    assert out.points[0].tolist() == pytest.approx([0.125])
 
 
 def test_build_budget_error():
