@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 2 a dominance or statistical check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -607,7 +608,8 @@ def run(cfg: ExperimentConfig) -> int:
         _write_outputs(cfg, payload, rows)
     except Exception as exc:  # flush a failed marker, then report the failure
         if cfg.out:
-            jsonio.write(cfg.out, {"failed": True, "error": str(exc), "subcommand": cfg.subcommand})
+            with contextlib.suppress(OSError):  # an unwritable --out gets no marker
+                jsonio.write(cfg.out, {"failed": True, "error": str(exc), "subcommand": cfg.subcommand})
         if isinstance(exc, PalabError):
             print(f"{cfg.subcommand}: FAILED ({exc})", file=sys.stderr)
             return EXIT_USAGE

@@ -240,6 +240,18 @@ def test_unwritable_output_exits_3_with_marker(tmp_path, gibbs_model, monkeypatc
     assert "non-finite" in payload["error"]
 
 
+def test_missing_output_directory_exits_3_with_one_traceback(tmp_path, gibbs_model, capsys):
+    # the failure marker cannot go to the same bad path either; it is skipped,
+    # so the write error is reported once, not chained to a second one
+    out = tmp_path / "missing" / "x.json"
+    code = run_cli(["gnz-check", "--model", gibbs_model, "--reps", "8", "--grid", "8", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("Traceback") == 1
+    assert "FileNotFoundError" in err
+    assert not out.parent.exists()
+
+
 def test_gnz_check_cli(tmp_path, gibbs_model):
     out = tmp_path / "gnz.json"
     code = run_cli([

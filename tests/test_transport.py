@@ -1,15 +1,16 @@
 """Wasserstein/TV distance tests: trivial anchors, LP oracle agreement,
 metric axioms, dual feasibility spot checks, property tests against the d = 1
-CDF formula and the LP, metric properties under shifts, and the simplex's
-degenerate starting bases."""
+CDF formula and the LP, metric properties under shifts, the simplex's
+degenerate starting bases, its row-block pricing shapes and Bland's rule."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palab import transport
 from palab.errors import ParameterError
 from palab.measures import LatticePmf, PoissonVectorParams, bernoulli_sum_pmf, poisson_vector_pmf
 from palab.transport import (
@@ -244,7 +245,7 @@ def _degenerate_cases():
 
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("case", list(_degenerate_cases()), ids=lambda c: c[0])
-def test_initial_basis_is_spanning_tree_on_degenerate_supplies(case, perturbed):
+def test_initial_basis_is_spanning_tree_on_degenerate_supplies(case, perturbed, monkeypatch):
     _, P, Q = case
     (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
     if perturbed:
@@ -261,6 +262,10 @@ def test_initial_basis_is_spanning_tree_on_degenerate_supplies(case, perturbed):
         col[j] += f
     assert np.abs(row - a).max() <= 1e-12
     assert np.abs(col - b).max() <= 1e-12
+    # the start sorts an integer copy of the costs; the float64 costs must
+    # give the identical stable order, hence the identical start
+    monkeypatch.setattr(np, "min_scalar_type", lambda top: np.dtype(np.float64))
+    assert list(_initial_basis(a, b, cost).items()) == list(flows.items())
 
 
 def test_initial_basis_joins_components_after_double_exhaustion():
@@ -271,3 +276,78 @@ def test_initial_basis_joins_components_after_double_exhaustion():
     flows = _initial_basis(a, a, _l1_cost_matrix(xs, xs))
     assert len(flows) == 11
     assert list(flows.values()).count(0.0) == 5
+
+
+# -- row-block pricing shapes ------------------------------------------------
+
+BLOCK = transport._PRICE_ARCS
+SHAPES = {
+    "wide": st.tuples(st.integers(2, 32), st.integers(300, 700)),
+    "tall": st.tuples(st.integers(300, 700), st.integers(2, 32)),
+    "rows longer than a block": st.tuples(st.integers(1, 4), st.integers(BLOCK + 1, BLOCK + 600)),
+    "one row or one column": st.integers(1, 1000).flatmap(lambda k: st.sampled_from([(1, k), (k, 1)])),
+    "below one block": st.integers(1, 45).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(1, (BLOCK - 1) // m))
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_w1_on_row_block_shapes(shape, data):
+    m, n = data.draw(SHAPES[shape])
+    dim = data.draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    P, Q = random_pmf(rng, dim, m, span=4), random_pmf(rng, dim, n, span=4)
+    value = wasserstein_l1(P, Q).value
+    if dim == 1:
+        # relative: more than a block of distinct atoms on the line puts W1
+        # in the thousands, where 1e-12 is a few ulps
+        oracle = w1_1d(P, Q)
+        assert abs(value - oracle) <= 1e-12 * max(1.0, oracle)
+    else:
+        assert abs(value - lp_wasserstein(P, Q)) <= 1e-8
+
+
+# -- Bland's anti-cycling rule -----------------------------------------------
+
+def _tree_duals(parent, depth, cost):
+    """Duals of a basis tree rooted at row 0 (u[0] = 0) from its parent pointers."""
+    m, n = cost.shape
+    u, v = np.zeros(m), np.zeros(n)
+    for node in np.argsort(depth, kind="stable")[1:].tolist():
+        par = int(parent[node])
+        if node < m:
+            u[node] = cost[node, par - m] - v[par - m]
+        else:
+            v[node - m] = cost[par, node - m] - u[par]
+    return u, v
+
+
+@pytest.mark.parametrize("dim, sizes", [(1, (70, 60)), (2, (60, 80)), (3, (50, 90))])
+def test_bland_rule_takes_first_violating_arc(monkeypatch, dim, sizes):
+    # Bland's rule from the first pivot: every entering arc must be the first
+    # arc in row-major order with a negative reduced cost.  The instances have
+    # more arcs than one pricing block, so this needs the scan to restart at
+    # row 0 on every pivot.
+    P, Q = (random_pmf(np.random.default_rng(48 + dim), dim, k) for k in sizes)
+    cost = _l1_cost_matrix(P.points, Q.points)
+    m, n = cost.shape
+    assert m * n > BLOCK
+    entering, first = [], []
+    cycle_path = transport._cycle_path
+
+    def spy(parent, depth, i_node, j_node):
+        u, v = _tree_duals(parent, depth, cost)
+        first.append(int((cost - u[:, None] - v < -transport._OPT_TOL).argmax()))
+        entering.append(i_node * n + j_node - m)
+        return cycle_path(parent, depth, i_node, j_node)
+
+    monkeypatch.setattr(transport, "_bland_streak_limit", lambda m, n: -1)
+    monkeypatch.setattr(transport, "_cycle_path", spy)
+    value = wasserstein_l1(P, Q).value  # raises unless _verify_optimal passes
+    assert len(entering) > 10
+    assert entering == first
+    oracle = w1_1d(P, Q) if dim == 1 else lp_wasserstein(P, Q)
+    assert abs(value - oracle) <= 1e-12
