@@ -620,8 +620,14 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    lo, hi, n = text.split(":")
-    return float(lo), float(hi), int(n)
+    try:
+        lo, hi, n = text.split(":")
+        grid = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ParameterError(f"--lambda-grid must read lo:hi:count, got {text!r}") from None
+    if grid[2] < 1:
+        raise ParameterError(f"--lambda-grid needs a count >= 1, got {grid[2]}")
+    return grid
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -677,6 +683,10 @@ def main(argv=None) -> int:
             kind, _, count = args.g.partition(":")
             if kind != "random":
                 raise ParameterError(f"unsupported g family {kind!r}")
+            if not count.isdigit() or int(count) < 1:
+                raise ParameterError(f"--g needs random:<count> with count >= 1, got {args.g!r}")
+            if args.grange < 0:
+                raise ParameterError(f"--range must be >= 0, got {args.grange}")
             overrides = {
                 "lambda_grid": _parse_grid(args.lambda_grid),
                 "n_g": int(count),

@@ -26,105 +26,70 @@ import numpy as np
 
 from . import streams
 from .errors import ContractError, ParameterError
-from .measures import LatticePmf, PoissonVectorParams
+from .measures import LatticePmf, PoissonVectorParams, merge_rows
 
 MARGINAL_TOL = 1e-12
-
-IntVec = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
 # coupling tables and q-terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CouplingTable:
-    """Joint law of (X_{1:i}, Z^{(i)}): keys (x, z) with x in N_0^i, z in Z^i."""
+    """Joint law of (X_{1:i}, Z^{(i)}) as read-only arrays: probability
+    ``p[k]`` sits on (``x[k]``, ``z[k]``), with x in N_0^i and z in Z^i.
 
-    dim: int
-    joint: dict[tuple[IntVec, IntVec], float]
+    Rows of probability 0 are dropped; repeated rows are allowed and add up.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        total = 0.0
-        for (x, z), p in self.joint.items():
-            x = tuple(int(v) for v in x)
-            z = tuple(int(v) for v in z)
-            if len(x) != self.dim or len(z) != self.dim:
-                raise ParameterError(f"key {(x, z)} does not match dim {self.dim}")
-            if any(v < 0 for v in x):
-                raise ParameterError(f"x part {x} must lie in N_0^{self.dim}")
-            if not (p >= 0.0):
-                raise ParameterError(f"negative joint probability at {(x, z)}")
-            if p > 0.0:
-                clean[(x, z)] = float(p)
-                total += p
+    __slots__ = ("x", "z", "p")
+
+    def __init__(self, x, z, p):
+        x = np.asarray(x, dtype=np.int64)
+        z = np.asarray(z, dtype=np.int64)
+        p = np.asarray(p, dtype=float)
+        if x.ndim != 2 or x.shape[1] < 1 or z.shape != x.shape or p.shape != (len(x),):
+            raise ParameterError(f"x and z must be (n, i) arrays and p an (n,) array, "
+                                 f"got {x.shape}, {z.shape}, {p.shape}")
+        if (x < 0).any():
+            raise ParameterError(f"x part must lie in N_0^{x.shape[1]}")
+        if not (p >= 0.0).all():
+            raise ParameterError("negative joint probability")
+        keep = p > 0.0
+        x, z, p = x[keep], z[keep], p[keep]
+        total = float(p.sum())
         if abs(total - 1.0) > MARGINAL_TOL:
             raise ParameterError(f"joint probabilities sum to {total}, not 1")
-        object.__setattr__(self, "joint", clean)
+        x.flags.writeable = z.flags.writeable = p.flags.writeable = False
+        self.x, self.z, self.p = x, z, p
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[1]
 
     @staticmethod
-    def from_deterministic_z(x_law: LatticePmf, z_of_x: Callable[[IntVec], IntVec]) -> "CouplingTable":
-        """Coupling with Z a deterministic function of X (Z == 0, Z == -X, ...)."""
-        joint = {(x, tuple(int(v) for v in z_of_x(x))): p for x, p in x_law.atoms.items()}
-        return CouplingTable(x_law.dim, joint)
-
-    def x_marginal(self) -> dict[IntVec, float]:
-        acc: dict[IntVec, float] = {}
-        for (x, _z), p in self.joint.items():
-            acc[x] = acc.get(x, 0.0) + p
-        return acc
-
-    def x_plus_z_law(self) -> dict[IntVec, float]:
-        acc: dict[IntVec, float] = {}
-        for (x, z), p in self.joint.items():
-            v = tuple(a + b for a, b in zip(x, z))
-            acc[v] = acc.get(v, 0.0) + p
-        return acc
-
-    def abs_z_means(self) -> np.ndarray:
-        """E|Z_j| for j = 1..i."""
-        out = np.zeros(self.dim)
-        for (_x, z), p in self.joint.items():
-            out += p * np.abs(z)
-        return out
-
-    def prob_z_prefix_nonzero(self) -> float:
-        """P(Z_{1:i-1} != 0)."""
-        return sum(p for (_x, z), p in self.joint.items() if any(v != 0 for v in z[:-1]))
+    def from_deterministic_z(
+        x_law: LatticePmf, z_of_x: Callable[[np.ndarray], np.ndarray]
+    ) -> "CouplingTable":
+        """Coupling with Z a deterministic function of X (Z == 0, Z == -X, ...):
+        ``z_of_x`` maps the (n, i) point array of ``x_law`` to an (n, i) int array."""
+        return CouplingTable(x_law.points, z_of_x(x_law.points), x_law.probs)
 
     def check_marginal(self, X: LatticePmf) -> None:
         if X.dim != self.dim:
             raise ContractError(f"coupling dim {self.dim} vs X dim {X.dim}")
-        marg = self.x_marginal()
-        keys = set(marg) | set(X.atoms)
-        worst = max(abs(marg.get(k, 0.0) - X.atoms.get(k, 0.0)) for k in keys)
+        _, diff = merge_rows(np.concatenate([self.x, X.points]), np.concatenate([self.p, -X.probs]))
+        worst = float(np.abs(diff).max())
         if worst > MARGINAL_TOL + X.tail_mass:
             raise ContractError(f"coupling marginal deviates from X by {worst:.3e}")
 
 
-@dataclass(frozen=True)
-class QTermTable:
+def q_terms_from_coupling(
+    X: LatticePmf, lambda_i: float, coupling: CouplingTable
+) -> tuple[np.ndarray, np.ndarray]:
     """q^{(i)}_m = m_i P(X_{1:i} = m) - lambda_i P(X_{1:i} + Z^{(i)} = (m_{1:i-1}, m_i - 1)),
-    stored for every m with a nonzero value (m_i >= 1)."""
-
-    dim: int
-    terms: dict[IntVec, float]
-
-    def __post_init__(self):
-        for m in self.terms:
-            if len(m) != self.dim or m[-1] < 1 or any(v < 0 for v in m):
-                raise ParameterError(f"q-term key {m} must lie in N_0^{self.dim} with m_i >= 1")
-
-    def abs_sum(self) -> float:
-        return float(math.fsum(abs(v) for v in self.terms.values()))
-
-    def signed_sum(self) -> float:
-        return float(math.fsum(self.terms.values()))
-
-
-def q_terms_from_coupling(X: LatticePmf, lambda_i: float, coupling: CouplingTable) -> QTermTable:
-    """Evaluate the q-terms exactly from the joint table.
+    evaluated exactly from the joint table: the points m of nonzero value (all
+    with m_i >= 1) in lexicographic order, and their values.
 
     ``X`` is the law of the first i coordinates and must agree with the
     coupling's X-marginal.  Couplings under which X + Z exits N_0^i are
@@ -133,17 +98,17 @@ def q_terms_from_coupling(X: LatticePmf, lambda_i: float, coupling: CouplingTabl
     coupling.check_marginal(X)
     if lambda_i < 0:
         raise ParameterError("lambda_i must be >= 0")
-    shifted = coupling.x_plus_z_law()
-    terms: dict[IntVec, float] = {}
-    for x, p in X.atoms.items():
-        if x[-1] >= 1:
-            terms[x] = x[-1] * p
-    for v, p in shifted.items():
-        if any(c < 0 for c in v):
-            continue  # X + Z left N_0^i; no m maps onto this atom
-        m = v[:-1] + (v[-1] + 1,)
-        terms[m] = terms.get(m, 0.0) - lambda_i * p
-    return QTermTable(coupling.dim, {m: t for m, t in terms.items() if t != 0.0})
+    shifted, p_shifted = merge_rows(coupling.x + coupling.z, coupling.p)
+    inside = (shifted >= 0).all(axis=1)  # no m maps onto an atom outside N_0^i
+    m = shifted[inside]
+    m[:, -1] += 1
+    hit = X.points[:, -1] >= 1
+    points, values = merge_rows(
+        np.concatenate([X.points[hit], m]),
+        np.concatenate([X.points[hit, -1] * X.probs[hit], -lambda_i * p_shifted[inside]]),
+    )
+    nonzero = values != 0.0
+    return points[nonzero], values[nonzero]
 
 
 def coupling_vector_bound(
@@ -166,14 +131,15 @@ def coupling_vector_bound(
         if coupling.dim != i:
             raise ParameterError(f"coupling {i} has dim {coupling.dim}, expected {i}")
         lam = lambdas.lambdas[i - 1]
-        marg = LatticePmf(i, coupling.x_marginal())
-        q = q_terms_from_coupling(marg, lam, coupling)
-        ez = coupling.abs_z_means()
+        marg = LatticePmf.from_arrays(i, *merge_rows(coupling.x, coupling.p))
+        _, q = q_terms_from_coupling(marg, lam, coupling)
+        # E|Z_j| and P(Z_{1:i-1} != 0), summed in row order
+        ez = np.cumsum(coupling.p[:, None] * np.abs(coupling.z), axis=0)[-1]
         if improved:
-            middle = 2.0 * lam * coupling.prob_z_prefix_nonzero()
+            middle = 2.0 * lam * sum(coupling.p[(coupling.z[:, :-1] != 0).any(axis=1)].tolist())
         else:
             middle = 2.0 * lam * float(ez[:-1].sum())
-        total.append(lam * float(ez[-1]) + middle + q.abs_sum())
+        total.append(lam * float(ez[-1]) + middle + math.fsum(np.abs(q).tolist()))
     return float(math.fsum(total))
 
 
@@ -206,19 +172,18 @@ def size_bias_check(
     worst_q = 0.0
     for i, coupling in enumerate(couplings, start=1):
         xi_law = X.prefix_marginal(i)
-        coupling.check_marginal(xi_law)
         lam = lambdas.lambdas[i - 1]
-        e_xi = float(sum(p * x[-1] for x, p in xi_law.atoms.items()))
+        lhs = xi_law.points[:, -1] * xi_law.probs
+        e_xi = float(sum(lhs.tolist()))
         worst_mean = max(worst_mean, abs(e_xi - lam))
-        worst_q = max(worst_q, q_terms_from_coupling(xi_law, lam, coupling).abs_sum())
-        y_law: dict[IntVec, float] = {}
-        for (x, z), p in coupling.joint.items():
-            y = tuple(a + b for a, b in zip(x[:-1] + (x[-1] + 1,), z))
-            y_law[y] = y_law.get(y, 0.0) + p
-        for y in set(xi_law.atoms) | set(y_law):
-            lhs = y[-1] * xi_law.atoms.get(y, 0.0) if all(v >= 0 for v in y) else 0.0
-            rhs = e_xi * y_law.get(y, 0.0)
-            worst = max(worst, abs(lhs - rhs))
+        _, q = q_terms_from_coupling(xi_law, lam, coupling)
+        worst_q = max(worst_q, math.fsum(np.abs(q).tolist()))
+        y = coupling.x + coupling.z
+        y[:, -1] += 1
+        ys, p_y = merge_rows(y, coupling.p)
+        # y_i P(X_{1:i} = y) - E[X_i] P(Y = y) at every y of either support
+        _, defect = merge_rows(np.concatenate([xi_law.points, ys]), np.concatenate([lhs, -e_xi * p_y]))
+        worst = max(worst, float(np.abs(defect).max()))
     return SizeBiasReport(max_defect=worst, mean_defect=worst_mean, q_defect=worst_q)
 
 

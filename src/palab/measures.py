@@ -6,6 +6,10 @@ certified account of the mass and first absolute moment living outside the
 stored support.  Truncations are never silent; whoever drops mass must put it
 into ``tail_mass``/``tail_moment`` so downstream distances can report a
 rigorous error interval.
+
+``merge_rows`` is the one place where equal lattice rows are merged and their
+weights summed: empirical counts, prefix marginals, total variation, the
+coupling tables and the Stein decomposition all go through it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,7 +66,7 @@ class LatticePmf:
     tail_moment : upper bound on E[|X|_1 ; X outside the stored support].
     """
 
-    __slots__ = ("dim", "points", "probs", "tail_mass", "tail_moment", "_atoms")
+    __slots__ = ("dim", "points", "probs", "tail_mass", "tail_moment")
 
     def __init__(self, dim: int, atoms: Mapping[Sequence[int], float],
                  tail_mass: float = 0.0, tail_moment: float = 0.0):
@@ -99,15 +102,7 @@ class LatticePmf:
             raise ParameterError(f"normalization defect {defect:.3e} exceeds {NORMALIZATION_DEFECT_LIMIT:g}")
         xs.flags.writeable = ps.flags.writeable = False
         self.dim, self.points, self.probs = int(dim), xs, ps
-        self.tail_mass, self.tail_moment, self._atoms = float(tail_mass), float(tail_moment), None
-
-    # -- views -----------------------------------------------------------
-    @property
-    def atoms(self) -> Mapping[Point, float]:
-        """Read-only {point tuple: probability} view, for code keyed by points."""
-        if self._atoms is None:
-            self._atoms = MappingProxyType(dict(zip(map(tuple, self.points.tolist()), self.probs.tolist())))
-        return self._atoms
+        self.tail_mass, self.tail_moment = float(tail_mass), float(tail_moment)
 
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Stored support as an (n, dim) int array plus the matching weights,
@@ -126,9 +121,8 @@ class LatticePmf:
         """Marginal law of the first ``i`` coordinates (tail account carried over)."""
         if not 1 <= i <= self.dim:
             raise ParameterError(f"prefix length {i} out of range 1..{self.dim}")
-        xs, inverse = np.unique(self.points[:, :i], axis=0, return_inverse=True)
-        ps = np.bincount(inverse.ravel(), weights=self.probs, minlength=len(xs))
-        return LatticePmf.from_arrays(i, xs, ps, self.tail_mass, self.tail_moment)
+        return LatticePmf.from_arrays(i, *merge_rows(self.points[:, :i], self.probs),
+                                      self.tail_mass, self.tail_moment)
 
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -266,25 +260,39 @@ def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> 
     return LatticePmf.from_arrays(d, np.argwhere(positive), table[positive], 0.0, 0.0)
 
 
-def empirical_pmf(rows) -> LatticePmf:
-    """Relative frequencies of the rows of an (n, d) array of lattice points;
-    deterministic given the rows.
+def merge_rows(rows, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (n, d) integer array, in lexicographic order, with
+    the weights of equal rows summed in row order (``np.bincount``), or with
+    their counts when ``weights`` is None.  Rows may be negative.
 
-    Rows are counted through one int64 key per row: the mixed-radix index of
+    Rows are merged through one int64 key per row: the mixed-radix index of
     the row, shifted by the column minima, in the box the rows span.  Key
     order is lexicographic order.  A box of more than 2**63 - 1 cells falls
     back to sorting the rows themselves."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
+        return rows, np.zeros(0, dtype=np.int64 if weights is None else float)
+    lo = rows.min(axis=0)
+    span = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), rows.max(axis=0).tolist())]
+    if math.prod(span) > np.iinfo(np.int64).max:
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return distinct, np.bincount(inverse.ravel(), weights, len(distinct))
+    keys = np.ravel_multi_index(tuple((rows - lo).T), span)
+    if weights is None:  # counts without the inverse: 3-10x faster on 1e4-1e5 rows
+        keys, sums = np.unique(keys, return_counts=True)
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inverse, weights, len(keys))
+    return np.column_stack(np.unravel_index(keys, span)) + lo, sums
+
+
+def empirical_pmf(rows) -> LatticePmf:
+    """Relative frequencies of the rows of an (n, d) array of lattice points;
+    deterministic given the rows."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
         raise ParameterError(f"rows must form a non-empty (n, d) array, got shape {rows.shape}")
-    xs = _point_array(rows, rows.shape[1])
-    lo = xs.min(axis=0)
-    span = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), xs.max(axis=0).tolist())]
-    if math.prod(span) <= np.iinfo(np.int64).max:
-        keys, counts = np.unique(np.ravel_multi_index(tuple((xs - lo).T), span), return_counts=True)
-        xs = np.column_stack(np.unravel_index(keys, span)) + lo
-    else:
-        xs, counts = np.unique(xs, axis=0, return_counts=True)
+    xs, counts = merge_rows(_point_array(rows, rows.shape[1]))
     return LatticePmf.from_arrays(rows.shape[1], xs, counts * (1.0 / len(rows)))
 
 

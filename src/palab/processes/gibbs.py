@@ -95,14 +95,16 @@ def sample_gibbs(model: GibbsModel, seed_or_rng, max_tries: int = DEFAULT_MAX_TR
 # ---------------------------------------------------------------------------
 
 class GnzTestFunction:
-    """u(x, pattern); subclasses provide vectorized grid evaluation and a
-    per-sample bound used in the deterministic quadrature error estimate."""
+    """u(x, pattern); subclasses provide the GNZ left side for one pattern,
+    vectorized grid evaluation and a per-sample bound used in the
+    deterministic quadrature error estimate."""
 
-    def __call__(self, x, pattern: PointPattern) -> float:
+    def left_side(self, pattern: PointPattern) -> float:
+        """sum_{x in pattern} u(x, pattern \\ x)."""
         raise NotImplementedError
 
     def eval_grid(self, xs: np.ndarray, pattern: PointPattern) -> np.ndarray:
-        return np.array([self(tuple(x), pattern) for x in xs])
+        raise NotImplementedError
 
     def sample_bound(self, pattern: PointPattern) -> float:
         raise NotImplementedError
@@ -119,10 +121,17 @@ class IndicatorTimesEmpty(GnzTestFunction):
         self.region_a = region_a
         self.region_b = region_b
 
-    def __call__(self, x, pattern: PointPattern) -> float:
-        ok_a = 1.0 if self.region_a is None else float(self.region_a.contains(np.array([x]))[0])
-        ok_b = 1.0 if self.region_b is None else float(pattern.count_in(self.region_b) == 0)
-        return ok_a * ok_b
+    def left_side(self, pattern: PointPattern) -> float:
+        """sum_x 1_A(x) * 1{pattern(B) - 1_B(x) = 0}."""
+        if len(pattern) == 0:
+            return 0.0
+        ok = np.ones(len(pattern), dtype=bool)
+        if self.region_a is not None:
+            ok &= self.region_a.contains(pattern.points)
+        if self.region_b is not None:
+            in_b = self.region_b.contains(pattern.points)
+            ok &= in_b.sum() - in_b == 0
+        return float(ok.sum())
 
     def eval_grid(self, xs: np.ndarray, pattern: PointPattern) -> np.ndarray:
         out = np.ones(len(xs))
@@ -139,8 +148,9 @@ class IndicatorTimesEmpty(GnzTestFunction):
 class TotalCount(GnzTestFunction):
     """u(x, nu) = nu(window): total number of points."""
 
-    def __call__(self, x, pattern: PointPattern) -> float:
-        return float(len(pattern))
+    def left_side(self, pattern: PointPattern) -> float:
+        """n (n - 1): each of the n points sees the n - 1 others."""
+        return float(len(pattern) * (len(pattern) - 1))
 
     def eval_grid(self, xs, pattern):
         return np.full(len(xs), float(len(pattern)))
@@ -233,8 +243,7 @@ def gnz_check(
     rhs_acc = np.zeros(reps)
     quad_acc = np.zeros(reps)
     for s, xi in enumerate(draws):
-        pts = xi.points
-        lhs_acc[s] = sum(u(x, PointPattern(np.delete(pts, i, axis=0))) for i, x in enumerate(pts))
+        lhs_acc[s] = u.left_side(xi)
         c_vals = model.papangelou(grid.centers, xi)
         u_vals = u.eval_grid(grid.centers, xi)
         rhs_acc[s] = float(c_vals @ u_vals) * grid.cell_vol

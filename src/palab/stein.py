@@ -218,12 +218,9 @@ def decomposition_check(
     rhs = 0.0
     for i in range(1, d + 1):
         lam_i = params.lambdas[i - 1]
-        prefix_law: dict[tuple[int, ...], dict[int, float]] = {}
-        for x, p in zip(xs, px):
-            pre = tuple(int(t) for t in x[: i - 1])
-            prefix_law.setdefault(pre, {})
-            xi = int(x[i - 1])
-            prefix_law[pre][xi] = prefix_law[pre].get(xi, 0.0) + p
+        marg_pts, marg_p = X.prefix_marginal(i).support_arrays()
+        # rows are lexsorted, so rows sharing the prefix X_{1:i-1} are adjacent
+        starts = np.r_[True, (marg_pts[1:, : i - 1] != marg_pts[:-1, : i - 1]).any(axis=1)]
         suffix_axes = axes[i:]
         if suffix_axes:
             w = suffix_axes[0]
@@ -235,18 +232,17 @@ def decomposition_check(
             suffix_w = np.ones(1)
             suffix_shape = ()
         # one batched solve per coordinate: columns indexed by (prefix, suffix)
-        prefixes = list(prefix_law)
         n_suffix = len(suffix_w)
         cols = []
-        for pre in prefixes:
-            sec = g[pre][tuple([slice(None)] + [slice(0, s) for s in suffix_shape])]
+        for pre in marg_pts[starts, : i - 1].tolist():
+            sec = g[tuple(pre)][tuple([slice(None)] + [slice(0, s) for s in suffix_shape])]
             cols.append(sec.reshape(sec.shape[0], -1))
         ghat, _ = solve_stein_batch(lam_i, np.concatenate(cols, axis=1), eps_tail=eps_tail, check=False)
         term_i = 0.0
-        for pi, pre in enumerate(prefixes):
+        prefix_ids = np.cumsum(starts) - 1
+        for pi, xi, pxi in zip(prefix_ids.tolist(), marg_pts[:, i - 1].tolist(), marg_p.tolist()):
             base = pi * n_suffix
-            for xi, pxi in prefix_law[pre].items():
-                inner = xi * ghat[xi, base : base + n_suffix] - lam_i * ghat[xi + 1, base : base + n_suffix]
-                term_i += pxi * float(inner @ suffix_w)
+            inner = xi * ghat[xi, base : base + n_suffix] - lam_i * ghat[xi + 1, base : base + n_suffix]
+            term_i += pxi * float(inner @ suffix_w)
         rhs += term_i
     return abs(lhs - rhs)

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .measures import LatticePmf, Point
+from .measures import LatticePmf, Point, merge_rows
 
 # Reduced costs are exact integers; anything below this is a real violation.
 _OPT_TOL = 1e-7
@@ -385,7 +385,6 @@ def total_variation(P: LatticePmf, Q: LatticePmf) -> DistanceResult:
     if P.dim != Q.dim:
         raise ParameterError(f"dimension mismatch: {P.dim} vs {Q.dim}")
     # P(x) - Q(x) per point of the union, each an exact single subtraction
-    union, where = np.unique(np.concatenate([P.points, Q.points]), axis=0, return_inverse=True)
-    diff = np.bincount(where.ravel(), np.concatenate([P.probs, -Q.probs]), len(union))
+    _, diff = merge_rows(np.concatenate([P.points, Q.points]), np.concatenate([P.probs, -Q.probs]))
     value = 0.5 * math.fsum(np.abs(diff))
     return DistanceResult(value=value, truncation_error=P.tail_mass + Q.tail_mass, flow=None)

@@ -69,6 +69,11 @@ def w1_1d(P: LatticePmf, Q: LatticePmf) -> float:
     return total
 
 
+def atoms(pmf: LatticePmf) -> dict:
+    """{point tuple: probability} of the stored atoms, in lexicographic order."""
+    return dict(zip(map(tuple, pmf.points.tolist()), pmf.probs.tolist()))
+
+
 def random_pmf(rng: np.random.Generator, dim: int, n_atoms: int, span: int = 12) -> LatticePmf:
     """Random finitely supported pmf with tail_mass 0."""
     while span**dim < 2 * n_atoms:

@@ -63,6 +63,7 @@ def report(criterion: int, ok: bool, detail: str, started: float) -> None:
     print(f"[acceptance {criterion}] {status}: {detail} ({time.time() - started:.1f}s)")
 
 
+@pytest.mark.acceptance
 def test_criterion_1_stein_magic_factors():
     """25 lambdas in [0.1, 10] x 200 random 1-Lipschitz g on 0..300:
     sup|ghat| <= 1 + 1e-12, sup|diff ghat| <= 1 + 1e-12, residual <= 1e-10."""
@@ -93,6 +94,7 @@ def test_criterion_1_stein_magic_factors():
     assert worst_res <= 1e-10
 
 
+@pytest.mark.acceptance
 def test_criterion_2_decomposition_residual():
     """Telescoping decomposition residual <= 1e-8 on 50 random (X, lambda, g)
     instances with d <= 3 and supports <= 10^3."""
@@ -114,6 +116,7 @@ def test_criterion_2_decomposition_residual():
     assert worst <= 1e-8
 
 
+@pytest.mark.acceptance
 def test_criterion_3_ot_oracle_equivalence():
     """wasserstein_l1 agrees with the independent dense LP oracle to 1e-8 on
     30 random pmf pairs with <= 200 atoms; metric axioms hold."""
@@ -146,6 +149,7 @@ def test_criterion_3_ot_oracle_equivalence():
     assert axiom_ok
 
 
+@pytest.mark.acceptance
 def test_criterion_4_corollary_dominance_exact():
     """100 random instances (n <= 12, d <= 2, row sums <= 0.4): exact
     d_W(sum, Poisson) <= sum_k (sum_i p_{k,i})^2 + truncation error."""
@@ -172,6 +176,7 @@ def test_criterion_4_corollary_dominance_exact():
     assert violations == 0
 
 
+@pytest.mark.acceptance
 def test_criterion_5_mdep_bound():
     """(a) m = 0 bound equals the independent-rows bound bitwise;
     (b) shipped m = 1, 2 families (n <= 60, d <= 3): empirical d_W from 1e5
@@ -225,6 +230,7 @@ def test_criterion_5_mdep_bound():
     assert violations == 0
 
 
+@pytest.mark.acceptance
 def test_criterion_6_bernoulli_coupling_sanity():
     """Single-coordinate Bernoulli(p): bound 2p^2 for Z = 0 and p^2 for
     Z = -X, both dominating the exact distance to Poisson(p)."""
@@ -233,9 +239,9 @@ def test_criterion_6_bernoulli_coupling_sanity():
     for p in np.arange(0.05, 0.501, 0.05):
         X = LatticePmf(1, {(0,): 1.0 - p, (1,): p})
         params = PoissonVectorParams((float(p),))
-        plain = coupling_vector_bound(params, [CouplingTable.from_deterministic_z(X, lambda x: (0,))])
+        plain = coupling_vector_bound(params, [CouplingTable.from_deterministic_z(X, np.zeros_like)])
         minus = coupling_vector_bound(
-            params, [CouplingTable.from_deterministic_z(X, lambda x: (-x[0],))]
+            params, [CouplingTable.from_deterministic_z(X, np.negative)]
         )
         ok &= abs(plain - 2 * p * p) <= 1e-12
         ok &= abs(minus - p * p) <= 1e-12
@@ -247,6 +253,7 @@ def test_criterion_6_bernoulli_coupling_sanity():
     assert ok
 
 
+@pytest.mark.acceptance
 def test_criterion_7_ustat():
     """(a) k = 1 output exactly Poisson (chi-square p > 0.01, 5 seeds);
     (b) k = 2 interval model with delta >= 1 gives R = t^3;
@@ -312,6 +319,7 @@ def test_criterion_7_ustat():
     assert violations == 0
 
 
+@pytest.mark.acceptance
 def test_criterion_8_papangelou():
     """theta = 0: bound exactly 0 and Poisson equivalence; theta > 0
     Strauss-type model: GNZ |z| <= 4 at 1e5 reps and bound dominance at
@@ -371,6 +379,7 @@ def test_criterion_8_papangelou():
     assert dom_ok
 
 
+@pytest.mark.acceptance
 def test_criterion_9_dpi_anchors():
     """Two-point Dirac example returns exactly 2; mean-shift lower bound
     respected; d_TV <= d_W on every evaluated partition to 1e-9."""

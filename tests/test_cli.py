@@ -109,6 +109,20 @@ def test_stein_check_csv(tmp_path):
         assert float(residual) <= 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["--g", "random:abc"],
+    ["--lambda-grid", "1:2"],
+    ["--g", "random:0"],
+    ["--range", "-3"],
+    ["--lambda-grid", "1:2:0"],
+])
+def test_stein_check_malformed_arguments_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "stein.json"
+    assert run_cli(["stein-check", *argv, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dpi_two_point_dirac_exactly_two(tmp_path):
     model = write_json(
         tmp_path / "dpi.json",

@@ -9,7 +9,6 @@ import pytest
 from palab.coupling import (
     BernoulliArrayModel,
     CouplingTable,
-    QTermTable,
     corollary_bound,
     mdep_bound,
     q_factor,
@@ -23,13 +22,15 @@ from palab.errors import ContractError, ParameterError
 from palab.measures import LatticePmf, PoissonVectorParams, bernoulli_sum_pmf, poisson_vector_pmf
 from palab.transport import wasserstein_l1
 
+from helpers import atoms
+
 
 def bernoulli_pmf(p: float) -> LatticePmf:
     return LatticePmf(1, {(0,): 1.0 - p, (1,): p})
 
 
 def zero_z(x):
-    return (0,) * len(x)
+    return np.zeros_like(x)
 
 
 # -- q-terms -------------------------------------------------------------------
@@ -40,26 +41,27 @@ def test_q_terms_vanish_for_poisson_with_zero_z():
     for i in (1, 2):
         Xi = X.prefix_marginal(i)
         coupling = CouplingTable.from_deterministic_z(Xi, zero_z)
-        q = q_terms_from_coupling(Xi, params.lambdas[i - 1], coupling)
-        assert q.abs_sum() <= 1e-10 + 3 * X.tail_mass
+        _, q = q_terms_from_coupling(Xi, params.lambdas[i - 1], coupling)
+        assert math.fsum(np.abs(q)) <= 1e-10 + 3 * X.tail_mass
 
 
 def test_q_terms_bernoulli_zero_z_symbolic():
     p = 0.3
     X = bernoulli_pmf(p)
     coupling = CouplingTable.from_deterministic_z(X, zero_z)
-    q = q_terms_from_coupling(X, p, coupling)
-    assert q.terms[(1,)] == pytest.approx(p * p, abs=1e-15)
-    assert q.terms[(2,)] == pytest.approx(-p * p, abs=1e-15)
-    assert set(q.terms) == {(1,), (2,)}
+    points, values = q_terms_from_coupling(X, p, coupling)
+    terms = dict(zip(map(tuple, points.tolist()), values.tolist()))
+    assert terms[(1,)] == pytest.approx(p * p, abs=1e-15)
+    assert terms[(2,)] == pytest.approx(-p * p, abs=1e-15)
+    assert set(terms) == {(1,), (2,)}
 
 
 def test_q_terms_bernoulli_z_minus_x_all_zero():
     p = 0.3
     X = bernoulli_pmf(p)
-    coupling = CouplingTable.from_deterministic_z(X, lambda x: tuple(-v for v in x))
-    q = q_terms_from_coupling(X, p, coupling)
-    assert q.terms == {}
+    coupling = CouplingTable.from_deterministic_z(X, np.negative)
+    points, values = q_terms_from_coupling(X, p, coupling)
+    assert len(points) == len(values) == 0
 
 
 def test_q_term_signed_sum_identity():
@@ -68,14 +70,13 @@ def test_q_term_signed_sum_identity():
     X = bernoulli_sum_pmf(rng.random((3, 2)) * 0.3)
     X2 = X.prefix_marginal(2)
     coupling = CouplingTable.from_deterministic_z(
-        X2, lambda x: (-1 if x[0] > 0 else 0, 1 if x[1] == 0 else -1)
+        X2, lambda x: np.column_stack([np.where(x[:, 0] > 0, -1, 0), np.where(x[:, 1] == 0, 1, -1)])
     )
     lam = 0.8
-    q = q_terms_from_coupling(X2, lam, coupling)
-    e_xi = sum(p * x[-1] for x, p in X2.atoms.items())
-    shifted = coupling.x_plus_z_law()
-    inside = sum(p for v, p in shifted.items() if all(c >= 0 for c in v))
-    assert q.signed_sum() == pytest.approx(e_xi - lam * inside, abs=1e-10)
+    _, q = q_terms_from_coupling(X2, lam, coupling)
+    e_xi = sum(p * x[-1] for x, p in atoms(X2).items())
+    inside = coupling.p[(coupling.x + coupling.z >= 0).all(axis=1)].sum()
+    assert math.fsum(q) == pytest.approx(e_xi - lam * inside, abs=1e-10)
 
 
 def test_marginal_mismatch_rejected():
@@ -84,6 +85,24 @@ def test_marginal_mismatch_rejected():
     coupling = CouplingTable.from_deterministic_z(other, zero_z)
     with pytest.raises(ContractError):
         q_terms_from_coupling(X, 0.3, coupling)
+
+
+def test_coupling_table_arrays_validated_and_read_only():
+    x, z, p = [[0], [1], [1]], [[0], [-1], [2]], [0.5, 0.0, 0.5]
+    table = CouplingTable(x, z, p)
+    assert table.dim == 1
+    assert (table.x.tolist(), table.z.tolist(), table.p.tolist()) == ([[0], [1]], [[0], [2]], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        table.p[0] = 1.0
+    for bad in (
+        ([0, 1], [0, 0], [0.5, 0.5]),             # not (n, i)
+        ([[0], [1]], [[0, 0], [0, 0]], [0.5, 0.5]),  # z shape differs
+        ([[0], [-1]], [[0], [0]], [0.5, 0.5]),    # x outside N_0
+        ([[0], [1]], [[0], [0]], [1.5, -0.5]),    # negative probability
+        ([[0], [1]], [[0], [0]], [0.5, 0.4]),     # mass 0.9
+    ):
+        with pytest.raises(ParameterError):
+            CouplingTable(*bad)
 
 
 # -- coupling vector bound --------------------------------------------------------
@@ -104,7 +123,7 @@ def test_bound_bernoulli_symbolic_values():
     plain = coupling_vector_bound(params, [CouplingTable.from_deterministic_z(X, zero_z)])
     assert plain == pytest.approx(2 * p * p, abs=1e-14)
     minus = coupling_vector_bound(
-        params, [CouplingTable.from_deterministic_z(X, lambda x: tuple(-v for v in x))]
+        params, [CouplingTable.from_deterministic_z(X, np.negative)]
     )
     assert minus == pytest.approx(p * p, abs=1e-14)
 
@@ -117,10 +136,10 @@ def test_improved_never_exceeds_plain():
         couplings = []
         for i in (1, 2):
             Xi = X.prefix_marginal(i)
-            shift = tuple(int(v) for v in rng.integers(-1, 2, size=i))
+            shift = rng.integers(-1, 2, size=i)
             couplings.append(
                 CouplingTable.from_deterministic_z(
-                    Xi, lambda x, s=shift: tuple(min(s_j, x_j) if s_j < 0 else s_j for s_j, x_j in zip(s, x))
+                    Xi, lambda x, s=shift: np.where(s < 0, np.minimum(s, x), s)
                 )
             )
         plain = coupling_vector_bound(lam, couplings, improved=False)
@@ -158,7 +177,7 @@ def test_size_bias_poisson_zero_defect():
 def test_size_bias_bernoulli_exact_coupling():
     p = 0.3
     X = bernoulli_pmf(p)
-    coupling = CouplingTable.from_deterministic_z(X, lambda x: tuple(-v for v in x))
+    coupling = CouplingTable.from_deterministic_z(X, np.negative)
     report = size_bias_check(X, PoissonVectorParams((p,)), [coupling])
     assert report.max_defect <= 1e-12
     assert report.q_defect <= 1e-12

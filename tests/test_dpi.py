@@ -33,6 +33,8 @@ from palab.processes import (
 )
 from palab.transport import total_variation, wasserstein_l1
 
+from helpers import atoms
+
 
 def test_two_point_dirac_example_is_exactly_two():
     part = PartitionSpec([LabelSet({"a"}), LabelSet({"b"})])
@@ -91,9 +93,9 @@ def test_tuple_bound_poisson_zero():
         prefix = PartitionSpec(part.sets[:i])
         pmf = law.count_pmf(prefix)
         lam_i = 2.0 * (prefix.sets[-1].highs[0] - prefix.sets[-1].lows[0])
-        coupling = CouplingTable.from_deterministic_z(pmf, lambda x: (0,) * len(x))
-        q = q_terms_from_coupling(pmf, lam_i, coupling)
-        terms.append(PrefixTerm(lam=lam_i, q_abs_sum=q.abs_sum(), z_abs_means=(0.0,) * i))
+        coupling = CouplingTable.from_deterministic_z(pmf, np.zeros_like)
+        _, q = q_terms_from_coupling(pmf, lam_i, coupling)
+        terms.append(PrefixTerm(lam=lam_i, q_abs_sum=math.fsum(np.abs(q)), z_abs_means=(0.0,) * i))
     val = tuple_process_bound(terms)
     assert val <= 1e-9
 
@@ -156,15 +158,16 @@ def test_tuple_bound_papangelou_route_q_below_integral_bound():
     for i in (1, 2):
         pmf = empirical_pmf(rows[:, :i])
         lam_i = 2.0 * 0.5
-        keys = set(pmf.atoms)
-        keys |= {x[:-1] + (x[-1] + 1,) for x in pmf.atoms}
+        law = atoms(pmf)
+        keys = set(law)
+        keys |= {x[:-1] + (x[-1] + 1,) for x in law}
         q_abs = 0.0
         se = 0.0
         for m in keys:
             if m[-1] < 1:
                 continue
-            p_here = pmf.atoms.get(m, 0.0)
-            p_shift = pmf.atoms.get(m[:-1] + (m[-1] - 1,), 0.0)
+            p_here = law.get(m, 0.0)
+            p_shift = law.get(m[:-1] + (m[-1] - 1,), 0.0)
             q_abs += abs(m[-1] * p_here - lam_i * p_shift)
             se += m[-1] * math.sqrt(p_here * (1 - p_here) / reps) + lam_i * math.sqrt(
                 p_shift * (1 - p_shift) / reps

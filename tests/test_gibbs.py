@@ -13,6 +13,7 @@ from palab.processes import (
     GibbsModel,
     IndicatorTimesEmpty,
     IntensityMeasure,
+    PointPattern,
     TotalCount,
     gnz_check,
     papangelou_bound,
@@ -87,6 +88,34 @@ def test_gnz_strauss_with_indicator_u():
     # sharper check: the actual discrepancy within statistical + grid error
     assert abs(report.lhs - report.rhs) <= 4 * report.std_error + report.quad_bound
     assert report.quad_bound < 0.1
+
+
+def test_gnz_left_side_matches_per_point_definition():
+    # sum_{x in xi} u(x, xi \ x), written out point by point
+    a, b = Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))
+    patterns = [
+        [],
+        [(0.2, 0.3)],
+        [(0.7, 0.3)],
+        [(0.2, 0.3), (0.5, 0.5)],               # second point on the shared edge: in A and B
+        [(0.2, 0.3), (0.4, 0.9), (0.8, 0.1)],
+        [(0.2, 0.3), (0.8, 0.1), (0.9, 0.9)],
+        *[sample_poisson_process(IntensityMeasure(WINDOW, 3.0), streams.derive(17, k)).points
+          for k in range(20)],
+    ]
+    for pts in patterns:
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        pattern = PointPattern(pts)
+        rest = [np.delete(pts, k, axis=0) for k in range(len(pts))]
+        for u, per_point in (
+            (IndicatorTimesEmpty(a, b),
+             [a.contains(x)[0] and not b.contains(r).any() for x, r in zip(pts, rest)]),
+            (IndicatorTimesEmpty(region_b=b), [not b.contains(r).any() for r in rest]),
+            (IndicatorTimesEmpty(region_a=a), [a.contains(x)[0] for x in pts]),
+            (TotalCount(), [len(r) for r in rest]),
+        ):
+            assert u.left_side(pattern) == float(sum(per_point))
+    assert IndicatorTimesEmpty(a, b).left_side(PointPattern([])) == 0.0
 
 
 def test_papangelou_bound_zero_for_poisson_target():

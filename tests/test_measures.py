@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from palab.errors import CapacityError, ParameterError
 from palab.measures import (
@@ -13,28 +15,31 @@ from palab.measures import (
     PoissonVectorParams,
     bernoulli_sum_pmf,
     empirical_pmf,
+    merge_rows,
     poisson_vector_pmf,
     truncate_small_atoms,
 )
 from palab.transport import total_variation
+
+from helpers import atoms
 
 
 # -- poisson_vector_pmf ------------------------------------------------------
 
 def test_poisson_degenerate_zero_rate():
     pmf = poisson_vector_pmf(PoissonVectorParams((0.0,)), 0.5)
-    assert pmf.atoms == {(0,): 1.0}
+    assert atoms(pmf) == {(0,): 1.0}
     assert pmf.tail_mass == 0.0
 
 
 def test_poisson_rate_one_matches_independent_evaluation():
     pmf = poisson_vector_pmf(PoissonVectorParams((1.0,)), 1e-12)
     assert pmf.tail_mass <= 1e-12
-    for (k,), p in pmf.atoms.items():
+    for (k,), p in atoms(pmf).items():
         # independent evaluation of the Poisson pmf
         assert p == pytest.approx(math.exp(-1.0) / math.factorial(k), rel=1e-13)
     # independent tail sum at the cut point
-    n_max = max(k for (k,) in pmf.atoms)
+    n_max = max(k for (k,) in atoms(pmf))
     tail = 1.0 - sum(math.exp(-1.0) / math.factorial(k) for k in range(n_max + 1))
     assert pmf.tail_mass == pytest.approx(tail, abs=1e-15)
 
@@ -71,13 +76,13 @@ def test_poisson_errors():
 
 def test_bernoulli_single_summand():
     pmf = bernoulli_sum_pmf(np.array([[0.2, 0.3]]))
-    assert pmf.atoms == pytest.approx({(0, 0): 0.5, (1, 0): 0.2, (0, 1): 0.3})
+    assert atoms(pmf) == pytest.approx({(0, 0): 0.5, (1, 0): 0.2, (0, 1): 0.3})
     assert pmf.tail_mass == 0.0
 
 
 def test_bernoulli_binomial_identity():
     pmf = bernoulli_sum_pmf(np.array([[0.5], [0.5]]))
-    assert pmf.atoms == pytest.approx({(0,): 0.25, (1,): 0.5, (2,): 0.25})
+    assert atoms(pmf) == pytest.approx({(0,): 0.25, (1,): 0.5, (2,): 0.25})
 
 
 def test_bernoulli_marginal_means_exact():
@@ -101,7 +106,7 @@ def test_bernoulli_matches_monte_carlo():
     counts = {}
     for row in map(tuple, rows):
         counts[row] = counts.get(row, 0) + 1
-    for x, prob in pmf.atoms.items():
+    for x, prob in atoms(pmf).items():
         freq = counts.get(x, 0) / reps
         sigma = math.sqrt(prob * (1 - prob) / reps)
         assert abs(freq - prob) <= 4 * sigma + 1e-9, f"atom {x}"
@@ -116,9 +121,9 @@ def test_bernoulli_row_sum_error():
 
 def test_empirical_trivial_cases():
     b = [(0,), (0,), (1,), (1,)]
-    assert empirical_pmf(b).atoms == pytest.approx({(0,): 0.5, (1,): 0.5})
+    assert atoms(empirical_pmf(b)) == pytest.approx({(0,): 0.5, (1,): 0.5})
     b2 = [(2, 3)]
-    assert empirical_pmf(b2).atoms == {(2, 3): 1.0}
+    assert atoms(empirical_pmf(b2)) == {(2, 3): 1.0}
 
 
 def test_empirical_poisson_frequency_within_4_sigma():
@@ -188,6 +193,58 @@ def test_empirical_counts_rows_whose_box_overflows_int64(dim):
     _assert_counts_match(empirical_pmf(rows), rows)
 
 
+def _merge_reference(rows: np.ndarray, weights):
+    """Sorted distinct row tuples with weights summed in row order by a dict
+    loop (counts when ``weights`` is None)."""
+    acc: dict = {}
+    for k, x in enumerate(map(tuple, rows.tolist())):
+        acc[x] = acc.get(x, 0.0 if weights is not None else 0) + (1 if weights is None else weights[k])
+    points = sorted(acc)
+    return points, [acc[x] for x in points]
+
+
+@st.composite
+def merge_inputs(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 60))
+    # narrow values give many ties; a 2**62-wide column with a second column
+    # makes a box of more than 2**63 - 1 cells, which has no int64 key
+    wide = dim > 1 and draw(st.booleans())
+    rows = np.array(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=n, max_size=n,
+    )), dtype=np.int64).reshape(n, dim)
+    if wide and n:
+        rows[:, 0] = draw(st.lists(st.sampled_from([-(2**61), 0, 2**62]), min_size=n, max_size=n))
+    weighted = draw(st.booleans())
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)) if weighted else None
+    return rows, weights
+
+
+@given(merge_inputs())
+def test_merge_rows_matches_dict_reference(case):
+    rows, weights = case
+    points, sums = merge_rows(rows, None if weights is None else np.array(weights))
+    ref_points, ref_sums = _merge_reference(rows, weights)
+    assert points.shape == (len(ref_points), rows.shape[1])
+    assert [tuple(x) for x in points.tolist()] == ref_points
+    assert sums.tolist() == ref_sums  # bitwise: both add in row order
+    if weights is None:
+        assert sums.dtype.kind == "i"
+
+
+def test_merge_rows_takes_both_branches():
+    # the key branch and the sorting fallback give the same answer on the
+    # same rows, shifted so that only the second has no int64 key
+    rows = np.array([[1, -2], [0, 5], [1, -2], [0, 5], [0, 4]])
+    weights = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    wide = np.vstack([rows, [[2**62, 0]]])
+    w_wide = np.append(weights, 1.0)
+    for r, w in ((rows, weights), (wide, w_wide)):
+        points, sums = merge_rows(r, w)
+        assert ([tuple(x) for x in points.tolist()], sums.tolist()) == _merge_reference(r, w.tolist())
+    assert merge_rows(wide, w_wide)[0][:-1].tolist() == merge_rows(rows, weights)[0].tolist()
+
+
 @pytest.mark.parametrize("rows", [
     np.array([1, 2, 3]),                   # 1-D
     np.array([[0, 1], [-1, 2]]),           # negative
@@ -201,7 +258,7 @@ def test_empirical_rejects_bad_rows(rows):
 
 def test_empirical_accepts_integral_floats():
     pmf = empirical_pmf(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
-    assert pmf.atoms == pytest.approx({(0, 0): 1 / 3, (1, 2): 2 / 3})
+    assert atoms(pmf) == pytest.approx({(0, 0): 1 / 3, (1, 2): 2 / 3})
 
 
 # -- LatticePmf invariants and plumbing ---------------------------------------
@@ -242,15 +299,13 @@ def test_arrays_sorted_and_read_only():
     assert pmf.support_arrays()[0] is pmf.points
     with pytest.raises(ValueError):
         pmf.probs[0] = 1.0
-    with pytest.raises(TypeError):
-        pmf.atoms[(0, 1)] = 1.0
 
 
 def test_json_round_trip():
     pmf = poisson_vector_pmf(PoissonVectorParams((1.3, 0.4)), 1e-9)
     back = LatticePmf.from_json(pmf.to_json())
     assert back.dim == pmf.dim
-    assert back.atoms == pmf.atoms
+    assert atoms(back) == atoms(pmf)
     assert back.tail_mass == pmf.tail_mass
     assert back.tail_moment == pmf.tail_moment
 
@@ -259,7 +314,7 @@ def test_prefix_marginal_sums():
     pmf = bernoulli_sum_pmf(np.array([[0.2, 0.3], [0.1, 0.25]]))
     marg = pmf.prefix_marginal(1)
     assert marg.dim == 1
-    assert sum(marg.atoms.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(atoms(marg).values()) == pytest.approx(1.0, abs=1e-12)
     # P(X1 = 0) = (1 - 0.2) * (1 - 0.1) ... careful: coordinate 1 can only
     # increase via e_1 outcomes, independent across rows
     assert marg.prob((0,)) == pytest.approx(0.8 * 0.9, abs=1e-12)
@@ -268,9 +323,9 @@ def test_prefix_marginal_sums():
 def _truncate_reference(pmf, drop_mass):
     """Per-atom loop: drop atoms in sorted (p, x) order while the running
     dropped mass stays <= drop_mass, keeping at least one atom."""
-    kept = dict(pmf.atoms)
+    kept = atoms(pmf)
     mass = moment = 0.0
-    for x, p in sorted(pmf.atoms.items(), key=lambda kv: (kv[1], kv[0])):
+    for x, p in sorted(atoms(pmf).items(), key=lambda kv: (kv[1], kv[0])):
         if mass + p > drop_mass or len(kept) == 1:
             break
         mass += p
@@ -281,25 +336,25 @@ def _truncate_reference(pmf, drop_mass):
 
 def test_truncate_small_atoms_tie_order_matches_loop_reference():
     # four atoms tie at p = 0.1: they must go in lexicographic point order
-    atoms = {(2, 0): 0.1, (0, 2): 0.1, (1, 1): 0.1, (0, 1): 0.1, (0, 0): 0.35, (3, 0): 0.25}
-    pmf = LatticePmf(2, atoms, 0.0, 0.0)
+    table = {(2, 0): 0.1, (0, 2): 0.1, (1, 1): 0.1, (0, 1): 0.1, (0, 0): 0.35, (3, 0): 0.25}
+    pmf = LatticePmf(2, table, 0.0, 0.0)
     pruned = truncate_small_atoms(pmf, 0.25)
-    assert sorted(pruned.atoms) == [(0, 0), (1, 1), (2, 0), (3, 0)]
+    assert sorted(atoms(pruned)) == [(0, 0), (1, 1), (2, 0), (3, 0)]
     cases = [(pmf, drop) for drop in (0.05, 0.1, 0.25, 0.3, 0.45, 1.0, 5.0)]
     cases += [(poisson_vector_pmf(PoissonVectorParams((1.2, 0.7)), 1e-10), drop)
               for drop in (1e-12, 1e-9, 1e-6, 0.2)]
     for base, drop in cases:
         got = truncate_small_atoms(base, drop)
         kept, tail_mass, tail_moment = _truncate_reference(base, drop)
-        assert got.atoms == kept
+        assert atoms(got) == kept
         assert (got.tail_mass, got.tail_moment) == (tail_mass, tail_moment)  # bitwise
 
 
 def test_truncate_small_atoms_accounting():
     pmf = poisson_vector_pmf(PoissonVectorParams((2.0,)), 1e-13)
     pruned = truncate_small_atoms(pmf, 1e-6)
-    assert len(pruned.atoms) < len(pmf.atoms)
-    dropped = {x: p for x, p in pmf.atoms.items() if x not in pruned.atoms}
+    assert len(atoms(pruned)) < len(atoms(pmf))
+    dropped = {x: p for x, p in atoms(pmf).items() if x not in atoms(pruned)}
     assert pruned.tail_mass == pytest.approx(pmf.tail_mass + sum(dropped.values()), abs=1e-18)
     moment = sum(p * sum(x) for x, p in dropped.items())
     assert pruned.tail_moment == pytest.approx(pmf.tail_moment + moment, rel=1e-12)

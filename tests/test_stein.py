@@ -147,6 +147,20 @@ def test_decomposition_random_bernoulli_sum_d2():
     assert decomposition_check(X, params, g) <= 1e-8
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_decomposition_min_table_sections_differ_per_prefix(d):
+    # g = min(x_1, ..., x_d): the section at each prefix X_{1:i-1} differs by
+    # more than a constant, so pairing a prefix with another prefix's Stein
+    # solution leaves a residual of order 1e-2
+    rng = np.random.default_rng(21)
+    p = rng.random((4, d)) * (0.6 / d)
+    X = bernoulli_sum_pmf(p)
+    lam = tuple(p.sum(axis=0))
+    shape = tuple(default_range(l, 6) + 1 for l in lam)
+    g = np.minimum.reduce(np.meshgrid(*[np.arange(n, dtype=float) for n in shape], indexing="ij"))
+    assert decomposition_check(X, PoissonVectorParams(lam), g) <= 1e-10
+
+
 def test_decomposition_rejects_short_table():
     X = bernoulli_sum_pmf(np.array([[0.3]]))
     params = PoissonVectorParams((0.3,))
