@@ -409,6 +409,8 @@ def _cmd_bernoulli_bound(cfg: ExperimentConfig):
 
 def _cmd_bernoulli_verify(cfg: ExperimentConfig):
     model = _bernoulli_model(cfg)
+    if model.m > 0 and cfg.reps < 2:  # the bootstrap standard error needs two rows
+        raise ParameterError(f"an m-dependent array needs --reps >= 2, got {cfg.reps}")
     bound = mdep_bound(model)
     lam = PoissonVectorParams(tuple(model.p.sum(axis=0)))
     target = truncate_small_atoms(poisson_vector_pmf(lam, 1e-10), 1e-9)

@@ -7,6 +7,9 @@ stored support.  Truncations are never silent; whoever drops mass must put it
 into ``tail_mass``/``tail_moment`` so downstream distances can report a
 rigorous error interval.
 
+``poisson_pmf``, ``poisson_sf`` and ``poisson_cut`` are the one place the
+Poisson law is evaluated, for the product-Poisson targets and the Stein solver.
+
 ``merge_rows`` is the one place where equal lattice rows are merged and their
 weights summed: empirical counts, prefix marginals, total variation, the
 coupling tables and the Stein decomposition all go through it.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import CapacityError, ParameterError
 
@@ -149,6 +152,26 @@ class LatticePmf:
         return LatticePmf.from_json_dict(json.loads(text))
 
 
+def poisson_pmf(k, lam: float):
+    """P(P = k) for P ~ Poisson(lam) at integers k: exp(k log lam - log k! - lam),
+    scipy.stats' own formula, and 0 for k < 0 (where log k! is +inf)."""
+    return np.exp(xlogy(np.maximum(k, 0), lam) - gammaln(k + 1) - lam)
+
+
+def poisson_sf(k, lam: float):
+    """P(P > k) for P ~ Poisson(lam) at integers k: ``pdtrc``, and 1 for k < 0
+    (where ``pdtrc`` is nan)."""
+    return np.where(k < 0, 1.0, pdtrc(k, lam))
+
+
+def poisson_cut(lam: float, eps: float) -> int:
+    """Smallest N >= 0 with P(P > N) <= eps for P ~ Poisson(lam); 0 when lam = 0."""
+    hi = 1
+    while poisson_sf(hi, lam) > eps:
+        hi *= 2
+    return int(np.argmax(poisson_sf(np.arange(hi + 1), lam) <= eps))
+
+
 @dataclass(frozen=True)
 class PoissonVectorParams:
     """Mean vector of a Poisson random vector with independent components."""
@@ -157,6 +180,8 @@ class PoissonVectorParams:
 
     def __post_init__(self):
         lam = tuple(float(v) for v in self.lambdas)
+        if not lam:
+            raise ParameterError("lambdas must hold at least one mean")
         if any(not np.isfinite(v) or v < 0 for v in lam):
             raise ParameterError(f"lambdas must be finite and >= 0, got {self.lambdas}")
         object.__setattr__(self, "lambdas", lam)
@@ -173,28 +198,16 @@ def poisson_vector_pmf(
 ) -> LatticePmf:
     """Product-Poisson pmf truncated to a box [0,N_1] x ... x [0,N_d].
 
-    Per-coordinate cut points are found by inverting the exact Poisson tail sum
-    so the total truncated mass is <= eps.  ``tail_moment`` uses the exact
-    identity E[P 1{P > N}] = lambda * P(P >= N) plus independence across
-    coordinates, so it is a rigorous upper bound.
+    Each cut N_i is the smallest N with P(P_i > N) <= eps / d, so the total
+    truncated mass is <= eps.  ``tail_moment`` uses the exact identity
+    E[P 1{P > N}] = lambda * P(P >= N) plus independence across coordinates,
+    so it is a rigorous upper bound.
     """
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"eps must be in (0,1), got {eps}")
     lam = np.asarray(params.lambdas, dtype=float)
     d = params.dim
-    eps_i = eps / d
-    cuts = []
-    for lv in lam:
-        if lv == 0.0:
-            cuts.append(0)
-            continue
-        n = int(stats.poisson.isf(eps_i, lv)) if eps_i < 1.0 else 0
-        # isf can be off by one; walk to the smallest N with sf(N) <= eps_i
-        while stats.poisson.sf(n, lv) > eps_i:
-            n += 1
-        while n > 0 and stats.poisson.sf(n - 1, lv) <= eps_i:
-            n -= 1
-        cuts.append(n)
+    cuts = [poisson_cut(lv, eps / d) for lv in lam]
     size = 1
     for n in cuts:
         size *= n + 1
@@ -202,21 +215,16 @@ def poisson_vector_pmf(
             raise CapacityError(
                 f"truncation box {[c + 1 for c in cuts]} exceeds atom budget {atom_budget}"
             )
-    marg = [stats.poisson.pmf(np.arange(n + 1), lv) for n, lv in zip(cuts, lam)]
-    table = marg[0]
-    for v in marg[1:]:
-        table = np.multiply.outer(table, v)
+    table = poisson_pmf(np.arange(cuts[0] + 1), lam[0])
+    for n, lv in zip(cuts[1:], lam[1:]):
+        table = np.multiply.outer(table, poisson_pmf(np.arange(n + 1), lv))
     stored = float(table.ravel().sum())
     tail_mass = max(0.0, 1.0 - stored)
     # E[|X|_1 ; X outside box] <= sum_j [ E[P_j; P_j > N_j] + sum_{i != j} lam_i P(P_j > N_j) ]
     lam_total = float(lam.sum())
     tail_moment = 0.0
     for n, lv in zip(cuts, lam):
-        if lv == 0.0:
-            continue
-        p_gt = float(stats.poisson.sf(n, lv))          # P(P_j > N_j)
-        p_ge = float(stats.poisson.sf(n - 1, lv))      # P(P_j >= N_j)
-        tail_moment += lv * p_ge + (lam_total - lv) * p_gt
+        tail_moment += lv * float(poisson_sf(n - 1, lv)) + (lam_total - lv) * float(poisson_sf(n, lv))
     tail_moment = max(tail_moment, tail_mass)
     positive = table > 0.0
     return LatticePmf.from_arrays(d, np.argwhere(positive), table[positive], tail_mass, tail_moment)

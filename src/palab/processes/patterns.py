@@ -158,10 +158,14 @@ class PartitionSpec:
 
 def count_vector(pattern: PointPattern, partition: PartitionSpec) -> tuple[int, ...]:
     """Points of the pattern in each set; boxes are closed, so a point on an
-    edge shared by two boxes counts in both."""
+    edge shared by two boxes counts in both.  Label sets need a label pattern
+    and boxes a located one; an empty pattern counts 0 in any sets."""
     if len(pattern) == 0:
         return (0,) * partition.dim
-    if isinstance(partition.sets[0], LabelSet):
+    labels = isinstance(partition.sets[0], LabelSet)
+    if labels != isinstance(pattern.points, tuple):
+        raise ParameterError("label sets need a label pattern, and boxes a located one")
+    if labels:
         return tuple(pattern.count_in(s) for s in partition.sets)
     pts = pattern.points[:, None, :]
     inside = ((pts >= partition._lows) & (pts <= partition._highs)).all(axis=2)

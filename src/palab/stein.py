@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ContractError, ParameterError
-from .measures import LatticePmf, PoissonVectorParams
+from .measures import LatticePmf, PoissonVectorParams, poisson_cut, poisson_pmf, poisson_sf
 
 LIPSCHITZ_TOL = 1e-12
 DEFAULT_EPS_TAIL = 1e-13
@@ -63,9 +62,7 @@ def check_lipschitz_1d(g: np.ndarray) -> None:
 def mean_tail_defect(lam: float, n: int) -> float:
     """Upper bound on |E g_true(P) - E g_ext(P)| over 1-Lipschitz extensions of
     a table ending at n: sum_{k>n} (k-n) pmf(k) = lam*P(P>=n) - n*P(P>n)."""
-    if lam == 0.0:
-        return 0.0
-    return float(lam * stats.poisson.sf(n - 1, lam) - n * stats.poisson.sf(n, lam))
+    return float(lam * poisson_sf(n - 1, lam) - n * poisson_sf(n, lam))
 
 
 def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL,
@@ -95,8 +92,8 @@ def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_T
         ghat[1 : n_max + 1] = (g[0][None, :] - g[1:]) / idx[:, None]
         ghat[n_max + 1] = (g[0] - g[n_max]) / (n_max + 1)  # constant extension
     else:
-        pmf = stats.poisson.pmf(np.arange(n_max + 1), lam)
-        means = pmf @ g + float(stats.poisson.sf(n_max, lam)) * g[n_max]
+        pmf = poisson_pmf(np.arange(n_max + 1), lam)
+        means = pmf @ g + float(poisson_sf(n_max, lam)) * g[n_max]
         centered = g - means[None, :]
         mode = min(int(np.floor(lam)), n_max + 1)
         for i in range(mode):
@@ -154,22 +151,6 @@ def check_lipschitz_table(g: np.ndarray) -> None:
                 )
 
 
-def _poisson_axis(lam: float, eps: float, max_len: int) -> np.ndarray:
-    """Truncated Poisson pmf vector with tail <= eps, or error if it cannot
-    fit into max_len entries."""
-    if lam == 0.0:
-        return np.ones(1)
-    n = int(stats.poisson.isf(eps, lam)) if eps < 1.0 else 0
-    while stats.poisson.sf(n, lam) > eps:
-        n += 1
-    if n + 1 > max_len:
-        raise ParameterError(
-            f"g table axis of length {max_len} too small to cover Poisson({lam:g}) "
-            f"tail accuracy {eps:g} (needs {n + 1})"
-        )
-    return stats.poisson.pmf(np.arange(n + 1), lam)
-
-
 def decomposition_check(
     X: LatticePmf,
     params: PoissonVectorParams,
@@ -183,7 +164,9 @@ def decomposition_check(
 
     with ghat_i the Stein solution for the section of g at (X_{1:i-1}, ., P_{i+1:d}),
     evaluated by exhaustive summation over the truncated joint support of the
-    independent pair (X, P).  Contract: residual <= 1e-8 plus the truncation
+    independent pair (X, P).  The Poisson box cuts axis i at the smallest N
+    with P(P_i > N) <= eps_box / d; a g table shorter than that raises
+    ``ParameterError``.  Contract: residual <= 1e-8 plus the truncation
     contribution of the Poisson box.
     """
     d = X.dim
@@ -193,17 +176,24 @@ def decomposition_check(
     check_lipschitz_table(g)
     xs, px = X.support_arrays()
     sup_max = xs.max(axis=0)
-    for i in range(d):
+    axes = []
+    for i, lam in enumerate(params.lambdas):
         if sup_max[i] + 2 > g.shape[i]:
             raise ParameterError(
                 f"g table axis {i} (length {g.shape[i]}) does not cover the support of X plus 1"
             )
-        need = default_range(params.lambdas[i], int(sup_max[i]) + 1)
+        need = default_range(lam, int(sup_max[i]) + 1)
         if need + 1 > g.shape[i]:
             raise ParameterError(
                 f"g table axis {i} too small: solver range needs {need + 1} entries, found {g.shape[i]}"
             )
-    axes = [_poisson_axis(lam, eps_box / d, g.shape[i]) for i, lam in enumerate(params.lambdas)]
+        n = poisson_cut(lam, eps_box / d)
+        if n + 1 > g.shape[i]:
+            raise ParameterError(
+                f"g table axis of length {g.shape[i]} too small to cover Poisson({lam:g}) "
+                f"tail accuracy {eps_box / d:g} (needs {n + 1})"
+            )
+        axes.append(poisson_pmf(np.arange(n + 1), lam))
 
     # left side: E g(P) - E g(X), both by exhaustive summation
     box = g[tuple(slice(0, len(ax)) for ax in axes)]

@@ -74,6 +74,13 @@ def test_bernoulli_verify_exact_pipeline(tmp_path, bernoulli_model):
     assert payload["distance"] <= payload["bound"] + payload["truncation_error"] + 1e-8
 
 
+def test_bernoulli_verify_exact_ignores_reps(tmp_path, bernoulli_model):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    assert run_cli(["bernoulli-verify", "--model", bernoulli_model, "--out", str(outs[0])]) == 0
+    assert run_cli(["bernoulli-verify", "--model", bernoulli_model, "--reps", "1", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_bernoulli_verify_empirical_mdep(tmp_path):
     rng = np.random.default_rng(5)
     p = (rng.random((20, 2)) * 0.03).round(6)
@@ -221,6 +228,41 @@ def dpi_sampled_model(tmp_path):
     )
 
 
+@pytest.fixture
+def mdep_model(tmp_path):
+    return write_json(
+        tmp_path / "mdep.json",
+        {"schema_version": 1, "n": 4, "d": 1, "p": [[0.05]] * 4, "m": 1},
+    )
+
+
+@pytest.fixture
+def dpi_labels_in_boxes(tmp_path):
+    return write_json(
+        tmp_path / "dpi.json",
+        {
+            "schema_version": 1,
+            "xi": {"type": "dirac_labels", "space": ["a", "b"], "points": ["a"]},
+            "eta": {"type": "dirac_labels", "space": ["a", "b"], "points": ["b"]},
+            "partitions": [[{"box": {"lows": [0.0], "highs": [1.0]}}]],
+        },
+    )
+
+
+@pytest.fixture
+def dpi_points_in_labels(tmp_path):
+    window = {"lows": [0.0], "highs": [1.0]}
+    return write_json(
+        tmp_path / "dpi.json",
+        {
+            "schema_version": 1,
+            "xi": {"type": "poisson", "rate": 2.0, "window": window, "exact": False},
+            "eta": {"type": "poisson", "rate": 2.0, "window": window},
+            "partitions": [[{"labels": ["a"]}]],
+        },
+    )
+
+
 @pytest.mark.parametrize(
     "fixture, argv",
     [
@@ -230,8 +272,14 @@ def dpi_sampled_model(tmp_path):
         ("gibbs_model", ["papangelou-bound", "--reps", "1"]),
         ("dpi_sampled_model", ["dpi-estimate", "--reps", "50", "--n-boot", "0"]),
         ("dpi_sampled_model", ["dpi-estimate", "--reps", "50", "--n-boot", "1"]),
+        ("mdep_model", ["bernoulli-verify", "--reps", "-5"]),
+        ("mdep_model", ["bernoulli-verify", "--reps", "0"]),
+        ("mdep_model", ["bernoulli-verify", "--reps", "1"]),
+        ("dpi_labels_in_boxes", ["dpi-estimate"]),
+        ("dpi_points_in_labels", ["dpi-estimate", "--reps", "50"]),
     ],
-    ids=["gnz-reps-0", "gnz-reps-neg", "pap-grid-0", "pap-reps-1", "dpi-nboot-0", "dpi-nboot-1"],
+    ids=["gnz-reps-0", "gnz-reps-neg", "pap-grid-0", "pap-reps-1", "dpi-nboot-0", "dpi-nboot-1",
+         "mdep-reps-neg", "mdep-reps-0", "mdep-reps-1", "dpi-labels-in-boxes", "dpi-points-in-labels"],
 )
 def test_bad_sample_sizes_exit_1_with_marker(tmp_path, request, fixture, argv):
     model = request.getfixturevalue(fixture)
@@ -330,6 +378,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "stein-check" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # palab evaluates the Poisson law through scipy.special alone; scipy.stats
+    # would add most of a second to every cold start
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, palab.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_threads_flag_has_no_effect(tmp_path, gibbs_model):

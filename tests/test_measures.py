@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from palab.errors import CapacityError, ParameterError
 from palab.measures import (
@@ -16,6 +17,9 @@ from palab.measures import (
     bernoulli_sum_pmf,
     empirical_pmf,
     merge_rows,
+    poisson_cut,
+    poisson_pmf,
+    poisson_sf,
     poisson_vector_pmf,
     truncate_small_atoms,
 )
@@ -67,9 +71,48 @@ def test_poisson_errors():
     with pytest.raises(ParameterError):
         PoissonVectorParams((-1.0,))
     with pytest.raises(ParameterError):
+        PoissonVectorParams(())
+    with pytest.raises(ParameterError):
         poisson_vector_pmf(PoissonVectorParams((1.0,)), 0.0)
     with pytest.raises(CapacityError):
         poisson_vector_pmf(PoissonVectorParams((50.0,) * 4), 1e-12, atom_budget=1000)
+
+
+# -- the Poisson kernel: scipy.stats is the reference ------------------------
+
+@pytest.mark.parametrize("lam", [0.0, 1e-12, 0.1, 1.3, 7.7, 55.0, 216.0, 370.0])
+def test_poisson_pmf_sf_bitwise_equal_scipy_stats(lam):
+    k = np.arange(-1, 401)
+    assert np.array_equal(poisson_pmf(k, lam), stats.poisson.pmf(k, lam))
+    assert np.array_equal(poisson_sf(k, lam), stats.poisson.sf(k, lam))
+    assert float(poisson_sf(-1, lam)) == 1.0 and float(poisson_pmf(-1, lam)) == 0.0
+
+
+def isf_seeded_cut(lam, eps):
+    """The cut search the kernel replaced: seed at scipy's isf, then walk to
+    the smallest N with sf(N) <= eps."""
+    if lam == 0.0:
+        return 0
+    n = int(stats.poisson.isf(eps, lam))
+    while stats.poisson.sf(n, lam) > eps:
+        n += 1
+    while n > 0 and stats.poisson.sf(n - 1, lam) <= eps:
+        n -= 1
+    return n
+
+
+def test_poisson_cut_equals_isf_seeded_walk():
+    zero_cuts = 0
+    for lam in (0.0, *np.geomspace(1e-12, 400.0, 25)):
+        for eps in (*np.geomspace(1e-14, 0.9, 12), 0.5):
+            cut = poisson_cut(float(lam), float(eps))
+            assert cut == isf_seeded_cut(float(lam), float(eps)), (lam, eps)
+            assert float(poisson_sf(cut, lam)) <= eps < float(poisson_sf(cut - 1, lam))
+            zero_cuts += cut == 0
+    assert zero_cuts > 25  # every lambda = 0 and the small rates
+    assert poisson_cut(3.0, float(poisson_sf(5, 3.0))) == 5  # a tail equal to eps is within it
+    cut = poisson_cut(2.0, 1e-300)  # below about 5e-17, scipy's isf is nan
+    assert float(poisson_sf(cut, 2.0)) <= 1e-300 < float(poisson_sf(cut - 1, 2.0))
 
 
 # -- bernoulli_sum_pmf -------------------------------------------------------

@@ -173,6 +173,16 @@ def test_count_vector_matches_reference_on_labels(points, labels, data):
     assert count_vector(PointPattern(points), PartitionSpec(sets)) == reference_counts(points, sets)
 
 
+def test_count_vector_rejects_sets_of_the_other_kind():
+    boxes = PartitionSpec([Box((0.0,), (0.5,)), Box((0.5,), (1.0,))])
+    labels = PartitionSpec([LabelSet({"a"}), LabelSet({"b"})])
+    with pytest.raises(ParameterError):
+        count_vector(PointPattern(["a", "b"]), boxes)
+    with pytest.raises(ParameterError):
+        count_vector(PointPattern(np.array([[0.2], [0.7]])), labels)
+    assert count_vector(PointPattern([]), boxes) == count_vector(PointPattern([]), labels) == (0, 0)
+
+
 def test_pattern_points_are_the_given_array_read_only():
     pts = np.array([[0.1, 0.2], [0.5, 0.5]])
     pattern = PointPattern(pts)

@@ -166,3 +166,8 @@ def test_decomposition_rejects_short_table():
     params = PoissonVectorParams((0.3,))
     with pytest.raises(ParameterError):
         decomposition_check(X, params, np.zeros(10))
+    # long enough for the solver range, too short for the Poisson box at eps_box
+    g = np.zeros(default_range(0.3, 2) + 1)
+    assert decomposition_check(X, params, g) <= 1e-9
+    with pytest.raises(ParameterError, match="tail accuracy"):
+        decomposition_check(X, params, g, eps_box=1e-300)
