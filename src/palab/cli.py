@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -59,7 +60,6 @@ from .processes import (
     ustat_bound,
 )
 from .processes.dpi import DEFAULT_N_BOOT
-from .processes.gibbs import DEFAULT_GRID
 from .stein import solve_stein_batch
 from .transport import wasserstein_l1
 
@@ -290,10 +290,26 @@ class ExperimentConfig:
     overrides: dict
 
 
+@functools.cache
+def _validator(schema_name: str):
+    """The validator of one model or output schema, checked against its metaschema once."""
+    schema = {**SCHEMAS, **OUTPUT_SCHEMAS}[schema_name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(obj, schema_name: str) -> None:
+    """``jsonschema.validate`` (the same best-matching error), with the schema checked once."""
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(obj))
+    if error is not None:
+        raise error
+
+
 def _load_model(path: str, schema_name: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    jsonschema.validate(obj, SCHEMAS[schema_name])
+    _validate(obj, schema_name)
     return obj
 
 
@@ -311,9 +327,13 @@ def _partitions_from(obj: list) -> list[PartitionSpec]:
     return [PartitionSpec([_set_from(s) for s in sets]) for sets in obj]
 
 
-def _source_from(obj: dict):
+def _source_from(obj: dict, partitions: list[PartitionSpec]):
     kind = obj["type"]
     if kind == "dirac_labels":
+        sets = [s.members for p in partitions for s in p.sets if isinstance(s, LabelSet)]
+        outside = set(obj["points"]).union(*sets) - set(obj["space"])
+        if outside:
+            raise ParameterError(f"labels {sorted(outside, key=repr)} are not in the space {obj['space']}")
         return DiracCountLaw(PointPattern(list(obj["points"])))
     if kind == "poisson":
         intensity = IntensityMeasure(_window_from(obj["window"]), float(obj["rate"]))
@@ -479,14 +499,12 @@ def _cmd_papangelou_bound(cfg: ExperimentConfig):
     model = _gibbs_model(cfg)
     f = float(cfg.model.get("target_density", cfg.model["beta"]))
     target = IntensityMeasure(model.window, f)
-    res = papangelou_bound(
-        model, target, reps=cfg.reps, seed=cfg.seed, grid_n=cfg.overrides["grid_n"],
-    )
+    res = papangelou_bound(model, target, reps=cfg.reps, seed=cfg.seed)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "estimate": res.estimate,
         "std_error": res.std_error,
-        "quad_bound": res.quad_bound,
+        "quad_bound": 0.0,  # the integral is exact; the field stays for old readers
         "reps": res.reps,
         "verdict": "PASS",
     }
@@ -505,7 +523,7 @@ def _cmd_gnz_check(cfg: ExperimentConfig):
             region_a=_window_from(u_spec["region_a"]) if "region_a" in u_spec else None,
             region_b=_window_from(u_spec["region_b"]) if "region_b" in u_spec else None,
         )
-    report = gnz_check(model, u, reps=cfg.reps, seed=cfg.seed, grid_n=cfg.overrides["grid_n"])
+    report = gnz_check(model, u, reps=cfg.reps, seed=cfg.seed)
     z_tol = cfg.overrides["z_threshold"]
     ok = abs(report.z_score) <= z_tol
     payload = {
@@ -514,7 +532,7 @@ def _cmd_gnz_check(cfg: ExperimentConfig):
         "rhs": report.rhs,
         "z_score": report.z_score,
         "std_error": report.std_error,
-        "quad_bound": report.quad_bound,
+        "quad_bound": 0.0,
         "z_threshold": z_tol,
         "reps": report.reps,
         "verdict": "PASS" if ok else "FAIL",
@@ -524,8 +542,9 @@ def _cmd_gnz_check(cfg: ExperimentConfig):
 
 def _cmd_dpi_estimate(cfg: ExperimentConfig):
     m = cfg.model
+    partitions = _partitions_from(m["partitions"])
     est = dpi_lower_bound(
-        _source_from(m["xi"]), _source_from(m["eta"]), _partitions_from(m["partitions"]),
+        _source_from(m["xi"], partitions), _source_from(m["eta"], partitions), partitions,
         reps=cfg.reps, seed=cfg.seed, n_boot=cfg.overrides["n_boot"],
     )
     payload = {
@@ -606,7 +625,7 @@ def run(cfg: ExperimentConfig) -> int:
     fn, _schema = _COMMANDS[cfg.subcommand]
     try:
         code, payload, rows = fn(cfg)
-        jsonschema.validate(payload, OUTPUT_SCHEMAS[cfg.subcommand])
+        _validate(payload, cfg.subcommand)
         _write_outputs(cfg, payload, rows)
     except Exception as exc:  # flush a failed marker, then report the failure
         if cfg.out:
@@ -655,12 +674,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("bernoulli-bound", "bernoulli-verify", "ustat-bound"):
         common(sub.add_parser(name))
-    p = sub.add_parser("papangelou-bound")
-    common(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p = sub.add_parser("gnz-check")
-    common(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    for name in ("papangelou-bound", "gnz-check"):
+        p = sub.add_parser(name)
+        common(p)
+        p.add_argument("--grid", type=int, default=None, help="accepted for old scripts; no effect")
     p.add_argument("--z-threshold", type=float, default=4.0)
     p = sub.add_parser("dpi-estimate")
     common(p)
@@ -696,10 +713,8 @@ def main(argv=None) -> int:
                 "sup_tol": args.sup_tol,
                 "res_tol": args.residual_tol,
             }
-        elif args.subcommand in ("papangelou-bound", "gnz-check"):
-            overrides = {"grid_n": args.grid}
-            if args.subcommand == "gnz-check":
-                overrides["z_threshold"] = args.z_threshold
+        elif args.subcommand == "gnz-check":
+            overrides = {"z_threshold": args.z_threshold}
         elif args.subcommand == "dpi-estimate":
             overrides = {"n_boot": args.n_boot}
         elif args.subcommand == "wasserstein":

@@ -1,12 +1,12 @@
 """Gibbs point processes with hard-threshold pair potential, exact rejection
 sampling, the Georgii-Nguyen-Zessin checker, and the Papangelou distance bound.
 
-The x-integrals in the GNZ right side and in the bound are evaluated on a
-midpoint grid.  With a grid-aligned test region and the hard-threshold
-potential, the integrand is piecewise constant and the midpoint rule is exact
-on every cell not crossed by one of the interaction circles; the crossed cells
-are counted exactly per sample, which yields a deterministic quadrature error
-bound alongside the Monte Carlo standard error.
+With the hard-threshold potential the Papangelou intensity
+c(x, xi) = beta * exp(-theta * k(x)) is constant on each region of the window
+where exactly k of the rho-discs around the pattern points cover x.  The
+x-integrals in the GNZ right side and in the bound are therefore finite sums
+of the exact areas of those regions (``coverage_areas``), and both checks rest
+on their Monte Carlo standard error alone.  The windows are 2-D boxes.
 
 Repetitions draw from a fixed layout of 32 random streams: chunk c of the
 repetitions samples from ``streams.derive(seed, stream, c)``.
@@ -24,7 +24,6 @@ from .. import streams
 from ..errors import BudgetError, ParameterError
 from .patterns import Box, IntensityMeasure, PointPattern
 
-DEFAULT_GRID = 48
 DEFAULT_MAX_TRIES = 20_000
 _CHUNKS = 32
 
@@ -56,27 +55,16 @@ class GibbsModel:
         hits = dist2 <= self.rho**2
         return int((np.triu(hits, k=1)).sum())
 
-    def neighbour_counts(self, xs: np.ndarray, pattern: PointPattern) -> np.ndarray:
-        """#{y in pattern : |x - y| <= rho} for each row x of xs."""
-        if len(pattern) == 0:
-            return np.zeros(len(xs), dtype=np.int64)
-        pts = pattern.points
-        d2 = ((xs[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        return (d2 <= self.rho**2).sum(axis=1)
-
-    def papangelou(self, xs: np.ndarray, pattern: PointPattern) -> np.ndarray:
-        """c(x, pattern) for each row x of xs."""
-        return self.beta * np.exp(-self.theta * self.neighbour_counts(xs, pattern))
-
-    def reference_intensity(self) -> IntensityMeasure:
-        return IntensityMeasure(self.window, self.beta)
+    def intensity_levels(self, n: int) -> np.ndarray:
+        """beta * exp(-theta * k) for k = 0..n: c(x, xi) where k discs cover x."""
+        return self.beta * np.exp(-self.theta * np.arange(n + 1))
 
 
 def sample_gibbs(model: GibbsModel, seed_or_rng, max_tries: int = DEFAULT_MAX_TRIES) -> PointPattern:
     """Exact draw by rejection: propose from Poisson(beta * Lebesgue) and
     accept with probability exp(-theta * #close pairs) <= 1."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
-    proposal = model.reference_intensity()
+    proposal = IntensityMeasure(model.window, model.beta)
     from .patterns import sample_poisson_process
 
     for _ in range(max_tries):
@@ -91,31 +79,99 @@ def sample_gibbs(model: GibbsModel, seed_or_rng, max_tries: int = DEFAULT_MAX_TR
 
 
 # ---------------------------------------------------------------------------
+# exact coverage areas
+# ---------------------------------------------------------------------------
+
+def _arc_primitive(t: float, rho: float) -> float:
+    """F(t) = int_0^t sqrt(rho^2 - s^2) ds = (t sqrt(rho^2 - t^2) + rho^2 asin(t / rho)) / 2,
+    with t clipped to [-rho, rho]; asin(t / rho) is taken as atan2(t, sqrt(rho^2 - t^2)),
+    which keeps full accuracy near |t| = rho."""
+    t = max(-rho, min(rho, t))
+    s = math.sqrt((rho - t) * (rho + t))  # no cancellation near |t| = rho
+    return 0.5 * (t * s + rho * rho * math.atan2(t, s))
+
+
+def coverage_areas(points: np.ndarray, rho: float, box: Box) -> np.ndarray:
+    """Exact area of {x in box : exactly k of the closed rho-discs around the
+    points cover x}, for k = 0..n (a 2-D box; points may lie outside it).
+
+    A sweep in x: between consecutive breakpoints (box edges, disc extremes
+    and centres, circle crossings of the horizontal box edges, pairwise circle
+    intersections) the chord ends, clipped to the box, keep one order.  So the
+    order at the middle of each slab splits it into bands of constant
+    coverage, and each band's area is a difference of integrals of the chord
+    ends, in closed form through ``_arc_primitive``.  Tangent points (at a
+    disc centre for a box edge, midway between the centres for two circles
+    within rounding of 2 rho) are breakpoints too, so no slab middle sits on
+    one, where two ends would tie.  Plain Python: the patterns are small, and
+    numpy's per-call cost would dominate.
+    """
+    if box.dim != 2:
+        raise ParameterError(f"exact coverage areas need a 2-D window, got dimension {box.dim}")
+    (x0, y0), (x1, y1) = box.lows, box.highs
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2).tolist()
+    r2 = rho * rho
+    cuts = {x0, x1}
+    for a, (ax, ay) in enumerate(pts):
+        cuts.update((ax - rho, ax, ax + rho))
+        for t in (y0 - ay, y1 - ay):
+            if abs(t) <= rho:
+                half = math.sqrt((rho - t) * (rho + t))
+                cuts.update((ax - half, ax + half))
+        for bx, by in pts[a + 1:]:
+            dx, dy = bx - ax, by - ay
+            d2 = dx * dx + dy * dy
+            if 0.0 < d2 <= 4.0 * r2 * (1.0 + 1e-9):
+                off = dy * math.sqrt(max(r2 / d2 - 0.25, 0.0))
+                cuts.update((0.5 * (ax + bx) - off, 0.5 * (ax + bx) + off))
+    xs = [x0, *sorted(c for c in cuts if x0 < c < x1), x1]
+    areas = [0.0] * (len(pts) + 1)
+    for lo, hi in zip(xs, xs[1:]):
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        ends = []  # (y at mid, -1 lower / +1 upper, integral over the slab)
+        for cx, cy in pts:
+            t = mid - cx
+            if abs(t) >= rho:
+                continue
+            half = math.sqrt((rho - t) * (rho + t))
+            arc = _arc_primitive(hi - cx, rho) - _arc_primitive(lo - cx, rho)
+            for y, side, integral in ((cy - half, -1, cy * width - arc), (cy + half, 1, cy * width + arc)):
+                # an end clipped to a box edge stays clipped through the slab
+                if y <= y0:
+                    integral = y0 * width
+                elif y >= y1:
+                    integral = y1 * width
+                ends.append((y, side, integral))
+        ends.sort()  # lower ends first among ties: the count never drops below 0
+        k, below = 0, y0 * width
+        for _y, side, integral in ends:
+            areas[k] += integral - below
+            k, below = k - side, integral
+        areas[k] += y1 * width - below
+    return np.array(areas)
+
+
+# ---------------------------------------------------------------------------
 # test functions u(x, pattern) for the GNZ equation
 # ---------------------------------------------------------------------------
 
 class GnzTestFunction:
-    """u(x, pattern); subclasses provide the GNZ left side for one pattern,
-    vectorized grid evaluation and a per-sample bound used in the
-    deterministic quadrature error estimate."""
+    """u(x, nu) = 1_A(x) * h(nu) with A = ``region_a`` (None: the whole
+    window); subclasses provide h and the GNZ left side for one pattern."""
+
+    region_a: Optional[Box] = None
 
     def left_side(self, pattern: PointPattern) -> float:
         """sum_{x in pattern} u(x, pattern \\ x)."""
         raise NotImplementedError
 
-    def eval_grid(self, xs: np.ndarray, pattern: PointPattern) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample_bound(self, pattern: PointPattern) -> float:
+    def weight(self, pattern: PointPattern) -> float:
+        """h(pattern)."""
         raise NotImplementedError
 
 
 class IndicatorTimesEmpty(GnzTestFunction):
-    """u(x, nu) = 1_A(x) * 1{nu(B) = 0}; A or B may be omitted (constant 1).
-
-    With A aligned to the integration grid this u adds nothing to the
-    quadrature error bound.
-    """
+    """u(x, nu) = 1_A(x) * 1{nu(B) = 0}; A or B may be omitted (constant 1)."""
 
     def __init__(self, region_a: Optional[Box] = None, region_b: Optional[Box] = None):
         self.region_a = region_a
@@ -133,16 +189,8 @@ class IndicatorTimesEmpty(GnzTestFunction):
             ok &= in_b.sum() - in_b == 0
         return float(ok.sum())
 
-    def eval_grid(self, xs: np.ndarray, pattern: PointPattern) -> np.ndarray:
-        out = np.ones(len(xs))
-        if self.region_a is not None:
-            out *= self.region_a.contains(xs).astype(float)
-        if self.region_b is not None and pattern.count_in(self.region_b) > 0:
-            out[:] = 0.0
-        return out
-
-    def sample_bound(self, pattern: PointPattern) -> float:
-        return 1.0
+    def weight(self, pattern: PointPattern) -> float:
+        return float(self.region_b is None or pattern.count_in(self.region_b) == 0)
 
 
 class TotalCount(GnzTestFunction):
@@ -152,46 +200,8 @@ class TotalCount(GnzTestFunction):
         """n (n - 1): each of the n points sees the n - 1 others."""
         return float(len(pattern) * (len(pattern) - 1))
 
-    def eval_grid(self, xs, pattern):
-        return np.full(len(xs), float(len(pattern)))
-
-    def sample_bound(self, pattern: PointPattern) -> float:
+    def weight(self, pattern: PointPattern) -> float:
         return float(len(pattern))
-
-
-# ---------------------------------------------------------------------------
-# midpoint grid
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Grid:
-    centers: np.ndarray   # (cells, w)
-    cell_vol: float
-    step: float
-    half_diag: float
-
-
-def _midpoint_grid(window: Box, grid_n: int) -> _Grid:
-    if grid_n < 1:
-        raise ParameterError(f"grid needs at least one cell per axis, got {grid_n}")
-    axes = [np.linspace(l, h, grid_n + 1) for l, h in zip(window.lows, window.highs)]
-    mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
-    mesh = np.meshgrid(*mids, indexing="ij")
-    centers = np.column_stack([m.ravel() for m in mesh])
-    steps = [(h - l) / grid_n for l, h in zip(window.lows, window.highs)]
-    vol = float(np.prod(steps))
-    half_diag = 0.5 * math.sqrt(sum(s * s for s in steps))
-    return _Grid(centers, vol, max(steps), half_diag)
-
-
-def _crossed_cells(grid: _Grid, model: GibbsModel, pattern: PointPattern) -> int:
-    """Number of grid cells that one of the rho-circles around the pattern
-    points can intersect (midpoint rule exact on all other cells)."""
-    if len(pattern) == 0:
-        return 0
-    pts = pattern.points
-    d = np.sqrt(((grid.centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    return int((np.abs(d - model.rho) <= grid.half_diag).any(axis=1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -220,92 +230,57 @@ class GnzReport:
     rhs: float
     z_score: float
     std_error: float
-    quad_bound: float
     reps: int
 
 
-def gnz_check(
-    model: GibbsModel,
-    u: GnzTestFunction,
-    reps: int,
-    seed: int,
-    grid_n: int = DEFAULT_GRID,
-) -> GnzReport:
+def gnz_check(model: GibbsModel, u: GnzTestFunction, reps: int, seed: int) -> GnzReport:
     """Monte Carlo check of E sum_{x in xi} u(x, xi \\ x)  =  int E[c(x, xi) u(x, xi)] dx.
 
-    Both sides are evaluated on the same exact Gibbs samples, so the
-    difference estimator is unbiased up to the reported deterministic grid
-    bound; the z-score uses the combined uncertainty.
+    Both sides are evaluated exactly on the same exact Gibbs samples: the
+    right side of one sample is h(xi) * sum_k beta e^{-theta k} |A_k|, with
+    A_k the part of A (within the window) covered by exactly k discs.  The
+    z-score divides the mean difference by its standard error.
     """
-    grid = _midpoint_grid(model.window, grid_n)
+    region = model.window if u.region_a is None else u.region_a.intersection(model.window)
     draws = _gibbs_draws(model, reps, seed, 1)
     lhs_acc = np.zeros(reps)
     rhs_acc = np.zeros(reps)
-    quad_acc = np.zeros(reps)
     for s, xi in enumerate(draws):
         lhs_acc[s] = u.left_side(xi)
-        c_vals = model.papangelou(grid.centers, xi)
-        u_vals = u.eval_grid(grid.centers, xi)
-        rhs_acc[s] = float(c_vals @ u_vals) * grid.cell_vol
-        range_factor = model.beta * (1.0 - math.exp(-model.theta * max(len(xi), 1)))
-        quad_acc[s] = (
-            range_factor * u.sample_bound(xi) * grid.cell_vol * _crossed_cells(grid, model, xi)
-        )
+        h = u.weight(xi)
+        if h and region is not None:
+            areas = coverage_areas(xi.points, model.rho, region)
+            rhs_acc[s] = h * float(model.intensity_levels(len(xi)) @ areas)
     delta = lhs_acc - rhs_acc
     se = float(np.std(delta, ddof=1) / math.sqrt(reps))
-    quad = float(np.mean(quad_acc))
-    denom = math.sqrt(se**2 + quad**2) if (se > 0 or quad > 0) else 1.0
-    z = float(np.mean(delta)) / denom
-    return GnzReport(
-        lhs=float(np.mean(lhs_acc)),
-        rhs=float(np.mean(rhs_acc)),
-        z_score=z,
-        std_error=se,
-        quad_bound=quad,
-        reps=reps,
-    )
+    z = float(np.mean(delta)) / (se if se > 0 else 1.0)
+    return GnzReport(float(np.mean(lhs_acc)), float(np.mean(rhs_acc)), z, se, reps)
 
 
 @dataclass(frozen=True)
 class PapangelouBound:
     estimate: float
     std_error: float
-    quad_bound: float
     reps: int
 
 
-def papangelou_bound(
-    model: GibbsModel,
-    target: IntensityMeasure,
-    reps: int,
-    seed: int,
-    grid_n: int = DEFAULT_GRID,
-) -> PapangelouBound:
-    """Monte Carlo / midpoint-grid estimate of int E|c(x, xi) - f(x)| dx,
-    the process-distance bound for the Poisson target with density f.
+def papangelou_bound(model: GibbsModel, target: IntensityMeasure, reps: int, seed: int) -> PapangelouBound:
+    """Monte Carlo estimate of int E|c(x, xi) - f(x)| dx, the process-distance
+    bound for the Poisson target with constant density f.
 
-    The deterministic grid bound covers the circle-crossed cells (f constant
-    keeps cells otherwise exact); for theta = 0 and f = beta the integrand
-    vanishes identically and the estimate is exactly zero.
+    Per sample the integral is sum_k |beta e^{-theta k} - f| |W_k|, with W_k
+    the part of the window covered by exactly k discs; for theta = 0 and
+    f = beta every term vanishes and the estimate is exactly zero.
     """
     if not isinstance(target.window, Box) or target.window != model.window:
         raise ParameterError("target intensity must live on the model window")
     if not isinstance(target.density, float):
-        raise ParameterError("the grid bound requires a constant target density")
+        raise ParameterError("exact integration requires a constant target density")
     f = float(target.density)
-    grid = _midpoint_grid(model.window, grid_n)
     draws = _gibbs_draws(model, reps, seed, 2)
     vals = np.zeros(reps)
-    quad_acc = np.zeros(reps)
     for s, xi in enumerate(draws):
-        c_vals = model.papangelou(grid.centers, xi)
-        vals[s] = float(np.abs(c_vals - f).sum()) * grid.cell_vol
-        range_factor = model.beta * (1.0 - math.exp(-model.theta * max(len(xi), 1)))
-        quad_acc[s] = range_factor * grid.cell_vol * _crossed_cells(grid, model, xi)
+        areas = coverage_areas(xi.points, model.rho, model.window)
+        vals[s] = float(np.abs(model.intensity_levels(len(xi)) - f) @ areas)
     se = float(np.std(vals, ddof=1) / math.sqrt(reps))
-    return PapangelouBound(
-        estimate=float(np.mean(vals)),
-        std_error=se,
-        quad_bound=float(np.mean(quad_acc)),
-        reps=reps,
-    )
+    return PapangelouBound(estimate=float(np.mean(vals)), std_error=se, reps=reps)

@@ -9,7 +9,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,6 +62,12 @@ class Box:
             if min(h1, h2) <= max(l1, l2):
                 return False
         return True
+
+    def intersection(self, other: "Box") -> Optional["Box"]:
+        """The common box, or None when the interiors do not intersect."""
+        if not self.overlaps(other):
+            return None
+        return Box(tuple(map(max, self.lows, other.lows)), tuple(map(min, self.highs, other.highs)))
 
 
 @dataclass(frozen=True)
@@ -229,14 +235,12 @@ class IntensityMeasure:
             return sum(self.density.get(l, 0.0) for l in region.members)
         if not isinstance(region, Box):
             raise ParameterError("box-window measure needs a Box region")
-        lows = tuple(max(l, w) for l, w in zip(region.lows, self.window.lows))
-        highs = tuple(min(h, w) for h, w in zip(region.highs, self.window.highs))
-        if any(h <= l for l, h in zip(lows, highs)):
+        clipped = region.intersection(self.window)
+        if clipped is None:
             return 0.0
         if isinstance(self.density, float):
-            clipped = Box(lows, highs)
             return self.density * clipped.volume()
-        return integrate_box(self.density, lows, highs).value
+        return integrate_box(self.density, clipped.lows, clipped.highs).value
 
 
 def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPattern:

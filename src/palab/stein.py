@@ -173,6 +173,8 @@ def decomposition_check(
     g = np.asarray(g, dtype=float)
     if params.dim != d or g.ndim != d:
         raise ParameterError("X, params and g must share the dimension d")
+    if not 0.0 <= eps_box < float("inf"):
+        raise ParameterError(f"eps_box must be finite and >= 0, got {eps_box}")
     check_lipschitz_table(g)
     xs, px = X.support_arrays()
     sup_max = xs.max(axis=0)

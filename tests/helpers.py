@@ -3,8 +3,9 @@
 Everything here is deliberately written against a different route than the
 implementation it checks (dense LP instead of network simplex, plain sums
 instead of the library's accumulation order, the CDF formula instead of a
-transport solve at d = 1, Monte Carlo instead of closed forms), so agreement
-is meaningful.
+transport solve at d = 1, Monte Carlo instead of closed forms, counts on a
+midpoint grid instead of exact disc-coverage areas), so agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -105,3 +106,25 @@ def random_lipschitz_1d(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random 1-Lipschitz function on 0..n-1 via bounded increments."""
     steps = rng.uniform(-1.0, 1.0, size=n - 1)
     return np.concatenate([[rng.uniform(-1, 1)], steps]).cumsum()
+
+
+def neighbour_counts(xs: np.ndarray, points: np.ndarray, rho: float) -> np.ndarray:
+    """#{y in points : |x - y| <= rho} for each row x of xs."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    d2 = ((xs[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    return (d2 <= rho**2).sum(axis=1)
+
+
+def midpoint_coverage(points: np.ndarray, rho: float, lows, highs, cells: int):
+    """Areas of {x in the box : exactly k rho-discs cover x}, k = 0..n, from
+    neighbour counts at the centres of a cells x cells grid, and a bound on
+    the error of each: only cells that a circle can cross are misassigned."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    axes = [lo + (np.arange(cells) + 0.5) * (hi - lo) / cells for lo, hi in zip(lows, highs)]
+    xs = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    cell_area = np.prod([(hi - lo) / cells for lo, hi in zip(lows, highs)])
+    half_diag = 0.5 * np.hypot(*[(hi - lo) / cells for lo, hi in zip(lows, highs)])
+    areas = np.bincount(neighbour_counts(xs, points, rho), minlength=len(points) + 1) * cell_area
+    d = np.sqrt(((xs[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    crossed = int((np.abs(d - rho) <= half_diag).any(axis=1).sum())
+    return areas, crossed * cell_area

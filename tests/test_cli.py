@@ -10,7 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from palab.cli import OUTPUT_SCHEMAS, main
+from palab import cli
+from palab.cli import OUTPUT_SCHEMAS, SCHEMAS, main
 
 
 def run_cli(args):
@@ -161,6 +162,49 @@ def test_dpi_bound_violation_exits_2(tmp_path):
     assert run_cli(["dpi-estimate", "--model", model, "--out", str(tmp_path / "o.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "points, partitions",
+    [
+        (["c", "z"], [[{"labels": ["a"]}, {"labels": ["b"]}]]),
+        (["a"], [[{"labels": ["a"]}, {"labels": ["b", "q"]}]]),
+    ],
+    ids=["points-outside-space", "set-outside-space"],
+)
+def test_dirac_labels_outside_space_exit_1(tmp_path, capsys, points, partitions):
+    model = write_json(
+        tmp_path / "dpi.json",
+        {
+            "schema_version": 1,
+            "xi": {"type": "dirac_labels", "space": ["a", "b"], "points": points},
+            "eta": {"type": "dirac_labels", "space": ["a", "b"], "points": ["b"]},
+            "partitions": partitions,
+        },
+    )
+    out = tmp_path / "o.json"
+    assert run_cli(["dpi-estimate", "--model", model, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failed"] is True
+    assert "not in the space" in capsys.readouterr().err
+
+
+ALL_SCHEMAS = {**SCHEMAS, **OUTPUT_SCHEMAS}
+MALFORMED = [[], {}, {"schema_version": 2}, {"schema_version": 1, "bogus": 1}, {"schema_version": 1, "verdict": "MAYBE"}]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SCHEMAS))
+def test_compiled_validator_matches_jsonschema_validate(tmp_path, name):
+    schema = ALL_SCHEMAS[name]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    for bad in MALFORMED:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, schema)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            if name in SCHEMAS:
+                cli._load_model(write_json(tmp_path / "bad.json", bad), name)
+            else:
+                cli._validate(bad, name)
+        assert str(got.value) == str(want.value)
+
+
 def test_unknown_keys_rejected(tmp_path):
     model = write_json(
         tmp_path / "bad.json",
@@ -197,7 +241,6 @@ def test_wasserstein_duplicate_atoms_exit_1(tmp_path):
 
 
 def test_internal_failure_exits_3(tmp_path, monkeypatch):
-    from palab import cli
     from palab.transport import _SimplexFailure
 
     def failing_solve(P, Q, want_flow=False):
@@ -268,7 +311,6 @@ def dpi_points_in_labels(tmp_path):
     [
         ("gibbs_model", ["gnz-check", "--reps", "0"]),
         ("gibbs_model", ["gnz-check", "--reps", "-5"]),
-        ("gibbs_model", ["papangelou-bound", "--grid", "0"]),
         ("gibbs_model", ["papangelou-bound", "--reps", "1"]),
         ("dpi_sampled_model", ["dpi-estimate", "--reps", "50", "--n-boot", "0"]),
         ("dpi_sampled_model", ["dpi-estimate", "--reps", "50", "--n-boot", "1"]),
@@ -278,7 +320,7 @@ def dpi_points_in_labels(tmp_path):
         ("dpi_labels_in_boxes", ["dpi-estimate"]),
         ("dpi_points_in_labels", ["dpi-estimate", "--reps", "50"]),
     ],
-    ids=["gnz-reps-0", "gnz-reps-neg", "pap-grid-0", "pap-reps-1", "dpi-nboot-0", "dpi-nboot-1",
+    ids=["gnz-reps-0", "gnz-reps-neg", "pap-reps-1", "dpi-nboot-0", "dpi-nboot-1",
          "mdep-reps-neg", "mdep-reps-0", "mdep-reps-1", "dpi-labels-in-boxes", "dpi-points-in-labels"],
 )
 def test_bad_sample_sizes_exit_1_with_marker(tmp_path, request, fixture, argv):
@@ -291,10 +333,9 @@ def test_bad_sample_sizes_exit_1_with_marker(tmp_path, request, fixture, argv):
 def test_unwritable_output_exits_3_with_marker(tmp_path, gibbs_model, monkeypatch):
     # a non-finite value cannot be written deterministically; that failure
     # happens after the pipeline and must still leave the marker
-    from palab import cli
     from palab.processes import PapangelouBound
 
-    monkeypatch.setattr(cli, "papangelou_bound", lambda *a, **k: PapangelouBound(1.0, math.inf, 0.0, 2))
+    monkeypatch.setattr(cli, "papangelou_bound", lambda *a, **k: PapangelouBound(1.0, math.inf, 2))
     out = tmp_path / "out.json"
     assert run_cli(["papangelou-bound", "--model", gibbs_model, "--out", str(out)]) == cli.EXIT_INTERNAL
     payload = json.loads(out.read_text())
@@ -402,3 +443,17 @@ def test_threads_flag_has_no_effect(tmp_path, gibbs_model):
         outs.append(out.read_bytes())
     # --threads is accepted for old scripts; the fixed stream layout decides the draws
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("subcommand", ["gnz-check", "papangelou-bound"])
+def test_grid_flag_has_no_effect(tmp_path, gibbs_model, subcommand):
+    outs = []
+    for flag in (["--grid", "0"], ["--grid", "48"], []):
+        out = tmp_path / f"g{len(outs)}.json"
+        assert run_cli([
+            subcommand, "--model", gibbs_model, "--reps", "300", "--seed", "2", "--out", str(out), *flag,
+        ]) == 0
+        outs.append(out.read_bytes())
+    # --grid is accepted for old scripts; the integrals are exact
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["quad_bound"] == 0.0

@@ -147,7 +147,7 @@ def test_tuple_bound_papangelou_route_q_below_integral_bound():
     window = Box((0.0, 0.0), (1.0, 1.0))
     model = GibbsModel(beta=2.0, theta=0.6, rho=0.12, window=window)
     part = PartitionSpec([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))])
-    bound = papangelou_bound(model, IntensityMeasure(window, 2.0), reps=6000, seed=11, grid_n=32)
+    bound = papangelou_bound(model, IntensityMeasure(window, 2.0), reps=6000, seed=11)
     rng = streams.derive(13)
     reps = 30000
     rows = np.array(
@@ -174,7 +174,7 @@ def test_tuple_bound_papangelou_route_q_below_integral_bound():
             )
         total_q += q_abs
         total_se += se
-    slack = 3 * bound.std_error + bound.quad_bound + total_se
+    slack = 3 * bound.std_error + total_se
     assert total_q <= bound.estimate + slack
 
 

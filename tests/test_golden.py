@@ -2,9 +2,11 @@
 
 The values were recorded before point patterns became arrays and before the
 thread pool was removed; they pin the random-stream consumption of the Gibbs
-and U-statistic samplers, the GNZ/Papangelou grid estimators and the dpi
+and U-statistic samplers, the GNZ/Papangelou estimators and the dpi
 bootstrap.  A change that alters any of them changes RNG consumption and
-must update these numbers deliberately and say so.
+must update these numbers deliberately and say so.  The GNZ right sides and
+the Papangelou estimates were re-recorded when exact disc-coverage areas
+replaced the midpoint grid (the draws and the GNZ left side did not move).
 """
 
 from palab.processes import (
@@ -30,15 +32,15 @@ MODEL = GibbsModel(beta=3.0, theta=0.7, rho=0.2, window=WINDOW)
 
 def test_gnz_check_pinned():
     u = IndicatorTimesEmpty(region_a=Box((0.0, 0.0), (0.5, 1.0)), region_b=Box((0.5, 0.5), (1.0, 1.0)))
-    r = gnz_check(MODEL, u, reps=40, seed=5, grid_n=8)
-    assert [r.lhs, r.rhs, r.z_score, r.std_error, r.quad_bound] == [
-        0.675, 0.725178988950133, -0.054966763105477434, 0.12803278422859854, 0.9038741060805044,
+    r = gnz_check(MODEL, u, reps=40, seed=5)
+    assert [r.lhs, r.rhs, r.z_score, r.std_error] == [
+        0.675, 0.7267846097782786, -0.4053328899902669, 0.12775822307319362,
     ]
 
 
 def test_papangelou_bound_pinned():
-    r = papangelou_bound(MODEL, IntensityMeasure(WINDOW, 2.0), reps=40, seed=6, grid_n=8)
-    assert [r.estimate, r.std_error, r.quad_bound] == [0.8976396489423559, 0.006159853133617334, 0.9524471139136145]
+    r = papangelou_bound(MODEL, IntensityMeasure(WINDOW, 2.0), reps=40, seed=6)
+    assert [r.estimate, r.std_error] == [0.899158624925714, 0.005749463846307946]
 
 
 def test_sampled_dpi_lower_bound_pinned():

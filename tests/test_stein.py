@@ -171,3 +171,13 @@ def test_decomposition_rejects_short_table():
     assert decomposition_check(X, params, g) <= 1e-9
     with pytest.raises(ParameterError, match="tail accuracy"):
         decomposition_check(X, params, g, eps_box=1e-300)
+
+
+@pytest.mark.parametrize("eps_box", [-1e-3, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_decomposition_rejects_bad_eps_box(eps_box):
+    X = bernoulli_sum_pmf(np.array([[0.3]]))
+    g = np.zeros(default_range(0.3, 2) + 1)
+    with pytest.raises(ParameterError, match="eps_box"):
+        decomposition_check(X, PoissonVectorParams((0.3,)), g, eps_box=eps_box)
+    # 0 is allowed: the cut falls where the Poisson tail underflows
+    assert decomposition_check(X, PoissonVectorParams((0.3,)), np.zeros(200), eps_box=0.0) <= 1e-9
