@@ -370,7 +370,7 @@ def _cmd_stein_check(cfg: ExperimentConfig):
     lambdas = np.linspace(lo, hi, n_lam)
     sup_tol = spec["sup_tol"]
     res_tol = spec["res_tol"]
-    rows = [("lambda", "g_id", "sup_abs", "sup_delta", "residual")]
+    rows = [("lambda", "g_id", "sup_abs", "sup_delta", "residual")] if cfg.fmt == "csv" else None
     worst_sup = 0.0
     worst_res = 0.0
     rng = streams.derive(cfg.seed, 3)
@@ -386,9 +386,9 @@ def _cmd_stein_check(cfg: ExperimentConfig):
         residual = np.max(np.abs(lhs - (g_cols - means[None, :])), axis=0)
         sup_abs = np.max(np.abs(ghat), axis=0)
         sup_delta = np.max(np.abs(np.diff(ghat, axis=0)), axis=0)
-        for g_id in range(n_g):
-            rows.append((f"{lam:.17g}", str(g_id), f"{sup_abs[g_id]:.17g}",
-                         f"{sup_delta[g_id]:.17g}", f"{residual[g_id]:.17g}"))
+        if rows is not None:
+            rows += [(f"{lam:.17g}", str(g_id), f"{sup_abs[g_id]:.17g}",
+                      f"{sup_delta[g_id]:.17g}", f"{residual[g_id]:.17g}") for g_id in range(n_g)]
         worst_sup = max(worst_sup, float(sup_abs.max()), float(sup_delta.max()))
         worst_res = max(worst_res, float(residual.max()))
     ok = worst_sup <= sup_tol and worst_res <= res_tol

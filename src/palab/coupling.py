@@ -19,7 +19,7 @@ kernel, which makes the two agree bitwise by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -221,6 +221,9 @@ class BernoulliArrayModel:
     m: int
     family: str = "sliding_min"
     classifier: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    # per-row cut points t_{r,0..d} on the scale of the window statistic
+    # (the window minimum for sliding_min, U_r otherwise); read-only
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -237,34 +240,24 @@ class BernoulliArrayModel:
         if self.family == "custom" and self.classifier is None:
             raise ParameterError("custom family needs a classifier")
         object.__setattr__(self, "p", p)
+        t = np.clip(np.concatenate([np.zeros((self.n, 1)), np.cumsum(p, axis=1)], axis=1), 0.0, 1.0)
+        if self.family == "sliding_min":
+            t = 1.0 - (1.0 - t) ** (1.0 / (self.m + 1))
+        t.setflags(write=False)
+        object.__setattr__(self, "thresholds", t)
         if self.family in ("sliding_min", "independent"):
-            worst = float(np.max(np.abs(self._exact_marginals() - p))) if self.n else 0.0
+            surv = (1.0 - t) ** (self.m + 1) if self.family == "sliding_min" else 1.0 - t
+            worst = float(np.max(np.abs(surv[:, :-1] - surv[:, 1:] - p))) if self.n else 0.0
             if worst > MARGINAL_TOL:
                 raise ContractError(f"window sampler marginals deviate from p by {worst:.3e}")
 
     # -- shipped family internals -----------------------------------------
-    def _thresholds(self) -> np.ndarray:
-        """Per-row cut points t_{r,0..d} on the scale of the window minimum."""
-        cum = np.concatenate([np.zeros((self.n, 1)), np.cumsum(self.p, axis=1)], axis=1)
-        cum = np.clip(cum, 0.0, 1.0)
-        if self.family == "sliding_min":
-            return 1.0 - (1.0 - cum) ** (1.0 / (self.m + 1))
-        return cum
-
-    def _exact_marginals(self) -> np.ndarray:
-        t = self._thresholds()
-        if self.family == "sliding_min":
-            surv = (1.0 - t) ** (self.m + 1)
-        else:
-            surv = 1.0 - t
-        return surv[:, :-1] - surv[:, 1:]
-
     def pair_expectation(self, k: int, r: int, i: int, j: int) -> float:
         """Exact E[1{Y^(k) = e_i} 1{Y^(r) = e_j}] for the shipped families
         (0-based indices all around), valid for k != r."""
         if self.family == "custom":
             raise ParameterError("no closed form for a custom family")
-        t = self._thresholds()
+        t = self.thresholds
         a1, b1 = t[k, i], t[k, i + 1]
         a2, b2 = t[r, j], t[r, j + 1]
         gap = abs(k - r)
@@ -291,14 +284,13 @@ def sample_mdep_labels(model: BernoulliArrayModel, reps: int, seed: int) -> np.n
         for r in range(model.n):
             labels[:, r] = model.classifier(u[:, r : r + model.m + 1], r)
         return labels
-    if model.family == "sliding_min":
-        if model.m == 0:
-            stat = u[:, : model.n]
-        else:
-            stat = np.lib.stride_tricks.sliding_window_view(u, model.m + 1, axis=1).min(axis=2)
-    else:
-        stat = u[:, : model.n]
-    t = model._thresholds()  # (n, d+1)
+    stat = u[:, : model.n]
+    if model.family == "sliding_min" and model.m:
+        # window minimum min(U_r, ..., U_{r+m}), one shifted slice at a time
+        stat = stat.copy()
+        for s in range(1, model.m + 1):
+            np.minimum(stat, u[:, s : s + model.n], out=stat)
+    t = model.thresholds  # (n, d+1)
     labels = np.zeros((reps, model.n), dtype=np.int64)
     for r in range(model.n):
         # label = #{j >= 1 : t_{r,j} < stat}; stat in (t_{j-1}, t_j] maps to

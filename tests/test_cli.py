@@ -117,6 +117,29 @@ def test_stein_check_csv(tmp_path):
         assert float(residual) <= 1e-10
 
 
+STEIN_SMALL = ["stein-check", "--lambda-grid", "0.5:4:3", "--g", "random:2", "--range", "40", "--seed", "3"]
+
+
+def test_stein_check_output_pinned(tmp_path):
+    json_out, csv_out = tmp_path / "stein.json", tmp_path / "stein.csv"
+    assert run_cli([*STEIN_SMALL, "--out", str(json_out)]) == 0
+    assert run_cli([*STEIN_SMALL, "--out", str(csv_out), "--format", "csv"]) == 0
+    assert json_out.read_text() == (
+        '{"lambda_grid":[0.5,4.0,3],"n_g":2,"range":40,"residual_tol":1e-10,"schema_version":1,'
+        '"sup_tol":1.0000000000010001,"verdict":"PASS","worst_residual":3.1086244689504383e-15,'
+        '"worst_sup":0.5847935633965009}\n'
+    )
+    assert csv_out.read_text() == (
+        "lambda,g_id,sup_abs,sup_delta,residual\n"
+        "0.5,0,0.30215972619905623,0.17293008370488389,1.3322676295501878e-15\n"
+        "0.5,1,0.5847935633965009,0.54410051799021431,1.3322676295501878e-15\n"
+        "2.25,0,0.35683148520244556,0.13191343237638839,1.0547118733938987e-15\n"
+        "2.25,1,0.55989940625257284,0.51379547924286018,2.2204460492503131e-15\n"
+        "4,0,0.39504052664373845,0.14257327709269144,2.6645352591003757e-15\n"
+        "4,1,0.56594816032977047,0.50574884104737072,3.1086244689504383e-15\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["--g", "random:abc"],
     ["--lambda-grid", "1:2"],

@@ -15,9 +15,11 @@ from palab.coupling import (
     q_terms_from_coupling,
     sample_mdep_array,
     sample_mdep_counts,
+    sample_mdep_labels,
     size_bias_check,
     coupling_vector_bound,
 )
+from palab import streams
 from palab.errors import ContractError, ParameterError
 from palab.measures import LatticePmf, PoissonVectorParams, bernoulli_sum_pmf, poisson_vector_pmf
 from palab.transport import wasserstein_l1
@@ -321,6 +323,30 @@ def test_sampler_gap_beyond_m_uncorrelated():
     expect = float(np.mean(a)) * float(np.mean(b))
     sigma = math.sqrt(joint * (1 - joint) / reps)
     assert abs(joint - expect) <= 4 * sigma + 1e-9
+
+
+def window_min_labels(model: BernoulliArrayModel, reps: int, seed: int) -> np.ndarray:
+    """Labels through sliding_window_view and thresholds rebuilt from p
+    (reference for sample_mdep_labels)."""
+    u = streams.derive(seed, 0).random((reps, model.n + model.m))
+    cum = np.clip(np.concatenate([np.zeros((model.n, 1)), np.cumsum(model.p, axis=1)], axis=1), 0.0, 1.0)
+    if model.family == "sliding_min":
+        stat = np.lib.stride_tricks.sliding_window_view(u, model.m + 1, axis=1).min(axis=2)
+        t = 1.0 - (1.0 - cum) ** (1.0 / (model.m + 1))
+    else:
+        stat, t = u[:, : model.n], cum
+    return np.stack([np.searchsorted(t[r, 1:], stat[:, r], side="left") for r in range(model.n)], axis=1)
+
+
+@pytest.mark.parametrize("family", ["sliding_min", "independent"])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_sampler_matches_sliding_window_reference(family, m):
+    rng = np.random.default_rng(61 + m)
+    model = BernoulliArrayModel(n=15, d=2, p=rng.random((15, 2)) * 0.3, m=m, family=family)
+    assert not model.thresholds.flags.writeable
+    labels = sample_mdep_labels(model, 3000, seed=5)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, window_min_labels(model, 3000, 5))
 
 
 def test_sampler_m0_single_draw_shape():

@@ -1,19 +1,32 @@
 """Stein-equation tests: closed forms, extended-precision recursion oracle,
-magic factors, linearity, and the telescoping decomposition."""
+the row-by-row tail loop as a bitwise oracle, magic factors, linearity, and
+the telescoping decomposition."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from palab.errors import ContractError, ParameterError
-from palab.measures import LatticePmf, PoissonVectorParams, bernoulli_sum_pmf, poisson_vector_pmf
+from palab.measures import (
+    LatticePmf,
+    PoissonVectorParams,
+    bernoulli_sum_pmf,
+    poisson_pmf,
+    poisson_sf,
+    poisson_vector_pmf,
+)
 from palab.stein import (
+    _SERIES_STOP,
+    check_lipschitz_table,
     decomposition_check,
     default_range,
     magic_factor_report,
     solve_stein,
+    solve_stein_batch,
 )
 
 from helpers import random_lipschitz_1d, random_lipschitz_table
@@ -43,6 +56,39 @@ def mpmath_stein_oracle(lam: float, g: np.ndarray, dps: int | None = None) -> np
         for i in range(n + 1):
             ghat.append((i * ghat[i] + mpmath.mpf(float(g[i])) - mean) / lam_mp)
         return np.array([float(v) for v in ghat])
+
+
+def row_by_row_stein(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solver with its tail series summed one row i at a time, a scalar
+    loop over k per row (test oracle: the batched solver performs the same
+    floating-point operations per row and must match it bitwise)."""
+    n_max = g.shape[0] - 1
+    ghat = np.zeros((n_max + 2, g.shape[1]))
+    if lam == 0.0:
+        idx = np.arange(1, n_max + 1)
+        ghat[1 : n_max + 1] = (g[0][None, :] - g[1:]) / idx[:, None]
+        ghat[n_max + 1] = (g[0] - g[n_max]) / (n_max + 1)
+        return ghat, g[0].copy()
+    pmf = poisson_pmf(np.arange(n_max + 1), lam)
+    means = pmf @ g + float(poisson_sf(n_max, lam)) * g[n_max]
+    centered = g - means[None, :]
+    mode = min(int(np.floor(lam)), n_max + 1)
+    for i in range(mode):
+        ghat[i + 1] = (i * ghat[i] + centered[i]) / lam
+    big = float(np.max(np.abs(centered)))
+    for i in range(mode, n_max + 1):
+        acc = np.zeros(g.shape[1])
+        w = 1.0 / (i + 1)
+        k = 1
+        while True:
+            acc += centered[min(i + k, n_max)] * w
+            q = lam / (i + k + 1)
+            if big * w * q / (1.0 - q) < _SERIES_STOP or k > 10_000:
+                break
+            w *= q
+            k += 1
+        ghat[i + 1] = -acc
+    return ghat, means
 
 
 def test_constant_g_gives_zero_solution():
@@ -116,6 +162,69 @@ def test_short_table_rejected_for_large_lambda():
         solve_stein(50.0, np.zeros(20) + np.arange(20) * 0.5)
 
 
+LAMBDAS = st.one_of(
+    st.sampled_from([0.0, 1e-9, 216.0, 400.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 40).map(float),
+    st.floats(1.0, 60.0),
+)
+
+
+@given(lam=LAMBDAS, b=st.sampled_from([1, 7, 64]), short=st.booleans(),
+       extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(lam=0.0, b=1, short=True, extra=0, seed=1)
+@example(lam=0.0, b=7, short=False, extra=3, seed=2)
+@example(lam=1e-9, b=7, short=False, extra=0, seed=3)
+@example(lam=1e-9, b=1, short=True, extra=0, seed=4)
+@example(lam=0.5, b=64, short=False, extra=5, seed=5)
+@example(lam=3.0, b=64, short=True, extra=0, seed=6)
+@example(lam=17.0, b=7, short=False, extra=0, seed=7)
+@example(lam=216.0, b=7, short=False, extra=11, seed=8)
+@example(lam=216.0, b=64, short=True, extra=0, seed=9)
+@example(lam=400.0, b=64, short=False, extra=0, seed=10)
+@example(lam=400.0, b=1, short=True, extra=0, seed=11)
+def test_batched_tail_matches_row_by_row_loop_bitwise(lam, b, short, extra, seed):
+    rng = np.random.default_rng(seed)
+    if short:
+        # N = 0 or N < floor(lambda), where the tail is empty; only an
+        # unbounded eps_tail admits such a table
+        n, eps_tail = int(rng.integers(0, max(int(lam), 1))), math.inf
+    else:
+        n, eps_tail = default_range(lam, 0) + extra, 1e-13
+    g = np.stack([random_lipschitz_1d(rng, n + 1) for _ in range(b)], axis=1)
+    ghat, means = solve_stein_batch(lam, g, eps_tail=eps_tail)
+    ghat_ref, means_ref = row_by_row_stein(lam, g)
+    assert ghat.shape == (n + 2, b)
+    assert ghat.tobytes() == ghat_ref.tobytes()
+    assert means.tobytes() == means_ref.tobytes()
+
+
+def test_batch_lipschitz_error_names_first_failing_column():
+    ramp = np.arange(60, dtype=float)
+    g = np.stack([0.5 * ramp, 1.5 * ramp, 3.0 * ramp], axis=1)
+    with pytest.raises(ContractError, match=r"max increment is 1\.5$"):
+        solve_stein_batch(2.0, g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_g_rejected(bad):
+    g = np.stack([np.zeros(60), np.minimum(np.arange(60.0), 3.0)], axis=1)
+    g[10, 1] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        solve_stein_batch(2.0, g)
+    with pytest.raises(ContractError, match="non-finite"):
+        solve_stein(2.0, g[:, 1])
+    with pytest.raises(ContractError, match="non-finite"):
+        solve_stein(2.0, np.full(60, bad))
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+def test_zero_column_batch(lam):
+    ghat, means = solve_stein_batch(lam, np.zeros((61, 0)))
+    assert ghat.shape == (62, 0)
+    assert means.shape == (0,)
+
+
 # -- decomposition (telescoping) ----------------------------------------------
 
 def test_decomposition_poisson_vs_itself():
@@ -171,6 +280,29 @@ def test_decomposition_rejects_short_table():
     assert decomposition_check(X, params, g) <= 1e-9
     with pytest.raises(ParameterError, match="tail accuracy"):
         decomposition_check(X, params, g, eps_box=1e-300)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_lipschitz_table_checks_every_axis(axis):
+    g = np.zeros((3, 4, 5))
+    g[(slice(None),) * axis + (1,)] = 1.5  # a step of 1.5 along this axis only
+    with pytest.raises(ContractError, match=r"max increment is 1\.5$"):
+        check_lipschitz_table(g)
+    check_lipschitz_table(g / 1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decomposition_rejects_non_finite_g(bad):
+    X = bernoulli_sum_pmf(np.array([[0.3]]))
+    g = np.full(default_range(0.3, 2) + 1, bad)
+    with pytest.raises(ContractError, match="non-finite"):
+        check_lipschitz_table(np.full((3, 4), bad))
+    with pytest.raises(ContractError, match="non-finite"):
+        decomposition_check(X, PoissonVectorParams((0.3,)), g)
+    g = np.zeros(default_range(0.3, 2) + 1)
+    g[-1] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        decomposition_check(X, PoissonVectorParams((0.3,)), g)
 
 
 @pytest.mark.parametrize("eps_box", [-1e-3, -1e-300, float("nan"), float("inf"), float("-inf")])
