@@ -28,7 +28,7 @@ print("\n1-dependent rows (n = 40, d = 2): sliding-window sampler, 1e5 samples."
 n, d, m = 40, 2, 1
 p = rng.random((n, d)) * (1.2 / n)
 model = BernoulliArrayModel(n=n, d=d, p=p, m=m)
-print(f"  Q factors are exact for the shipped family; Q(5) = {q_factor(model, 5).value:.3e}")
+print(f"  Q factors are exact for the shipped family; Q(5) = {q_factor(model, 5):.3e}")
 bound_m = mdep_bound(model)
 counts = sample_mdep_counts(model, reps=10**5, seed=42)
 pmf = empirical_pmf(counts)

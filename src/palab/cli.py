@@ -308,7 +308,7 @@ def _validate(obj, schema_name: str) -> None:
 
 def _load_model(path: str, schema_name: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = jsonio.loads(fh.read())
     _validate(obj, schema_name)
     return obj
 
@@ -409,14 +409,14 @@ def _cmd_stein_check(cfg: ExperimentConfig):
 def _bernoulli_model(cfg: ExperimentConfig) -> BernoulliArrayModel:
     m = cfg.model
     return BernoulliArrayModel(
-        n=m["n"], d=m["d"], p=np.asarray(m["p"], dtype=float), m=m["m"],
+        n=m["n"], d=m["d"], p=m["p"], m=m["m"],
         family=m.get("family", "sliding_min"),
     )
 
 
 def _cmd_bernoulli_bound(cfg: ExperimentConfig):
     model = _bernoulli_model(cfg)
-    qs = [q_factor(model, k).value for k in range(1, model.n + 1)]
+    qs = [q_factor(model, k) for k in range(1, model.n + 1)]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "bound": mdep_bound(model),

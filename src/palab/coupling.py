@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import streams
 from .errors import ContractError, ParameterError
-from .measures import LatticePmf, PoissonVectorParams, merge_rows
+from .measures import LatticePmf, PoissonVectorParams, bernoulli_rows, merge_rows
 
 MARGINAL_TOL = 1e-12
 
@@ -192,16 +192,10 @@ def size_bias_check(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QFactorResult:
-    value: float
-    std_error: float = 0.0  # zero for the shipped families (exact evaluation)
-
-
-@dataclass(frozen=True)
 class BernoulliArrayModel:
     """Array of n Bernoulli vectors in {0, e_1, ..., e_d} with dependence range m.
 
-    Shipped window-sampler families (measurable maps of m+1 shared uniforms):
+    Window-sampler families (measurable maps of m+1 shared uniforms):
 
       * ``sliding_min``: Y^(r) = e_j iff min(U_r, ..., U_{r+m}) falls in the
         per-(r, j) interval calibrated through P(min > s) = (1-s)^(m+1); exact
@@ -209,10 +203,6 @@ class BernoulliArrayModel:
       * ``independent``: Y^(r) looks only at U_r, so the vectors are i.i.d.
         regardless of the declared m (an independent family embedded with
         m >= 1).
-
-    A custom classifier (callable mapping the (reps, m+1) window of uniforms
-    for index r to labels 0..d, 0 meaning the zero vector, j meaning e_j) may
-    be supplied; Q factors then fall back to Monte Carlo.
     """
 
     n: int
@@ -220,43 +210,30 @@ class BernoulliArrayModel:
     p: np.ndarray
     m: int
     family: str = "sliding_min"
-    classifier: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     # per-row cut points t_{r,0..d} on the scale of the window statistic
     # (the window minimum for sliding_min, U_r otherwise); read-only
     thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (self.n, self.d):
-            raise ParameterError(f"p must be n x d = {(self.n, self.d)}, got {p.shape}")
-        if np.any(p < 0) or np.any(p > 1):
-            raise ParameterError("entries of p must lie in [0,1]")
-        if np.any(p.sum(axis=1) > 1.0 + 1e-12):
-            raise ParameterError("row sums of p must be <= 1")
+        p = bernoulli_rows(self.p, (self.n, self.d))
         if self.m < 0:
             raise ParameterError("dependence range m must be >= 0")
-        if self.family not in ("sliding_min", "independent", "custom"):
+        if self.family not in ("sliding_min", "independent"):
             raise ParameterError(f"unknown window-sampler family {self.family!r}")
-        if self.family == "custom" and self.classifier is None:
-            raise ParameterError("custom family needs a classifier")
         object.__setattr__(self, "p", p)
         t = np.clip(np.concatenate([np.zeros((self.n, 1)), np.cumsum(p, axis=1)], axis=1), 0.0, 1.0)
         if self.family == "sliding_min":
             t = 1.0 - (1.0 - t) ** (1.0 / (self.m + 1))
         t.setflags(write=False)
         object.__setattr__(self, "thresholds", t)
-        if self.family in ("sliding_min", "independent"):
-            surv = (1.0 - t) ** (self.m + 1) if self.family == "sliding_min" else 1.0 - t
-            worst = float(np.max(np.abs(surv[:, :-1] - surv[:, 1:] - p))) if self.n else 0.0
-            if worst > MARGINAL_TOL:
-                raise ContractError(f"window sampler marginals deviate from p by {worst:.3e}")
+        surv = (1.0 - t) ** (self.m + 1) if self.family == "sliding_min" else 1.0 - t
+        worst = float(np.max(np.abs(surv[:, :-1] - surv[:, 1:] - p))) if self.n else 0.0
+        if worst > MARGINAL_TOL:
+            raise ContractError(f"window sampler marginals deviate from p by {worst:.3e}")
 
-    # -- shipped family internals -----------------------------------------
     def pair_expectation(self, k: int, r: int, i: int, j: int) -> float:
-        """Exact E[1{Y^(k) = e_i} 1{Y^(r) = e_j}] for the shipped families
-        (0-based indices all around), valid for k != r."""
-        if self.family == "custom":
-            raise ParameterError("no closed form for a custom family")
+        """Exact E[1{Y^(k) = e_i} 1{Y^(r) = e_j}] (0-based indices all
+        around), valid for k != r."""
         t = self.thresholds
         a1, b1 = t[k, i], t[k, i + 1]
         a2, b2 = t[r, j], t[r, j + 1]
@@ -279,11 +256,6 @@ def sample_mdep_labels(model: BernoulliArrayModel, reps: int, seed: int) -> np.n
     """
     rng = streams.derive(seed, 0)
     u = rng.random((reps, model.n + model.m))
-    if model.family == "custom":
-        labels = np.zeros((reps, model.n), dtype=np.int64)
-        for r in range(model.n):
-            labels[:, r] = model.classifier(u[:, r : r + model.m + 1], r)
-        return labels
     stat = u[:, : model.n]
     if model.family == "sliding_min" and model.m:
         # window minimum min(U_r, ..., U_{r+m}), one shifted slice at a time
@@ -317,31 +289,19 @@ def sample_mdep_counts(model: BernoulliArrayModel, reps: int, seed: int) -> np.n
     return out
 
 
-def q_factor(model: BernoulliArrayModel, k: int, mc_reps: int = 200_000, seed: int = 0) -> QFactorResult:
+def q_factor(model: BernoulliArrayModel, k: int) -> float:
     """Q(k) = max over 1 <= |k-r| <= m and i, j of E[1{Y^(k)=e_i} 1{Y^(r)=e_j}]
-    (1-based k).  Exact for the shipped families, Monte Carlo with a reported
-    standard error otherwise.  Empty index set (m = 0) gives 0."""
+    (1-based k), exact from the closed forms.  Empty index set (m = 0) gives 0."""
     if not 1 <= k <= model.n:
         raise ParameterError(f"k must be in 1..{model.n}")
     k0 = k - 1
-    rs = [r for r in range(model.n) if 1 <= abs(k0 - r) <= model.m]
-    if not rs:
-        return QFactorResult(0.0, 0.0)
-    if model.family != "custom":
-        best = 0.0
-        for r in rs:
+    best = 0.0
+    for r in range(max(0, k0 - model.m), min(model.n, k0 + model.m + 1)):
+        if r != k0:
             for i in range(model.d):
                 for j in range(model.d):
                     best = max(best, model.pair_expectation(k0, r, i, j))
-        return QFactorResult(best, 0.0)
-    labels = sample_mdep_labels(model, mc_reps, seed)
-    best = 0.0
-    for r in rs:
-        for i in range(model.d):
-            for j in range(model.d):
-                hits = float(np.mean((labels[:, k0] == i) & (labels[:, r] == j)))
-                best = max(best, hits)
-    return QFactorResult(best, math.sqrt(best * (1.0 - best) / mc_reps))
+    return best
 
 
 def _mdep_first_term(p: np.ndarray, m: int) -> float:
@@ -368,12 +328,7 @@ def _mdep_first_term(p: np.ndarray, m: int) -> float:
 def corollary_bound(p: np.ndarray) -> float:
     """Independent-rows bound sum_k (sum_i p_{k,i})^2, evaluated through the
     m = 0 instance of the m-dependent kernel so the two agree bitwise."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ParameterError("p must be an n x d matrix")
-    if np.any(p < 0) or np.any(p > 1) or np.any(p.sum(axis=1) > 1.0 + 1e-12):
-        raise ParameterError("p must have entries in [0,1] and row sums <= 1")
-    return _mdep_first_term(p, 0)
+    return _mdep_first_term(bernoulli_rows(p), 0)
 
 
 def mdep_bound(model: BernoulliArrayModel) -> float:
@@ -385,5 +340,5 @@ def mdep_bound(model: BernoulliArrayModel) -> float:
     first = _mdep_first_term(model.p, model.m)
     if model.m == 0:
         return first
-    q_sum = math.fsum(q_factor(model, k).value for k in range(1, model.n + 1))
+    q_sum = math.fsum(q_factor(model, k) for k in range(1, model.n + 1))
     return first + 2.0 * model.d * (model.d + 1) * model.m * q_sum

@@ -1,8 +1,12 @@
-"""Deterministic JSON serialization for experiment outputs.
+"""Deterministic JSON serialization for experiment outputs, and the one
+JSON reader for inputs.
 
 Keys are sorted, floats carry 17 significant digits, and the byte stream
 depends only on the values, so identical configs and seeds diff clean.
 Timestamps never belong here; they go to the sidecar file the CLI writes.
+Inputs (model and pmf files) go through ``loads``, which rejects every
+number that is not finite as a float: the ``NaN`` and ``Infinity`` literals
+and literals that overflow, such as ``1e400``.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from typing import Any
+
+from .errors import ParameterError
 
 
 def _fmt(value: Any) -> str:
@@ -34,6 +40,20 @@ def _fmt(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_fmt(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+def _finite(parse):
+    def checked(text: str):
+        if not math.isfinite(float(text)):
+            raise ParameterError(f"non-finite number {text[:32]} in JSON input")
+        return parse(text)
+
+    return checked
+
+
+def loads(text: str) -> Any:
+    """``json.loads``, with a ``ParameterError`` for any non-finite number."""
+    return json.loads(text, parse_float=_finite(float), parse_int=_finite(int), parse_constant=_finite(float))
 
 
 def dumps(obj: Any) -> str:

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
+from . import jsonio
 from .errors import CapacityError, ParameterError
 
 # A pmf whose stored mass plus declared tail misses 1 by more than this is
@@ -86,8 +87,8 @@ class LatticePmf:
     def _init(self, dim, points, probs, tail_mass, tail_moment) -> None:
         if dim < 1:
             raise ParameterError("dim must be a positive integer")
-        if tail_mass < 0 or tail_moment < 0:
-            raise ParameterError("tail_mass and tail_moment must be >= 0")
+        if not (0.0 <= tail_mass < math.inf and 0.0 <= tail_moment < math.inf):
+            raise ParameterError(f"tail_mass and tail_moment must be finite and >= 0, got {tail_mass}, {tail_moment}")
         xs = _point_array(points, dim)
         ps = np.asarray(probs, dtype=float)
         if ps.shape != (len(xs),) or not (ps >= 0.0).all():
@@ -149,7 +150,7 @@ class LatticePmf:
 
     @staticmethod
     def from_json(text: str) -> "LatticePmf":
-        return LatticePmf.from_json_dict(json.loads(text))
+        return LatticePmf.from_json_dict(jsonio.loads(text))
 
 
 def poisson_pmf(k, lam: float):
@@ -230,6 +231,26 @@ def poisson_vector_pmf(
     return LatticePmf.from_arrays(d, np.argwhere(positive), table[positive], tail_mass, tail_moment)
 
 
+def bernoulli_rows(p, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """``p`` as a float (n, d) matrix of Bernoulli-vector rows, of ``shape``
+    when given: P(Y^(r) = e_j) = p[r, j] needs entries in [0, 1] (NaN fails)
+    and row sums <= 1 + 1e-12."""
+    try:
+        p = np.asarray(p, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric input
+        raise ParameterError(f"p must be an n x d matrix: {exc}") from None
+    if p.ndim != 2 or (shape is not None and p.shape != shape):
+        want = "an n x d matrix" if shape is None else f"n x d = {shape}"
+        raise ParameterError(f"p must be {want}, got shape {p.shape}")
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ParameterError("entries of p must lie in [0,1]")
+    row_sums = p.sum(axis=1)
+    if (row_sums > 1.0 + 1e-12).any():
+        bad = int(np.argmax(row_sums))
+        raise ParameterError(f"row {bad} of p sums to {row_sums[bad]} > 1")
+    return p
+
+
 def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> LatticePmf:
     """Exact pmf of a sum of independent Bernoulli vectors.
 
@@ -237,16 +258,9 @@ def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> 
     1 - sum_j p[r, j] the summand is the zero vector.  The sum's pmf is built
     by sequential convolution over the (d+1)-outcome rows; tail_mass = 0.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ParameterError("p must be an n x d matrix")
+    p = bernoulli_rows(p)
     n, d = p.shape
-    if np.any(p < 0) or np.any(p > 1):
-        raise ParameterError("entries of p must lie in [0,1]")
     row_sums = p.sum(axis=1)
-    if np.any(row_sums > 1.0 + 1e-12):
-        bad = int(np.argmax(row_sums))
-        raise ParameterError(f"row {bad} of p sums to {row_sums[bad]} > 1")
     shape = (n + 1,) * d
     size = (n + 1) ** d
     if size > atom_budget:

@@ -5,10 +5,12 @@ bipartite graph of the two stored supports, with cost |x - y|_1.  It starts
 from a least-cost (matrix-minimum) basis, built in one walk over the arcs
 sorted by cost, and improves it by row-block pricing: each numpy step prices
 whole rows of the cost matrix, about ``_PRICE_ARCS`` arcs, and the most
-negative reduced cost of the first violating block enters.  Costs are
-integers, so the simplex multipliers (duals) are exact integers as well: the
-optimality test involves no rounding, and every solve ends with a
-complementary-slackness verification pass.
+negative reduced cost of the first violating block enters.  The basis is
+one spanning tree rooted at source atom 0, held as parent, depth and
+parent-arc flow per node (Ahuja, Magnanti and Orlin, *Network Flows*,
+ch. 11).  Costs are integers, so the simplex multipliers (duals) are exact
+integers as well: the optimality test involves no rounding, and every solve
+ends with a complementary-slackness verification pass over the basic arcs.
 
 Truncated inputs are renormalized to unit mass before solving; the
 ``truncation_error`` field accounts for both the missing tail moment and the
@@ -20,7 +22,6 @@ renormalization displacement, so
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,55 +126,58 @@ def _sorted_arcs(order: np.ndarray, n: int, keep):
 
 
 def _tree_structure(flows, m: int, n: int, cost: np.ndarray):
-    """BFS over the basis tree from node 0: parents, depths and exact duals."""
-    adj: list[list[int]] = [[] for _ in range(m + n)]
+    """The basis tree of ``flows`` rooted at node 0 (rows are nodes 0..m-1,
+    columns m..m+n-1): adjacency sets, and per node its parent, depth and the
+    flow on the arc to its parent, found by one BFS; plus the exact duals with
+    u[0] = 0."""
+    adj: list[set[int]] = [set() for _ in range(m + n)]
     for (i, j) in flows:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    parent = np.full(m + n, -1, dtype=np.int64)
-    depth = np.zeros(m + n, dtype=np.int64)
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    parent: list = [None] * (m + n)  # None: not reached yet
+    parent[0] = -1
+    depth = [0] * (m + n)
+    pflow = [0.0] * (m + n)
     u = np.zeros(m)
     v = np.zeros(n)
-    seen = np.zeros(m + n, dtype=bool)
-    seen[0] = True
     order = [0]
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
+    for node in order:
         for nb in adj[node]:
-            if seen[nb]:
+            if parent[nb] is not None:
                 continue
-            seen[nb] = True
             parent[nb] = node
             depth[nb] = depth[node] + 1
             if nb >= m:
+                pflow[nb] = float(flows[(node, nb - m)])
                 v[nb - m] = cost[node, nb - m] - u[node]
             else:
-                u[nb] = cost[nb, parent[nb] - m] - v[parent[nb] - m]
+                pflow[nb] = float(flows[(nb, node - m)])
+                u[nb] = cost[nb, node - m] - v[node - m]
             order.append(nb)
-            queue.append(nb)
-    if not seen.all():
+    if len(order) < m + n:
         raise _SimplexFailure("basis graph is not a spanning tree")
-    return parent, depth, u, v, order
+    return adj, parent, depth, pflow, u, v
 
 
 def _cycle_path(parent, depth, i_node: int, j_node: int):
-    """Node path j_node -> ... -> i_node through the tree."""
-    pa, pb = i_node, j_node
-    path_a = [pa]
-    path_b = [pb]
-    while depth[pa] > depth[pb]:
-        pa = parent[pa]
-        path_a.append(pa)
-    while depth[pb] > depth[pa]:
-        pb = parent[pb]
-        path_b.append(pb)
-    while pa != pb:
-        pa = parent[pa]
-        path_a.append(pa)
-        pb = parent[pb]
-        path_b.append(pb)
-    return path_b + path_a[-2::-1]  # j* .. LCA .. i*
+    """The tree path between the endpoints of an entering arc as two branches:
+    the nodes from j_node and from i_node up to, not including, their lowest
+    common ancestor.  Each node stands for the tree arc to its parent, so the
+    path j_node .. LCA .. i_node is the first branch followed by the second
+    one reversed."""
+    up_i, up_j = [], []
+    while depth[i_node] > depth[j_node]:
+        up_i.append(i_node)
+        i_node = parent[i_node]
+    while depth[j_node] > depth[i_node]:
+        up_j.append(j_node)
+        j_node = parent[j_node]
+    while i_node != j_node:
+        up_i.append(i_node)
+        i_node = parent[i_node]
+        up_j.append(j_node)
+        j_node = parent[j_node]
+    return up_j, up_i
 
 
 def _bland_streak_limit(m: int, n: int) -> int:
@@ -184,9 +188,10 @@ def _bland_streak_limit(m: int, n: int) -> int:
 def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     """Solve min <cost, f> over f >= 0 with row sums a and column sums b.
 
-    Returns (flows on the optimal basis tree recomputed for the *unperturbed*
-    supplies, duals u, v).  Supplies are perturbed internally to keep pivots
-    nondegenerate; the optimal basis and duals are unaffected by supplies.
+    Returns the optimal basis tree as arrays (rows, cols, flow), with flows
+    for the *unperturbed* supplies, and the duals u, v.  Supplies are
+    perturbed internally to keep pivots nondegenerate; the optimal basis and
+    duals are unaffected by supplies.
 
     Pricing walks the rows in cyclic blocks of ``max(1, _PRICE_ARCS // n)``
     rows: one numpy step forms a block's reduced costs ``cost[r0:r1] -
@@ -197,19 +202,20 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     for the rest of the solve: every pivot prices from row 0 and takes the
     first violating arc in row-major order, which rules out cycling.
 
-    Tree maintenance is incremental: a pivot shifts the duals of the subtree
-    cut off by the leaving arc by the entering arc's reduced cost and re-roots
-    that subtree, so per-pivot work is O(cycle + subtree).  Costs are integers,
-    hence the duals stay exact integers throughout and the optimality test is
-    free of rounding.
+    The basis tree is rooted at row 0 and held once: per node its parent,
+    depth and the flow on the arc to its parent (``pflow``), plus adjacency
+    sets.  A pivot walks the cycle as two branches up to the lowest common
+    ancestor; the first minimum-flow backward arc in j* .. LCA .. i* order
+    leaves, named by its child node.  Parents and ``pflow`` are reversed
+    along the branch segment from the entering endpoint to that child, which
+    re-hangs the cut-off subtree under the other endpoint; one walk of the
+    subtree then sets its depths and shifts its duals by the entering arc's
+    reduced cost, so per-pivot work is O(cycle + subtree).  Costs are
+    integers, hence the duals stay exact integers throughout and the
+    optimality test is free of rounding.
     """
     m, n = cost.shape
-    flows = _initial_basis(*_perturb(a, b), cost)
-    parent, depth, u, v, order = _tree_structure(flows, m, n, cost)
-    adj: list[set[int]] = [set() for _ in range(m + n)]
-    for (i, j) in flows:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
+    adj, parent, depth, pflow, u, v = _tree_structure(_initial_basis(*_perturb(a, b), cost), m, n, cost)
     rows_per_block = max(1, _PRICE_ARCS // n)
     pos = 0  # first row of the next block to price
     max_iters = 200 * (m + n) + 10_000
@@ -231,110 +237,88 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
             if red.flat[k] < -_OPT_TOL:
                 if bland:
                     k = int((red < -_OPT_TOL).argmax())  # first violating arc
-                entering = (lo + k // n, k % n)
+                entering = (lo + k // n, m + k % n)  # row node, column node
+                delta = float(red.flat[k])
                 break
         if entering is None:
             break  # a full wrap found no violating arc: optimal
         ei, ej = entering
-        delta = cost[ei, ej] - u[ei] - v[ej]
-        path = _cycle_path(parent, depth, ei, m + ej)
-        # walk arcs from j* toward i*; signs alternate -, +, -, ...
-        theta = np.inf
+        up_j, up_i = _cycle_path(parent, depth, ei, ej)
+        # arcs alternate -, +, -, ... from either endpoint; the first minimum
+        # of the backward arcs in j* .. LCA .. i* order leaves
+        theta = math.inf
         leave = None
-        sign = -1
-        arcs = []
-        for x, y in zip(path, path[1:]):
-            arc = (x, y - m) if x < m else (y, x - m)
-            arcs.append((arc, sign))
-            if sign < 0 and flows[arc] < theta:
-                theta = flows[arc]
-                leave = arc
-            sign = -sign
+        for branch, nodes in ((up_j, up_j[::2]), (up_i, up_i[::2][::-1])):
+            for node in nodes:
+                if pflow[node] < theta:
+                    theta, leave, cut = pflow[node], node, branch
         if leave is None:
             raise _SimplexFailure("no leaving arc found on pivot cycle")
-        for arc, sgn in arcs:
-            flows[arc] += sgn * theta
-        del flows[leave]
-        flows[(ei, ej)] = theta
-        # --- incremental tree update -------------------------------------
-        # After dropping the leaving arc, the entering arc q--p is the only
-        # connection between the cut-off component (around q) and the rest,
-        # so one BFS from q re-roots the component and collects its nodes.
-        li, lj = leave
-        la, lb = li, m + lj
-        adj[la].discard(lb)
-        adj[lb].discard(la)
-        child = la if parent[la] == lb else lb
-        en_a, en_b = ei, m + ej
-        adj[en_a].add(en_b)
-        adj[en_b].add(en_a)
-        # the endpoint inside the old subtree of `child` becomes the new local
-        # root q; test by lifting en_a to child's depth (pointers still old)
-        node = en_a
-        while depth[node] > depth[child]:
-            node = parent[node]
-        q = en_a if node == child else en_b
-        p = en_b if q == en_a else en_a
-        parent[q] = p
+        for branch in (up_j, up_i):
+            for node in branch[::2]:
+                pflow[node] -= theta
+            for node in branch[1::2]:
+                pflow[node] += theta
+        # --- tree update ---------------------------------------------------
+        # The leaving arc cuts off the subtree of `leave`, which holds the
+        # entering endpoint q that starts its branch; reversing the segment
+        # q .. leave hangs that subtree under the other endpoint p.
+        q, p = (ej, ei) if cut is up_j else (ei, ej)
+        old = parent[leave]
+        adj[leave].discard(old)
+        adj[old].discard(leave)
+        adj[q].add(p)
+        adj[p].add(q)
+        seg = cut[: cut.index(leave) + 1]
+        for node, par, f in zip(seg, [p] + seg[:-1], [theta] + [pflow[x] for x in seg[:-1]]):
+            parent[node] = par
+            pflow[node] = f
         depth[q] = depth[p] + 1
         sub = [q]
-        k = 0
-        while k < len(sub):
-            node = sub[k]
+        for node in sub:
             par = parent[node]
             dn = depth[node] + 1
             for nb in adj[node]:
-                if nb != par and nb != p:
-                    parent[nb] = node
+                if nb != par:
                     depth[nb] = dn
                     sub.append(nb)
-            k += 1
         # duals: subtree nodes of q's type shift by +delta, the others by -delta
-        sub_arr = np.fromiter(sub, dtype=np.int64, count=len(sub))
-        src_nodes = sub_arr[sub_arr < m]
-        snk_nodes = sub_arr[sub_arr >= m] - m
-        if q < m:
-            u[src_nodes] += delta
-            v[snk_nodes] -= delta
-        else:
-            u[src_nodes] -= delta
-            v[snk_nodes] += delta
+        sub_arr = np.array(sub)
+        shift = delta if q < m else -delta
+        u[sub_arr[sub_arr < m]] += shift
+        v[sub_arr[sub_arr >= m] - m] -= shift
         degenerate_streak = degenerate_streak + 1 if theta <= 0.0 else 0
     else:
         raise _SimplexFailure(f"no convergence within {max_iters} pivots")
-    parent, depth, u, v, order = _tree_structure(flows, m, n, cost)
-    # final flows from the *original* supplies: subtree sums along reverse BFS
-    net = np.concatenate([a, -b])
-    out_flows: dict[tuple[int, int], float] = {}
-    for node in reversed(order):
-        par = parent[node]
-        if par < 0:
-            continue
-        arc = (node, par - m) if node < m else (par, node - m)
-        out_flows[arc] = net[node] if node < m else -net[node]
-        net[par] += net[node]
-    return out_flows, u, v
+    # final flows from the *original* supplies: subtree sums, deepest first
+    net = np.concatenate([a, -b]).tolist()
+    for node in sorted(range(1, m + n), key=depth.__getitem__, reverse=True):
+        net[parent[node]] += net[node]
+    node = np.arange(1, m + n)
+    par = np.array(parent[1:])
+    is_row = node < m
+    flow = np.array(net[1:])
+    return (np.where(is_row, node, par), np.where(is_row, par, node) - m,
+            np.where(is_row, flow, -flow), u, v)
 
 
-def _verify_optimal(a, b, cost, flows, u, v) -> float:
-    """Complementary-slackness pass; returns the certified optimal value."""
+def _verify_optimal(a, b, cost, rows, cols, flow, u, v) -> float:
+    """Complementary-slackness pass over the basic arcs (rows, cols) and
+    their flows; returns the certified optimal value."""
     scale = 1.0 + float(np.abs(cost).max(initial=0.0))
     reduced = cost - u[:, None] - v[None, :]
     if float(reduced.min(initial=0.0)) < -_OPT_TOL:
         raise _SimplexFailure("dual infeasible after termination")
-    row = np.zeros(len(a))
-    col = np.zeros(len(b))
-    primal = 0.0
-    for (i, j), f in flows.items():
-        if f < -1e-9:
-            raise _SimplexFailure(f"negative basic flow {f} on arc {(i, j)}")
-        if abs(reduced[i, j]) > _VERIFY_TOL * scale:
-            raise _SimplexFailure("basic arc with nonzero reduced cost")
-        row[i] += f
-        col[j] += f
-        primal += cost[i, j] * f
+    if (flow < -1e-9).any():
+        k = int(np.argmax(flow < -1e-9))
+        raise _SimplexFailure(f"negative basic flow {flow[k]} on arc {(int(rows[k]), int(cols[k]))}")
+    if (np.abs(reduced[rows, cols]) > _VERIFY_TOL * scale).any():
+        raise _SimplexFailure("basic arc with nonzero reduced cost")
+    row = np.bincount(rows, flow, len(a))
+    col = np.bincount(cols, flow, len(b))
     if np.abs(row - a).max() > 1e-8 or np.abs(col - b).max() > 1e-8:
         raise _SimplexFailure("flow marginals do not match the inputs")
+    primal = float(cost[rows, cols] @ flow)
     dual = float(a @ u + b @ v)
     if abs(primal - dual) > _VERIFY_TOL * (1.0 + abs(dual)) + 1e-12 * scale:
         raise _SimplexFailure(f"duality gap {primal - dual:.3e}")
@@ -362,16 +346,17 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False) -> Dis
     a = pa / pa.sum()
     b = qb / qb.sum()
     cost = _l1_cost_matrix(xs, ys)
-    flows, u, v = _transportation_simplex(a, b, cost)
-    value = _verify_optimal(a, b, cost, flows, u, v)
+    rows, cols, flow, u, v = _transportation_simplex(a, b, cost)
+    value = _verify_optimal(a, b, cost, rows, cols, flow, u, v)
     diam = float(max(xs.sum(axis=1).max(), ys.sum(axis=1).max()))
     trunc = P.tail_moment + Q.tail_moment + (P.tail_mass + Q.tail_mass) * diam
     flow_list = None
     if want_flow:
+        arcs = np.lexsort((cols, rows))
+        arcs = arcs[flow[arcs] > 0.0]
         flow_list = [
-            (tuple(int(t) for t in xs[i]), tuple(int(t) for t in ys[j]), f)
-            for (i, j), f in sorted(flows.items())
-            if f > 0.0
+            (tuple(xs[i].tolist()), tuple(ys[j].tolist()), f)
+            for i, j, f in zip(rows[arcs].tolist(), cols[arcs].tolist(), flow[arcs].tolist())
         ]
     return DistanceResult(value=value, truncation_error=trunc, flow=flow_list)
 

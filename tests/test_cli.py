@@ -263,6 +263,32 @@ def test_wasserstein_duplicate_atoms_exit_1(tmp_path):
     assert json.loads(out.read_text())["failed"] is True
 
 
+GIBBS_TEXT = ('{"schema_version": 1, "beta": %s, "theta": 0.5, "rho": 0.1, '
+              '"window": {"lows": [0, 0], "highs": [1, 1]}}')
+
+
+@pytest.mark.parametrize("argv, schema, text", [
+    (["papangelou-bound", "--reps", "4"], "gibbs", GIBBS_TEXT % "Infinity"),
+    (["papangelou-bound", "--reps", "4"], "gibbs", GIBBS_TEXT % "1e400"),
+    (["bernoulli-bound"], "bernoulli", '{"schema_version": 1, "n": 2, "d": 1, "p": [[0.1], [NaN]], "m": 0}'),
+], ids=["infinity-literal", "overflowing-literal", "nan-literal"])
+def test_non_finite_model_numbers_are_config_errors(tmp_path, capsys, argv, schema, text):
+    model = tmp_path / f"{schema}.json"
+    model.write_text(text)
+    assert run_cli([argv[0], "--model", str(model), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "non-finite number" in err
+
+
+def test_wasserstein_non_finite_tail_exits_1(tmp_path, capsys):
+    p_path = tmp_path / "p.json"
+    p_path.write_text('{"dim": 1, "atoms": [{"x": [0], "p": 1.0}], "tail_mass": NaN, "tail_moment": 0.0}')
+    out = tmp_path / "w.json"
+    assert run_cli(["wasserstein", "--p", str(p_path), "--q", str(p_path), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failed"] is True
+    assert "non-finite number NaN" in capsys.readouterr().err
+
+
 def test_internal_failure_exits_3(tmp_path, monkeypatch):
     from palab.transport import _SimplexFailure
 

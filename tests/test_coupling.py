@@ -247,7 +247,7 @@ def test_mdep_bound_vs_second_writer_oracle():
                 for r in range(max(0, k - m), min(n, k + m + 1))
             )
             first += (s1 + 2 * s2) * p[k, i]
-    qs = sum(q_factor(model, k).value for k in range(1, n + 1))
+    qs = sum(q_factor(model, k) for k in range(1, n + 1))
     expect = first + 2 * d * (d + 1) * m * qs
     assert mdep_bound(model) == pytest.approx(expect, rel=1e-12)
 
@@ -256,7 +256,7 @@ def test_mdep_bound_vs_second_writer_oracle():
 
 def test_q_factor_empty_window_convention():
     model = BernoulliArrayModel(n=4, d=2, p=np.full((4, 2), 0.1), m=0)
-    assert q_factor(model, 2).value == 0.0
+    assert q_factor(model, 2) == 0.0
 
 
 def test_q_factor_independent_family_is_product():
@@ -272,7 +272,7 @@ def test_q_factor_independent_family_is_product():
             for i in range(2)
             for j in range(2)
         )
-        assert q_factor(model, k).value == pytest.approx(expect, rel=1e-12)
+        assert q_factor(model, k) == pytest.approx(expect, rel=1e-12)
 
 
 def test_q_factor_sliding_window_vs_monte_carlo():
@@ -285,7 +285,7 @@ def test_q_factor_sliding_window_vs_monte_carlo():
         model, reps, seed=123
     )
     k0 = 9
-    exact = q_factor(model, k0 + 1).value
+    exact = q_factor(model, k0 + 1)
     best_freq = 0.0
     for r in (k0 - 1, k0 + 1):
         for i in range(d):
@@ -356,9 +356,21 @@ def test_sampler_m0_single_draw_shape():
     assert np.all(arr.sum(axis=1) <= 1)
 
 
+@pytest.mark.parametrize("check", [
+    bernoulli_sum_pmf,
+    corollary_bound,
+    lambda p: BernoulliArrayModel(n=2, d=1, p=p, m=1),
+], ids=["bernoulli_sum_pmf", "corollary_bound", "BernoulliArrayModel"])
+def test_nan_probabilities_rejected(check):
+    with pytest.raises(ParameterError, match=r"\[0,1\]"):
+        check(np.array([[0.2], [np.nan]]))
+
+
 def test_model_validation_errors():
     with pytest.raises(ParameterError):
         BernoulliArrayModel(n=2, d=2, p=np.array([[0.7, 0.6], [0.1, 0.1]]), m=0)
+    with pytest.raises(ParameterError):
+        BernoulliArrayModel(n=2, d=1, p=[[0.5], [0.1, 0.2]], m=0)  # ragged rows
     with pytest.raises(ParameterError):
         BernoulliArrayModel(n=2, d=1, p=np.array([[0.5], [0.5]]), m=-1)
     with pytest.raises(ParameterError):

@@ -7,8 +7,23 @@ bootstrap.  A change that alters any of them changes RNG consumption and
 must update these numbers deliberately and say so.  The GNZ right sides and
 the Papangelou estimates were re-recorded when exact disc-coverage areas
 replaced the midpoint grid (the draws and the GNZ left side did not move).
+
+The exact W1 values at the end pin the network simplex itself: its pivot
+rule, leaving-arc tie rule and integer duals.  A solver change that keeps
+them must reproduce these values bit for bit.
 """
 
+import numpy as np
+import pytest
+
+from palab import transport
+from palab.measures import (
+    PoissonVectorParams,
+    bernoulli_sum_pmf,
+    empirical_pmf,
+    poisson_vector_pmf,
+    truncate_small_atoms,
+)
 from palab.processes import (
     Box,
     CountLawFromMeasure,
@@ -25,6 +40,9 @@ from palab.processes import (
     sample_gibbs,
     sample_poisson_process,
 )
+from palab.transport import wasserstein_l1
+
+from helpers import random_pmf
 
 WINDOW = Box((0.0, 0.0), (1.0, 1.0))
 MODEL = GibbsModel(beta=3.0, theta=0.7, rho=0.2, window=WINDOW)
@@ -68,3 +86,34 @@ def test_sampled_ustat_dpi_lower_bound_pinned():
     assert [d.value, d.std_error, d.ci_low, d.ci_high, d.truncation_error] == [
         1.2785645205526137, 0.09546806338470036, 1.232476672218165, 1.4460108064868016, 2.33865729694164e-09,
     ]
+
+
+# d -> (rows n, pinned W1 value, truncation error)
+W1_BERNOULLI_POISSON = {
+    1: (14, 0.39543704563555915, 2.3355832293028067e-09),
+    2: (9, 0.280437563186386, 4.32236080738428e-10),
+    3: (6, 0.20824239325858662, 7.291277548173461e-10),
+}
+
+
+@pytest.mark.parametrize("d", sorted(W1_BERNOULLI_POISSON))
+def test_w1_bernoulli_sum_vs_poisson_pinned(d):
+    n, value, trunc = W1_BERNOULLI_POISSON[d]
+    p = np.random.default_rng(2020 + d).random((n, d)) * (0.6 / d)
+    target = poisson_vector_pmf(PoissonVectorParams(tuple(p.sum(axis=0))), 1e-10)
+    r = wasserstein_l1(bernoulli_sum_pmf(p), target)
+    assert (r.value, r.truncation_error) == (value, trunc)
+
+
+def test_w1_poisson_count_law_vs_empirical_at_d4_pinned():
+    lam = (0.5, 0.3, 0.7, 0.4)
+    target = truncate_small_atoms(poisson_vector_pmf(PoissonVectorParams(lam), 1e-10), 1e-9)
+    sample = empirical_pmf(np.random.default_rng(4).poisson(lam, size=(400, 4)))
+    r = wasserstein_l1(sample, target)
+    assert (r.value, r.truncation_error) == (0.18222345082853741, 3.07000210964074e-08)
+
+
+def test_w1_with_bland_rule_forced_pinned(monkeypatch):
+    monkeypatch.setattr(transport, "_bland_streak_limit", lambda m, n: -1)
+    P, Q = random_pmf(np.random.default_rng(12), 2, 40), random_pmf(np.random.default_rng(13), 2, 55)
+    assert wasserstein_l1(P, Q).value == 2.18976150320589

@@ -328,6 +328,13 @@ def test_duplicate_atoms_rejected():
         })
 
 
+@pytest.mark.parametrize("tails", [(math.nan, 0.0), (0.0, math.nan), (0.0, math.inf)],
+                         ids=["nan-tail-mass", "nan-tail-moment", "inf-tail-moment"])
+def test_non_finite_tail_account_rejected(tails):
+    with pytest.raises(ParameterError, match="finite"):
+        LatticePmf(1, {(0,): 1.0}, *tails)
+
+
 def test_wrong_point_length_rejected():
     with pytest.raises(ParameterError):
         LatticePmf(2, {(0,): 0.5, (1, 0): 0.5})

@@ -351,3 +351,59 @@ def test_bland_rule_takes_first_violating_arc(monkeypatch, dim, sizes):
     assert entering == first
     oracle = w1_1d(P, Q) if dim == 1 else lp_wasserstein(P, Q)
     assert abs(value - oracle) <= 1e-12
+
+
+# -- certificate checks ------------------------------------------------------
+
+def _certificate():
+    """Inputs, optimal basic arcs with their flows, and duals of a real solve."""
+    P = random_pmf(np.random.default_rng(49), 2, 30, span=8)
+    Q = random_pmf(np.random.default_rng(50), 2, 40, span=8)
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
+    cost = _l1_cost_matrix(P.points, Q.points)
+    rows, cols, flow, u, v = transport._transportation_simplex(a, b, cost)
+    assert transport._verify_optimal(a, b, cost, rows, cols, flow, u, v) == wasserstein_l1(P, Q).value
+    return dict(a=a, b=b, cost=cost, rows=rows, cols=cols, flow=flow, u=u, v=v)
+
+
+def _raise_one_row_dual(c):
+    c["u"] = c["u"] + (np.arange(len(c["u"])) == c["rows"][0])  # its basic arcs price at -1
+
+
+def _negate_one_flow(c):
+    c["flow"] = np.where(np.arange(len(c["flow"])) == 0, -1e-6, c["flow"])
+
+
+def _add_priced_arc(c):
+    # a zero-flow arc of positive reduced cost declared basic
+    reduced = c["cost"] - c["u"][:, None] - c["v"]
+    i, j = np.unravel_index(np.argmax(reduced), reduced.shape)
+    assert reduced[i, j] >= 1.0
+    c["rows"], c["cols"], c["flow"] = np.append(c["rows"], i), np.append(c["cols"], j), np.append(c["flow"], 0.0)
+
+
+def _add_mass(c):
+    c["flow"] = c["flow"] + np.where(c["flow"] == c["flow"].max(), 1e-6, 0.0)
+
+
+def _lower_column_duals(c):
+    # every reduced cost rises by half the per-arc tolerance, and the dual
+    # objective falls by as much: feasible and slack-tight, but with a gap
+    scale = 1.0 + c["cost"].max()
+    dual = c["a"] @ c["u"] + c["b"] @ c["v"]
+    assert 0.5 * transport._VERIFY_TOL * scale > transport._VERIFY_TOL * (1.0 + dual) + 1e-12 * scale
+    c["v"] = c["v"] - 0.5 * transport._VERIFY_TOL * scale
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_raise_one_row_dual, "dual infeasible"),
+    (_negate_one_flow, "negative basic flow"),
+    (_add_priced_arc, "basic arc with nonzero reduced cost"),
+    (_add_mass, "flow marginals do not match"),
+    (_lower_column_duals, "duality gap"),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_verify_optimal_rejects_corrupted_certificate(corrupt, message):
+    cert = _certificate()
+    corrupt(cert)
+    with pytest.raises(transport._SimplexFailure, match=message):
+        transport._verify_optimal(**cert)
