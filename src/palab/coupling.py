@@ -249,19 +249,25 @@ class BernoulliArrayModel:
         return float(surv2(a1, a2) - surv2(b1, a2) - surv2(a1, b2) + surv2(b1, b2))
 
 
+def _window_stats(model: BernoulliArrayModel, reps: int, seed: int) -> np.ndarray:
+    """(reps, n) window statistics of n + m uniforms per repetition:
+    min(U_r, ..., U_{r+m}) for sliding_min, U_r otherwise."""
+    rng = streams.derive(seed, 0)
+    u = rng.random((reps, model.n + model.m))
+    stat = u[:, : model.n]
+    if model.family == "sliding_min" and model.m:
+        stat = stat.copy()
+        for s in range(1, model.m + 1):  # one shifted slice at a time
+            np.minimum(stat, u[:, s : s + model.n], out=stat)
+    return stat
+
+
 def sample_mdep_labels(model: BernoulliArrayModel, reps: int, seed: int) -> np.ndarray:
     """Labels in {0..d} for each (rep, index): 0 = zero vector, j = e_j.
 
     Draws n + m shared uniforms per repetition and applies the window sampler.
     """
-    rng = streams.derive(seed, 0)
-    u = rng.random((reps, model.n + model.m))
-    stat = u[:, : model.n]
-    if model.family == "sliding_min" and model.m:
-        # window minimum min(U_r, ..., U_{r+m}), one shifted slice at a time
-        stat = stat.copy()
-        for s in range(1, model.m + 1):
-            np.minimum(stat, u[:, s : s + model.n], out=stat)
+    stat = _window_stats(model, reps, seed)
     t = model.thresholds  # (n, d+1)
     labels = np.zeros((reps, model.n), dtype=np.int64)
     for r in range(model.n):
@@ -281,12 +287,15 @@ def sample_mdep_array(model: BernoulliArrayModel, seed: int) -> np.ndarray:
 
 
 def sample_mdep_counts(model: BernoulliArrayModel, reps: int, seed: int) -> np.ndarray:
-    """(reps, d) matrix of count vectors X = sum_r Y^(r)."""
-    labels = sample_mdep_labels(model, reps, seed)
-    out = np.zeros((reps, model.d), dtype=np.int64)
-    for j in range(model.d):
-        out[:, j] = (labels == j).sum(axis=1)
-    return out
+    """(reps, d) count vectors X = sum_r Y^(r) of ``sample_mdep_labels``' draws:
+    G_k = #{r : stat_r > t_{r,k}} labels are >= k (G_0 = n), so e_j counts
+    G_{j-1} - G_j, from the same comparisons as the labels' ``searchsorted``."""
+    stat = _window_stats(model, reps, seed)
+    t = model.thresholds
+    above = np.full((reps, model.d + 1), model.n, dtype=np.int64)
+    for k in range(1, model.d + 1):
+        above[:, k] = np.count_nonzero(stat > t[:, k], axis=1)
+    return above[:, :-1] - above[:, 1:]
 
 
 def q_factor(model: BernoulliArrayModel, k: int) -> float:

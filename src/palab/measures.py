@@ -11,8 +11,9 @@ rigorous error interval.
 Poisson law is evaluated, for the product-Poisson targets and the Stein solver.
 
 ``merge_rows`` is the one place where equal lattice rows are merged and their
-weights summed: empirical counts, prefix marginals, total variation, the
-coupling tables and the Stein decomposition all go through it.
+weights summed: prefix marginals, total variation, the coupling tables and the
+Stein decomposition go through it.  ``SampleAtoms`` (empirical laws) shares its
+merge and keeps each row's atom, so one merge serves a whole bootstrap.
 """
 
 from __future__ import annotations
@@ -142,11 +143,11 @@ class LatticePmf:
 
     @staticmethod
     def from_json_dict(obj: Mapping) -> "LatticePmf":
-        atoms = obj["atoms"]
-        return LatticePmf.from_arrays(
-            int(obj["dim"]), [a["x"] for a in atoms], [float(a["p"]) for a in atoms],
-            float(obj["tail_mass"]), float(obj["tail_moment"]),
-        )
+        try:
+            xs, ps = [a["x"] for a in obj["atoms"]], [float(a["p"]) for a in obj["atoms"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"atoms must be objects with a point x and a number p: {exc!r}") from None
+        return LatticePmf.from_arrays(int(obj["dim"]), xs, ps, float(obj["tail_mass"]), float(obj["tail_moment"]))
 
     @staticmethod
     def from_json(text: str) -> "LatticePmf":
@@ -282,40 +283,58 @@ def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> 
     return LatticePmf.from_arrays(d, np.argwhere(positive), table[positive], 0.0, 0.0)
 
 
-def merge_rows(rows, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (n, d) integer array, in lexicographic order, with
-    the weights of equal rows summed in row order (``np.bincount``), or with
-    their counts when ``weights`` is None.  Rows may be negative.
+def _merge_index(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a non-empty (n, d) int64 array, in lexicographic
+    order, and the index of each row's distinct row.  Rows may be negative.
 
     Rows are merged through one int64 key per row: the mixed-radix index of
     the row, shifted by the column minima, in the box the rows span.  Key
     order is lexicographic order.  A box of more than 2**63 - 1 cells falls
     back to sorting the rows themselves."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if not len(rows):
-        return rows, np.zeros(0, dtype=np.int64 if weights is None else float)
     lo = rows.min(axis=0)
     span = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), rows.max(axis=0).tolist())]
     if math.prod(span) > np.iinfo(np.int64).max:
-        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-        return distinct, np.bincount(inverse.ravel(), weights, len(distinct))
-    keys = np.ravel_multi_index(tuple((rows - lo).T), span)
-    if weights is None:  # counts without the inverse: 3-10x faster on 1e4-1e5 rows
-        keys, sums = np.unique(keys, return_counts=True)
-    else:
-        keys, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights, len(keys))
-    return np.column_stack(np.unravel_index(keys, span)) + lo, sums
+        distinct, index = np.unique(rows, axis=0, return_inverse=True)
+        return distinct, index.ravel()
+    keys, index = np.unique(np.ravel_multi_index(tuple((rows - lo).T), span), return_inverse=True)
+    return np.column_stack(np.unravel_index(keys, span)) + lo, index
+
+
+def merge_rows(rows, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (n, d) integer array, in lexicographic order, with
+    the weights of equal rows summed in row order (``np.bincount``), or with
+    their counts when ``weights`` is None.  Rows may be negative."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
+        return rows, np.zeros(0, dtype=np.int64 if weights is None else float)
+    distinct, index = _merge_index(rows)
+    return distinct, np.bincount(index, weights, len(distinct))
 
 
 def empirical_pmf(rows) -> LatticePmf:
     """Relative frequencies of the rows of an (n, d) array of lattice points;
     deterministic given the rows."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
-        raise ParameterError(f"rows must form a non-empty (n, d) array, got shape {rows.shape}")
-    xs, counts = merge_rows(_point_array(rows, rows.shape[1]))
-    return LatticePmf.from_arrays(rows.shape[1], xs, counts * (1.0 / len(rows)))
+    return SampleAtoms(rows).law()
+
+
+class SampleAtoms:
+    """A sample of lattice rows merged once: its distinct rows ``points``, in
+    lexicographic order, and each row's ``index`` into them.  A bootstrap
+    replicate ``rows[take]`` only reweights these atoms (Efron and Tibshirani,
+    1993), so its law is one ``np.bincount`` of ``index[take]``."""
+
+    def __init__(self, rows):
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
+            raise ParameterError(f"rows must form a non-empty (n, d) array, got shape {rows.shape}")
+        self.points, self.index = _merge_index(_point_array(rows, rows.shape[1]))
+
+    def law(self, take=None) -> LatticePmf:
+        """Empirical law of ``rows[take]`` (of all rows when ``take`` is None)."""
+        index = self.index if take is None else self.index[take]
+        counts = np.bincount(index, minlength=len(self.points))
+        hit = counts > 0
+        return LatticePmf.from_arrays(self.points.shape[1], self.points[hit], counts[hit] * (1.0 / len(index)))
 
 
 def truncate_small_atoms(pmf: LatticePmf, drop_mass: float) -> LatticePmf:

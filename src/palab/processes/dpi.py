@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import streams
 from ..errors import ParameterError
-from ..measures import LatticePmf, PoissonVectorParams, empirical_pmf, poisson_vector_pmf, truncate_small_atoms
+from ..measures import LatticePmf, PoissonVectorParams, SampleAtoms, poisson_vector_pmf, truncate_small_atoms
 from ..transport import wasserstein_l1
 from .patterns import IntensityMeasure, PartitionSpec, PointPattern, count_vector
 
@@ -108,31 +108,31 @@ def dpi_lower_bound(
     eta_exact = hasattr(eta, "count_pmf")
     if not (xi_exact and eta_exact) and min(reps, n_boot) < 2:
         raise ParameterError(f"a sampled source needs reps >= 2 and n_boot >= 2, got {reps} and {n_boot}")
-    xi_rows = None if xi_exact else _collect_rows(xi, partitions, reps, streams.derive(seed, 10))
-    eta_rows = None if eta_exact else _collect_rows(eta, partitions, reps, streams.derive(seed, 11))
+    xi_atoms = None if xi_exact else [
+        SampleAtoms(rows) for rows in _collect_rows(xi, partitions, reps, streams.derive(seed, 10))]
+    eta_atoms = None if eta_exact else [
+        SampleAtoms(rows) for rows in _collect_rows(eta, partitions, reps, streams.derive(seed, 11))]
     # exact count laws are deterministic: build them once, not per replicate
-    xi_laws = [xi.count_pmf(part) for part in partitions] if xi_exact else None
-    eta_laws = [eta.count_pmf(part) for part in partitions] if eta_exact else None
+    xi_laws = [xi.count_pmf(part) for part in partitions] if xi_exact else [s.law() for s in xi_atoms]
+    eta_laws = [eta.count_pmf(part) for part in partitions] if eta_exact else [s.law() for s in eta_atoms]
 
-    def eval_max(xi_rows_b, eta_rows_b) -> tuple[float, list[float], float]:
+    def eval_max(xi_laws_b, eta_laws_b) -> tuple[float, list[float], float]:
         vals, trunc = [], 0.0
-        for t in range(len(partitions)):
-            pmf_xi = xi_laws[t] if xi_exact else empirical_pmf(xi_rows_b[t])
-            pmf_eta = eta_laws[t] if eta_exact else empirical_pmf(eta_rows_b[t])
+        for pmf_xi, pmf_eta in zip(xi_laws_b, eta_laws_b):
             res = wasserstein_l1(pmf_xi, pmf_eta)
             vals.append(res.value)
             trunc = max(trunc, res.truncation_error)
         return max(vals), vals, trunc
 
-    value, per_partition, trunc = eval_max(xi_rows, eta_rows)
+    value, per_partition, trunc = eval_max(xi_laws, eta_laws)
     if xi_exact and eta_exact:
         return DpiEstimate(value, 0.0, value, value, tuple(per_partition), trunc)
 
     boots = []
     for b in range(n_boot):
         rng_b = streams.derive(seed, 20, b)
-        xi_b = None if xi_exact else [rows[rng_b.integers(0, reps, size=reps)] for rows in xi_rows]
-        eta_b = None if eta_exact else [rows[rng_b.integers(0, reps, size=reps)] for rows in eta_rows]
+        xi_b = xi_laws if xi_exact else [s.law(rng_b.integers(0, reps, size=reps)) for s in xi_atoms]
+        eta_b = eta_laws if eta_exact else [s.law(rng_b.integers(0, reps, size=reps)) for s in eta_atoms]
         boots.append(eval_max(xi_b, eta_b)[0])
     boots = np.array(boots)
     se = float(boots.std(ddof=1))

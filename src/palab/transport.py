@@ -3,10 +3,11 @@
 The Wasserstein solver is a transportation network simplex on the complete
 bipartite graph of the two stored supports, with cost |x - y|_1.  It starts
 from a least-cost (matrix-minimum) basis, built in one walk over the arcs
-sorted by cost, and improves it by row-block pricing: each numpy step prices
-whole rows of the cost matrix, about ``_PRICE_ARCS`` arcs, and the most
-negative reduced cost of the first violating block enters.  The basis is
-one spanning tree rooted at source atom 0, held as parent, depth and
+sorted by cost, where masks of the rows and columns with supply left drop
+dead arcs chunk by chunk.  It improves the basis by row-block pricing: each
+numpy step prices whole rows of the cost matrix, about ``_PRICE_ARCS`` arcs,
+and the most negative reduced cost of the first violating block enters.  The
+basis is one spanning tree rooted at source atom 0, held as parent, depth and
 parent-arc flow per node (Ahuja, Magnanti and Orlin, *Network Flows*,
 ch. 11).  Costs are integers, so the simplex multipliers (duals) are exact
 integers as well: the optimality test involves no rounding, and every solve
@@ -33,9 +34,10 @@ from .measures import LatticePmf, Point, merge_rows
 # Reduced costs are exact integers; anything below this is a real violation.
 _OPT_TOL = 1e-7
 _VERIFY_TOL = 1e-9
-# Arcs per numpy step of the start's sorted walk: turning the whole m*n order
-# into Python ints at once costs tens of bytes of peak memory per arc.
-_START_CHUNK = 4096
+# Arcs per numpy step of the start's sorted walk, doubling from the first to the
+# last: early chunks, where most nodes run out, stay small so that few arcs of
+# dead nodes pass the masks; later ones grow to bound numpy call overhead.
+_START_CHUNK = (256, 8192)
 # Arcs priced per numpy step, as whole rows of the cost matrix (at least one
 # row): large enough that numpy call overhead no longer dominates pricing.
 _PRICE_ARCS = 2048
@@ -83,25 +85,29 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     An allocation that exhausts both nodes at once leaves fewer arcs; the same
     order is then walked again, adding zero-flow arcs that join two distinct
     components, until the tree spans.
+
+    Remaining supplies are Python floats; live-row and live-column masks,
+    cleared as nodes run out, drop dead arcs from each chunk of the order.
     """
     m, n = cost.shape
     need = m + n - 1
-    rem_a = a.copy()
-    rem_b = b.copy()
+    rem_a, rem_b = a.tolist(), b.tolist()
+    live_a, live_b = a > 0.0, b > 0.0
     # costs are nonnegative integers: the smallest dtype that holds them gives
     # the same stable order as float64, several times faster
     order = np.argsort(cost.astype(np.min_scalar_type(int(cost.max()))), axis=None, kind="stable")
     flows: dict[tuple[int, int], float] = {}
-    for i, j in _sorted_arcs(order, n, lambda rows, cols: (rem_a[rows] > 0.0) & (rem_b[cols] > 0.0)):
+    for i, j in _sorted_arcs(order, n, lambda rows, cols: live_a[rows] & live_b[cols]):
         ra, rb = rem_a[i], rem_b[j]
         if ra <= 0.0 or rb <= 0.0:
             continue
         take = min(ra, rb)
         flows[(i, j)] = take
-        rem_a[i] = ra - take
-        rem_b[j] = rb - take
+        rem_a[i] = ra = ra - take
+        rem_b[j] = rb = rb - take
         if len(flows) == need:
             return flows
+        live_a[i], live_b[j] = ra > 0.0, rb > 0.0
     label = np.arange(m + n)  # component of each node, rows first
     for i, j in flows:
         label[label == label[m + j]] = label[i]
@@ -116,13 +122,15 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
 
 
 def _sorted_arcs(order: np.ndarray, n: int, keep):
-    """Arcs (i, j) of the flat cost ``order``, chunk by chunk; ``keep(rows,
-    cols)`` masks each chunk when it is reached, so it sees the state left by
-    the arcs before it and only candidate arcs reach the Python loop."""
-    for lo in range(0, len(order), _START_CHUNK):
-        rows, cols = np.divmod(order[lo : lo + _START_CHUNK], n)
+    """Arcs (i, j) of the flat cost ``order``, in ``_START_CHUNK`` chunks;
+    ``keep(rows, cols)`` masks each chunk when it is reached, so it sees the
+    state left by the arcs before it and only candidates reach Python."""
+    lo, size = 0, _START_CHUNK[0]
+    while lo < len(order):
+        rows, cols = np.divmod(order[lo : lo + size], n)
         live = keep(rows, cols)
         yield from zip(rows[live].tolist(), cols[live].tolist())
+        lo, size = lo + size, min(2 * size, _START_CHUNK[1])
 
 
 def _tree_structure(flows, m: int, n: int, cost: np.ndarray):

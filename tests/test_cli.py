@@ -281,12 +281,46 @@ def test_non_finite_model_numbers_are_config_errors(tmp_path, capsys, argv, sche
 
 
 def test_wasserstein_non_finite_tail_exits_1(tmp_path, capsys):
+    # pmf files are read and checked with the config, like model files
     p_path = tmp_path / "p.json"
     p_path.write_text('{"dim": 1, "atoms": [{"x": [0], "p": 1.0}], "tail_mass": NaN, "tail_moment": 0.0}')
     out = tmp_path / "w.json"
     assert run_cli(["wasserstein", "--p", str(p_path), "--q", str(p_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and "non-finite number NaN" in err
+
+
+POINT_PMF_TEXT = '{"dim": 1, "atoms": [{"x": [0], "p": 1.0}], "tail_mass": 0.0, "tail_moment": 0.0}'
+
+
+@pytest.mark.parametrize("p_text, message", [
+    (None, "No such file"),
+    (POINT_PMF_TEXT[:40], "Expecting"),
+    (POINT_PMF_TEXT.replace(', "tail_moment": 0.0', ""), "'tail_moment' is a required property"),
+], ids=["missing-file", "truncated-json", "missing-field"])
+def test_wasserstein_bad_pmf_file_is_config_error(tmp_path, capsys, p_text, message):
+    p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
+    if p_text is not None:
+        p_path.write_text(p_text)
+    q_path.write_text(POINT_PMF_TEXT)
+    out = tmp_path / "w.json"
+    for p, q in ((p_path, q_path), (q_path, p_path)):
+        assert run_cli(["wasserstein", "--p", str(p), "--q", str(q), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("atoms", ['[{"x": [0]}]', '[{"p": 1.0}]', '[[0, 1.0]]', '[{"x": [0], "p": "one"}]'],
+                         ids=["no-p", "no-x", "not-an-object", "p-not-a-number"])
+def test_wasserstein_malformed_atoms_exit_1(tmp_path, capsys, atoms):
+    p_path = tmp_path / "p.json"
+    p_path.write_text(POINT_PMF_TEXT.replace('[{"x": [0], "p": 1.0}]', atoms))
+    out = tmp_path / "w.json"
+    assert run_cli(["wasserstein", "--p", str(p_path), "--q", str(p_path), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["failed"] is True
-    assert "non-finite number NaN" in capsys.readouterr().err
+    assert "atoms must be objects" in capsys.readouterr().err
 
 
 def test_internal_failure_exits_3(tmp_path, monkeypatch):

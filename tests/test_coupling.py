@@ -349,6 +349,21 @@ def test_sampler_matches_sliding_window_reference(family, m):
     assert np.array_equal(labels, window_min_labels(model, 3000, 5))
 
 
+@pytest.mark.parametrize("family", ["sliding_min", "independent"])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_counts_match_the_labels(family, m, d):
+    rng = np.random.default_rng(71 + 4 * m + d)
+    p = rng.random((25, d)) * (0.9 / d)
+    p[3] = 0.0  # a row that is always the zero vector
+    p[7, 0] = 1.0 / d  # and one whose first coordinates fill its mass
+    model = BernoulliArrayModel(n=25, d=d, p=p, m=m, family=family)
+    labels = sample_mdep_labels(model, 2000, seed=13)
+    want = np.stack([(labels == j).sum(axis=1) for j in range(d)], axis=1)
+    got = sample_mdep_counts(model, 2000, seed=13)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_sampler_m0_single_draw_shape():
     model = BernoulliArrayModel(n=6, d=3, p=np.full((6, 3), 0.2), m=0)
     arr = sample_mdep_array(model, seed=2)

@@ -11,12 +11,19 @@ replaced the midpoint grid (the draws and the GNZ left side did not move).
 The exact W1 values at the end pin the network simplex itself: its pivot
 rule, leaving-arc tie rule and integer duals.  A solver change that keeps
 them must reproduce these values bit for bit.
+
+The ``bernoulli-verify`` bytes pin the empirical m-dependent path as a whole:
+the window sampler's draws, the empirical law, the bootstrap replicates'
+resampling and their W1 solves against the Poisson target.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from palab import transport
+from palab.cli import main
 from palab.measures import (
     PoissonVectorParams,
     bernoulli_sum_pmf,
@@ -117,3 +124,25 @@ def test_w1_with_bland_rule_forced_pinned(monkeypatch):
     monkeypatch.setattr(transport, "_bland_streak_limit", lambda m, n: -1)
     P, Q = random_pmf(np.random.default_rng(12), 2, 40), random_pmf(np.random.default_rng(13), 2, 55)
     assert wasserstein_l1(P, Q).value == 2.18976150320589
+
+
+BERNOULLI_VERIFY_PINNED = {
+    1: (41, '{"bound":5.5811110261581556,"corollary_bound":0.10616042784599999,"distance":0.33965734509619883,'
+            '"mode":"empirical","schema_version":1,"std_error":0.014983882638450087,'
+            '"truncation_error":2.5200097213497111e-08,"verdict":"PASS"}\n'),
+    2: (42, '{"bound":15.460053931038825,"corollary_bound":0.11323380943,"distance":0.60818678349231259,'
+            '"mode":"empirical","schema_version":1,"std_error":0.020050875563385105,'
+            '"truncation_error":2.6412151296716016e-08,"verdict":"PASS"}\n'),
+}
+
+
+@pytest.mark.parametrize("m", sorted(BERNOULLI_VERIFY_PINNED))
+def test_bernoulli_verify_empirical_output_pinned(tmp_path, m):
+    seed, expected = BERNOULLI_VERIFY_PINNED[m]
+    p = (np.random.default_rng(300 + m).random((30, 2)) * (1.6 / 30)).round(6)
+    model = tmp_path / "mdep.json"
+    model.write_text(json.dumps({"schema_version": 1, "n": 30, "d": 2, "p": p.tolist(), "m": m}))
+    out = tmp_path / "verify.json"
+    argv = ["bernoulli-verify", "--model", str(model), "--reps", "3000", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == expected

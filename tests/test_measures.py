@@ -14,6 +14,8 @@ from palab.errors import CapacityError, ParameterError
 from palab.measures import (
     LatticePmf,
     PoissonVectorParams,
+    SampleAtoms,
+    _merge_index,
     bernoulli_sum_pmf,
     empirical_pmf,
     merge_rows,
@@ -286,6 +288,48 @@ def test_merge_rows_takes_both_branches():
         points, sums = merge_rows(r, w)
         assert ([tuple(x) for x in points.tolist()], sums.tolist()) == _merge_reference(r, w.tolist())
     assert merge_rows(wide, w_wide)[0][:-1].tolist() == merge_rows(rows, weights)[0].tolist()
+
+
+@st.composite
+def resample_inputs(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 50))
+    rows = np.array(draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=dim, max_size=dim), min_size=n, max_size=n,
+    )), dtype=np.int64).reshape(n, dim)
+    rows += draw(st.sampled_from([0, -2, 10**15]))  # negative rows; far from the origin
+    if dim > 1 and draw(st.booleans()):  # a box of more than 2**63 - 1 cells
+        rows[:, 0] = draw(st.lists(st.sampled_from([0, 5, 2**62]), min_size=n, max_size=n))
+    # a bootstrap-sized take, or a short one that misses atoms
+    size = draw(st.sampled_from([n, max(1, n // 4)]))
+    take = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)), dtype=np.int64)
+    return rows, take
+
+
+def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@given(resample_inputs())
+def test_sample_atoms_law_is_empirical_pmf_of_the_resample(case):
+    rows, take = case
+    # the merge itself, negative rows included
+    points, index = _merge_index(rows)
+    counts = np.bincount(index[take], minlength=len(points))
+    want_points, want_counts = merge_rows(rows[take])
+    assert _same_bytes(points[counts > 0], want_points)
+    assert _same_bytes(counts[counts > 0], want_counts)
+    if (rows < 0).any():
+        with pytest.raises(ParameterError, match="must lie in N_0"):
+            SampleAtoms(rows)
+        return
+    sample = SampleAtoms(rows)
+    for got, pick in ((sample.law(take), take), (sample.law(), np.arange(len(rows)))):
+        want = empirical_pmf(rows[pick])
+        assert got.dim == want.dim == rows.shape[1]
+        assert _same_bytes(got.points, want.points) and _same_bytes(got.probs, want.probs)
+        # relative frequencies as count * (1/n), from a merge of the resampled rows
+        assert _same_bytes(got.probs, merge_rows(rows[pick])[1] * (1.0 / len(pick)))
 
 
 @pytest.mark.parametrize("rows", [

@@ -278,6 +278,62 @@ def test_initial_basis_joins_components_after_double_exhaustion():
     assert list(flows.values()).count(0.0) == 5
 
 
+def walked_initial_basis(a, b, cost):
+    """The least-cost start walked one arc at a time over the whole float64
+    stable cost order, with plain lists for the supplies and the component
+    labels (reference for ``_initial_basis``)."""
+    m, n = cost.shape
+    need = m + n - 1
+    rem_a, rem_b = a.tolist(), b.tolist()
+    order = [divmod(k, n) for k in np.argsort(cost, axis=None, kind="stable").tolist()]
+    flows = {}
+    for i, j in order:
+        if rem_a[i] > 0.0 and rem_b[j] > 0.0:
+            take = min(rem_a[i], rem_b[j])
+            flows[(i, j)] = take
+            rem_a[i] -= take
+            rem_b[j] -= take
+            if len(flows) == need:
+                return flows
+    label = list(range(m + n))
+
+    def join(old, new):
+        label[:] = [new if x == old else x for x in label]
+
+    for i, j in list(flows):
+        join(label[m + j], label[i])
+    for i, j in order:
+        if label[i] != label[m + j]:
+            join(label[m + j], label[i])
+            flows[(i, j)] = 0.0
+            if len(flows) == need:
+                break
+    return flows
+
+
+# (m, n): m * n at or around the boundaries of the start's doubling chunks
+# (256, 768, 1792, 3840, 7936, then every 8192 arcs), from 10 to 3e5 arcs
+START_SIZES = [(2, 5), (16, 16), (16, 17), (24, 32), (30, 26), (60, 64), (61, 63), (62, 128),
+               (84, 96), (126, 128), (128, 128), (181, 181), (300, 300), (548, 548)]
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["perturbed", "tied"])
+@pytest.mark.parametrize("m, n", START_SIZES)
+def test_initial_basis_matches_arc_by_arc_walk(m, n, tied):
+    rng = np.random.default_rng(m * 1000 + n)
+    cost = _l1_cost_matrix(rng.integers(0, 30, size=(m, 2)), rng.integers(0, 30, size=(n, 2)))
+    if tied:  # equal uniform masses: allocations exhaust a row and a column at once
+        a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    else:
+        a, b = _perturb(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)))
+    flows = _initial_basis(a, b, cost)
+    assert list(flows.items()) == list(walked_initial_basis(a, b, cost).items())
+    if tied and m == n:  # the joining phase ran
+        assert list(flows.values()).count(0.0) == m - 1
+    elif not tied:
+        assert 0.0 not in flows.values()
+
+
 # -- row-block pricing shapes ------------------------------------------------
 
 BLOCK = transport._PRICE_ARCS
