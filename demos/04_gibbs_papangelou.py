@@ -39,13 +39,14 @@ print("from the exact areas covered by 0, 1, 2, ... interaction discs.")
 bound = papangelou_bound(model, IntensityMeasure(window, 2.0), reps=8000, seed=13)
 print(f"  bound estimate = {bound.estimate:.5f} +- {bound.std_error:.5f} (Monte Carlo SE)")
 
-print("\nLower bound on the process distance from a 4-set partition:")
+print("\nLower bound on the process distance from a 4-set partition")
+print("(the model is a sampled source: its 20000 draws come as one batch):")
 quadrants = PartitionSpec([
     Box((0.0, 0.0), (0.5, 0.5)), Box((0.5, 0.0), (1.0, 0.5)),
     Box((0.0, 0.5), (0.5, 1.0)), Box((0.5, 0.5), (1.0, 1.0)),
 ])
 est = dpi_lower_bound(
-    lambda r: sample_gibbs(model, r),
+    model,
     PoissonCountLaw(IntensityMeasure(window, 2.0), eps=1e-9, prune_mass=1e-7),
     [quadrants], reps=20000, seed=14, n_boot=12,
 )

@@ -54,7 +54,6 @@ from .processes import (
     dpi_lower_bound,
     gnz_check,
     papangelou_bound,
-    sample_gibbs,
     sample_poisson_process,
     ustat_R,
     ustat_bound,
@@ -348,15 +347,14 @@ def _source_from(obj: dict, partitions: list[PartitionSpec]):
         intensity = IntensityMeasure(_window_from(obj["window"]), float(obj["rate"]))
         if obj.get("exact", True):
             return PoissonCountLaw(intensity, prune_mass=1e-9)
-        return lambda rng: sample_poisson_process(intensity, rng)
+        return intensity  # sampled: drawn as one batch
     if kind == "gibbs":
-        model = GibbsModel(
+        return GibbsModel(
             beta=float(obj["beta"]),
             theta=float(obj["theta"]),
             rho=float(obj["rho"]),
             window=_window_from(obj["window"]),
         )
-        return lambda rng: sample_gibbs(model, rng)
     if kind == "ustat_interval":
         model = IntervalPairModel(rate=float(obj["rate"]), delta=float(obj["delta"]))
 

@@ -4,7 +4,10 @@ The distance itself is a supremum over all finite tuples of disjoint sets; no
 search procedure exists, so everything here evaluates a *supplied* family of
 partitions and is documented as a lower bound only.  Count laws enter either
 exactly (product Poisson, deterministic patterns) or empirically from seeded
-samplers, with a bootstrap confidence interval in the empirical case.
+samplers, with a bootstrap confidence interval in the empirical case.  A
+sampled source is drawn as one ``PatternBatch`` (``sample_batch``) or, for a
+plain callable, pattern by pattern into one batch; each partition then counts
+the whole batch in one ``count_rows`` call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .. import streams
 from ..errors import ParameterError
 from ..measures import LatticePmf, PoissonVectorParams, SampleAtoms, poisson_vector_pmf, truncate_small_atoms
 from ..transport import wasserstein_l1
-from .patterns import IntensityMeasure, PartitionSpec, PointPattern, count_vector
+from .patterns import IntensityMeasure, PartitionSpec, PatternBatch, PointPattern, count_vector
 
 DEFAULT_N_BOOT = 32
 
@@ -60,7 +63,9 @@ class DiracCountLaw:
 
 
 Sampler = Callable[[np.random.Generator], PointPattern]
-CountSource = Union[PoissonCountLaw, DiracCountLaw, Sampler]
+# exact laws, objects with ``sample_batch(rng, size)`` (``IntensityMeasure``,
+# ``GibbsModel``) and plain per-pattern samplers
+CountSource = Union[PoissonCountLaw, DiracCountLaw, IntensityMeasure, Sampler]
 
 
 @dataclass(frozen=True)
@@ -76,14 +81,14 @@ class DpiEstimate:
     truncation_error: float
 
 
-def _collect_rows(source: Sampler, partitions: Sequence[PartitionSpec], reps: int,
+def _collect_rows(source: CountSource, partitions: Sequence[PartitionSpec], reps: int,
                   rng: np.random.Generator) -> list[np.ndarray]:
-    rows = [np.zeros((reps, p.dim), dtype=np.int64) for p in partitions]
-    for s in range(reps):
-        pattern = source(rng)
-        for t, part in enumerate(partitions):
-            rows[t][s] = count_vector(pattern, part)
-    return rows
+    """Count rows of ``reps`` draws in each partition, from one batch."""
+    if hasattr(source, "sample_batch"):
+        batch = source.sample_batch(rng, reps)
+    else:
+        batch = PatternBatch.from_patterns([source(rng) for _ in range(reps)])
+    return [batch.count_rows(part) for part in partitions]
 
 
 def dpi_lower_bound(
@@ -97,9 +102,10 @@ def dpi_lower_bound(
     """Maximum over partitions of W1 between the two count laws.
 
     Exact sources (objects with ``count_pmf``) contribute no sampling error;
-    for sampled sources the bootstrap resamples the empirical count rows and
-    the confidence interval is the 2.5%..97.5% range over replicates.  A
-    sampled source needs ``reps >= 2`` and ``n_boot >= 2``.
+    sampled sources (objects with ``sample_batch`` or callables drawing one
+    pattern) give ``reps`` count rows per partition, the bootstrap resamples
+    them and the confidence interval is the 2.5%..97.5% range over
+    replicates.  A sampled source needs ``reps >= 2`` and ``n_boot >= 2``.
     """
     partitions = list(partitions)
     if not partitions:

@@ -8,12 +8,17 @@ x-integrals in the GNZ right side and in the bound are therefore finite sums
 of the exact areas of those regions (``coverage_areas``), and both checks rest
 on their Monte Carlo standard error alone.  The windows are 2-D boxes.
 
-Repetitions draw from a fixed layout of 32 random streams: chunk c of the
-repetitions samples from ``streams.derive(seed, stream, c)``.
+Exact draws come from rejection against the Poisson(beta * Lebesgue)
+proposal, batched over i.i.d. proposals (``sample_gibbs_batch``).  The GNZ
+check and the bound draw their repetitions from a fixed layout of 32 random
+streams: chunk c of the repetitions is one ``sample_gibbs_batch`` from
+``streams.derive(seed, stream, c)``, and each of its patterns is then
+integrated on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,10 +27,13 @@ import numpy as np
 
 from .. import streams
 from ..errors import BudgetError, ParameterError
-from .patterns import Box, IntensityMeasure, PointPattern
+from .patterns import Box, IntensityMeasure, PatternBatch, PointPattern, uniform_points
 
 DEFAULT_MAX_TRIES = 20_000
 _CHUNKS = 32
+# pair entries of one distance block, and expected close-pair work of one
+# chunk of proposals: bounds the sampler's memory for dense models
+_PAIR_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -48,34 +56,102 @@ class GibbsModel:
             raise ParameterError("interaction range rho must be > 0")
 
     def close_pairs(self, pts: np.ndarray) -> int:
-        if len(pts) < 2:
-            return 0
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        hits = dist2 <= self.rho**2
-        return int((np.triu(hits, k=1)).sum())
+        pts = np.asarray(pts, dtype=np.float64)
+        return int(_close_pairs(pts, np.array([0, len(pts)]), self.rho)[0])
 
     def intensity_levels(self, n: int) -> np.ndarray:
         """beta * exp(-theta * k) for k = 0..n: c(x, xi) where k discs cover x."""
         return self.beta * np.exp(-self.theta * np.arange(n + 1))
 
+    def sample_batch(self, rng: np.random.Generator, size: int) -> PatternBatch:
+        """``size`` exact draws of this process."""
+        return sample_gibbs_batch(self, rng, size)
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_ends(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends of every pair i < j of s points (shared, so read-only)."""
+    ends = np.triu_indices(s, 1)
+    for e in ends:
+        e.flags.writeable = False
+    return ends
+
+
+def _pair_blocks(lengths: np.ndarray):
+    """Blocks of segments of one length s >= 2, as (segment ids, pair ends a, b):
+    each block holds at most ``_PAIR_ELEMS`` pairs, or one segment's."""
+    for s in sorted(set(lengths.tolist()) - {0, 1}):
+        a, b = _pair_ends(s)
+        segs = np.flatnonzero(lengths == s)
+        step = max(1, _PAIR_ELEMS // len(a))
+        for lo in range(0, len(segs), step):
+            yield segs[lo:lo + step], a, b
+
+
+def _close_pairs(points: np.ndarray, offsets: np.ndarray, rho: float) -> np.ndarray:
+    """Pairs at distance <= rho within each segment ``points[offsets[i]:offsets[i + 1]]``;
+    segments of equal length share one ``(c, s(s - 1)/2)`` block of distances."""
+    lengths = offsets[1:] - offsets[:-1]
+    out = np.zeros(len(lengths), dtype=np.int64)
+    for segs, a, b in _pair_blocks(lengths):
+        start = offsets[segs, None]
+        diff = points[start + a] - points[start + b]
+        out[segs] = (np.einsum("cpw,cpw->cp", diff, diff) <= rho * rho).sum(axis=1)
+    return out
+
+
+def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int,
+                       max_tries: int = DEFAULT_MAX_TRIES) -> PatternBatch:
+    """``size`` exact i.i.d. draws by rejection, as one batch: propose from
+    Poisson(beta * Lebesgue) and accept with probability exp(-theta * w) <= 1,
+    w the number of close pairs.
+
+    Proposals come in chunks: one ``rng.poisson`` call for their counts, one
+    ``uniform_points`` call for all their points and one ``rng.random`` call
+    for one uniform each.  A proposal is accepted where u < exp(-theta w),
+    always when w = 0, and the first ``size`` acceptances are kept in
+    proposal order.  A chunk aims at the draws still missing at the
+    acceptance rate seen so far, with at most ``_PAIR_ELEMS`` expected
+    close-pair tests, and never runs past the budget: ``BudgetError`` once
+    ``max_tries`` proposals in a row are rejected.
+    """
+    lam = model.beta * model.window.volume()
+    cap = max(1, int(_PAIR_ELEMS / (1.0 + 0.5 * lam * lam)))  # E n(n - 1)/2 = lam^2/2
+    points, lengths = [np.empty((0, model.window.dim))], [np.zeros(0, dtype=np.int64)]
+    kept = proposed = accepted = rejected_run = 0
+    while kept < size:
+        need = size - kept
+        k = min(cap, max_tries - rejected_run, -(-need * (proposed + 1) // (accepted + 1)))
+        counts = rng.poisson(lam, k)
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        pts = uniform_points(model.window, rng, int(offsets[-1]))
+        ok = rng.random(k) < np.exp(-model.theta * _close_pairs(pts, offsets, model.rho))
+        hits = np.flatnonzero(ok)
+        proposed += k
+        accepted += len(hits)
+        if len(hits) == 0:
+            rejected_run += k
+            if rejected_run >= max_tries:
+                raise BudgetError(
+                    f"Gibbs rejection sampler exceeded {max_tries} proposals "
+                    "(acceptance below budget; reduce theta or the window)"
+                )
+            continue
+        rejected_run = k - 1 - int(hits[-1])
+        ok[hits[need:]] = False
+        points.append(pts[np.repeat(ok, counts)])
+        lengths.append(counts[ok])
+        kept += min(need, len(hits))
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lengths), out=offsets[1:])
+    return PatternBatch(np.concatenate(points), offsets)
+
 
 def sample_gibbs(model: GibbsModel, seed_or_rng, max_tries: int = DEFAULT_MAX_TRIES) -> PointPattern:
-    """Exact draw by rejection: propose from Poisson(beta * Lebesgue) and
-    accept with probability exp(-theta * #close pairs) <= 1."""
+    """One exact draw: the size-1 case of ``sample_gibbs_batch``."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
-    proposal = IntensityMeasure(model.window, model.beta)
-    from .patterns import sample_poisson_process
-
-    for _ in range(max_tries):
-        pattern = sample_poisson_process(proposal, rng)
-        w = model.close_pairs(pattern.points)
-        if w == 0 or rng.random() < math.exp(-model.theta * w):
-            return pattern
-    raise BudgetError(
-        f"Gibbs rejection sampler exceeded {max_tries} proposals "
-        "(acceptance below budget; reduce theta or the window)"
-    )
+    return sample_gibbs_batch(model, rng, 1, max_tries).pattern(0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +285,15 @@ class TotalCount(GnzTestFunction):
 # ---------------------------------------------------------------------------
 
 def _gibbs_draws(model: GibbsModel, reps: int, seed: int, stream: int):
-    """Iterator over ``reps`` exact draws; chunk c of the fixed layout draws
-    from ``streams.derive(seed, stream, c)``.  At least two repetitions are
-    required, so that a standard error exists."""
+    """Iterator over ``reps`` exact draws; chunk c of the fixed layout is one
+    batch from ``streams.derive(seed, stream, c)``.  At least two repetitions
+    are required, so that a standard error exists."""
     if reps < 2:
         raise ParameterError(f"need at least 2 repetitions, got {reps}")
 
     def draws():
         for c, size in enumerate(streams.chunk_sizes(reps, _CHUNKS)):
-            rng = streams.derive(seed, stream, c)
-            for _ in range(size):
-                yield sample_gibbs(model, rng)
+            yield from sample_gibbs_batch(model, streams.derive(seed, stream, c), size)
 
     return draws()
 

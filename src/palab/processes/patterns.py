@@ -4,10 +4,17 @@ Configuration spaces are either boxes in R^w (reference measure: Lebesgue) or
 finite label sets (reference measure: counting).  Partitions are collections
 of pairwise-disjoint boxes or label subsets; disjointness is verified at
 construction.
+
+Many patterns travel as one ``PatternBatch``: all points in one flat array
+(or one tuple of labels) with segment offsets.  Samplers draw a batch in a few
+numpy calls, and ``PatternBatch.count_rows`` counts every pattern of it in a
+partition at once, with the membership test ``count_vector`` makes for one
+pattern.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -162,20 +169,92 @@ class PartitionSpec:
         return len(self.sets)
 
 
+@dataclass(frozen=True, eq=False)
+class PatternBatch:
+    """Many finite patterns in one flat representation: pattern i is
+    ``points[offsets[i]:offsets[i + 1]]``.
+
+    Located patterns share one read-only ``(N, w)`` float64 array, label
+    patterns one tuple of N labels; ``offsets`` is ``(reps + 1,)`` int64 from
+    0 to N.  A batch without points holds a ``(0, w)`` array (w may be 0) and
+    counts 0 in any sets, like an empty ``PointPattern``.
+    """
+
+    points: Union[np.ndarray, tuple]
+    offsets: np.ndarray
+
+    def __init__(self, points: Union[np.ndarray, tuple], offsets):
+        offsets = np.asarray(offsets, dtype=np.int64).view()
+        if not isinstance(points, tuple):
+            points = np.asarray(points, dtype=np.float64).view()
+            if points.ndim != 2:
+                raise ParameterError(f"located batches need an (N, w) array, got shape {points.shape}")
+            points.flags.writeable = False
+        if offsets.ndim != 1 or not len(offsets) or offsets[0] != 0 or offsets[-1] != len(points) \
+                or (offsets[1:] < offsets[:-1]).any():
+            raise ParameterError("batch offsets must rise from 0 to the number of points")
+        offsets.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def from_patterns(cls, patterns: Sequence[PointPattern]) -> "PatternBatch":
+        """The patterns in order; the nonempty ones must be all located (of one
+        width) or all label patterns."""
+        offsets = np.zeros(len(patterns) + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in patterns], out=offsets[1:])
+        full = [p.points for p in patterns if len(p)]
+        located = [pts for pts in full if not isinstance(pts, tuple)]
+        if not full:
+            return cls(np.empty((0, 0)), offsets)
+        if not located:
+            return cls(tuple(itertools.chain.from_iterable(full)), offsets)
+        if len(located) < len(full) or len({pts.shape[1] for pts in located}) > 1:
+            raise ParameterError("a batch needs all label patterns or located patterns of one width")
+        return cls(np.concatenate(located), offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def pattern(self, i: int) -> PointPattern:
+        return PointPattern(self.points[self.offsets[i]:self.offsets[i + 1]])
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield PointPattern(self.points[lo:hi])
+
+    def count_rows(self, partition: PartitionSpec) -> np.ndarray:
+        """``(reps, d)`` int64 counts of each pattern in each set: row i is
+        ``count_vector(self.pattern(i), partition)``, from one membership
+        table of all points and a running count per set differenced at the
+        offsets."""
+        if len(self.points) == 0:
+            return np.zeros((len(self), partition.dim), dtype=np.int64)
+        running = np.zeros((len(self.points) + 1, partition.dim), dtype=np.int64)
+        np.cumsum(_membership(self.points, partition), axis=0, out=running[1:])
+        return running[self.offsets[1:]] - running[self.offsets[:-1]]
+
+
+def _membership(points: Union[np.ndarray, tuple], partition: PartitionSpec) -> np.ndarray:
+    """``(N, d)`` table: point n lies in set j.  Boxes are closed (``>=`` and
+    ``<=`` on every axis); label sets need labels and boxes located points."""
+    labels = isinstance(partition.sets[0], LabelSet)
+    if labels != isinstance(points, tuple):
+        raise ParameterError("label sets need a label pattern, and boxes a located one")
+    if labels:
+        return np.array([[p in s.members for s in partition.sets] for p in points], dtype=bool)
+    pts = points[:, None, :]
+    return ((pts >= partition._lows) & (pts <= partition._highs)).all(axis=2)
+
+
 def count_vector(pattern: PointPattern, partition: PartitionSpec) -> tuple[int, ...]:
     """Points of the pattern in each set; boxes are closed, so a point on an
     edge shared by two boxes counts in both.  Label sets need a label pattern
     and boxes a located one; an empty pattern counts 0 in any sets."""
     if len(pattern) == 0:
         return (0,) * partition.dim
-    labels = isinstance(partition.sets[0], LabelSet)
-    if labels != isinstance(pattern.points, tuple):
-        raise ParameterError("label sets need a label pattern, and boxes a located one")
-    if labels:
-        return tuple(pattern.count_in(s) for s in partition.sets)
-    pts = pattern.points[:, None, :]
-    inside = ((pts >= partition._lows) & (pts <= partition._highs)).all(axis=2)
-    return tuple(inside.sum(axis=0).tolist())
+    return tuple(_membership(pattern.points, partition).sum(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -242,11 +321,43 @@ class IntensityMeasure:
             return self.density * clipped.volume()
         return integrate_box(self.density, clipped.lows, clipped.highs).value
 
+    def sample_batch(self, rng: np.random.Generator, size: int) -> "PatternBatch":
+        """``size`` draws of the Poisson process with this intensity."""
+        return sample_poisson_batch(self, rng, size)
+
+
+def sample_poisson_batch(intensity: IntensityMeasure, rng: np.random.Generator, size: int) -> PatternBatch:
+    """``size`` independent exact draws as one batch.
+
+    A constant rate on a box takes all counts from one ``rng.poisson`` call
+    and then all points from one ``uniform_points`` call (size 1 is the
+    stream of ``sample_poisson_process``); label windows and callable
+    densities draw pattern by pattern.
+    """
+    if not isinstance(intensity.density, float):  # label weights or a callable
+        return PatternBatch.from_patterns([sample_poisson_process(intensity, rng) for _ in range(size)])
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    if intensity.total > 0.0:
+        np.cumsum(rng.poisson(intensity.total, size), out=offsets[1:])
+    return PatternBatch(uniform_points(intensity.window, rng, int(offsets[-1])), offsets)
+
+
+def uniform_points(box: Box, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``(n, w)`` i.i.d. uniform points of the box: bit for bit
+    ``rng.uniform(lows, highs, size=(n, w))`` (low + range * u, one double per
+    entry in C order), without that call's per-call broadcasting cost."""
+    lows = np.array(box.lows)
+    return lows + (np.array(box.highs) - lows) * rng.random((n, len(lows)))
+
 
 def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPattern:
-    """Exact draw: N ~ Poisson(total), then N i.i.d. points from density/total
-    by rejection against density_max (boxes) or by categorical draw (labels)."""
+    """Exact draw: N ~ Poisson(total), then N i.i.d. points from density/total:
+    uniform for a constant rate (the size-1 case of ``sample_poisson_batch``),
+    by rejection against density_max for a callable density, by categorical
+    draw for labels."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
+    if isinstance(intensity.density, float):
+        return sample_poisson_batch(intensity, rng, 1).pattern(0)
     total = intensity.total
     if total == 0.0:
         return PointPattern(())
@@ -258,16 +369,11 @@ def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPat
         probs = np.array([intensity.density.get(l, 0.0) for l in labels]) / total
         draws = rng.choice(len(labels), size=n, p=probs)
         return PointPattern([labels[i] for i in draws])
-    lows = np.array(intensity.window.lows)
-    highs = np.array(intensity.window.highs)
-    if isinstance(intensity.density, float):
-        pts = rng.uniform(lows, highs, size=(n, len(lows)))
-        return PointPattern(pts)
     out = []
     got = 0
     while got < n:
         m = max(16, 2 * (n - got))
-        cand = rng.uniform(lows, highs, size=(m, len(lows)))
+        cand = uniform_points(intensity.window, rng, m)
         acc = rng.random(m) * intensity.density_max < np.asarray(intensity.density(cand))
         out.append(cand[acc])
         got += len(out[-1])

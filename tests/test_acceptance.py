@@ -24,8 +24,8 @@ from palab.coupling import (
 from palab.measures import (
     LatticePmf,
     PoissonVectorParams,
+    SampleAtoms,
     bernoulli_sum_pmf,
-    empirical_pmf,
     poisson_vector_pmf,
     truncate_small_atoms,
 )
@@ -208,14 +208,12 @@ def test_criterion_5_mdep_bound():
         bound = mdep_bound(model)
         lam = PoissonVectorParams(tuple(p.sum(axis=0)))
         target = truncate_small_atoms(poisson_vector_pmf(lam, 1e-9), 1e-7)
-        counts = sample_mdep_counts(model, reps, seed=977 + inst)
-        pmf = empirical_pmf(counts)
-        value = wasserstein_l1(pmf, target).value
+        atoms = SampleAtoms(sample_mdep_counts(model, reps, seed=977 + inst))
+        value = wasserstein_l1(atoms.law(), target).value
         boots = np.zeros(n_boot)
         for b in range(n_boot):
             rng_b = streams.derive(20240025, inst, b)
-            rows = counts[rng_b.integers(0, reps, size=reps)]
-            boots[b] = wasserstein_l1(empirical_pmf(rows), target).value
+            boots[b] = wasserstein_l1(atoms.law(rng_b.integers(0, reps, size=reps)), target).value
         se = float(boots.std(ddof=1))
         margin = bound + 3 * se - value
         worst_margin = min(worst_margin, margin)
@@ -364,7 +362,7 @@ def test_criterion_8_papangelou():
     ]
     target_law = PoissonCountLaw(IntensityMeasure(window, 2.0), eps=1e-9, prune_mass=1e-7)
     est = dpi_lower_bound(
-        lambda rng: sample_gibbs(model, rng), target_law, partitions,
+        model, target_law, partitions,
         reps=10**5, seed=20240038, n_boot=12,
     )
     sigma = math.sqrt(bound.std_error**2 + est.std_error**2)

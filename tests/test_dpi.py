@@ -72,6 +72,24 @@ def test_mean_shift_lower_bound_sampled():
     assert est.ci_low <= est.value <= est.ci_high
 
 
+def test_batch_sources_match_their_per_pattern_samplers():
+    # a label intensity draws pattern by pattern, so its batch source and the
+    # plain callable see the same stream and give the same estimate
+    labels = IntensityMeasure(LabelSpace(("a", "b")), {"a": 0.5, "b": 1.5})
+    part = PartitionSpec([LabelSet({"a"}), LabelSet({"b"})])
+    by_batch = dpi_lower_bound(labels, PoissonCountLaw(labels), [part], reps=3000, seed=4, n_boot=4)
+    by_call = dpi_lower_bound(lambda rng: sample_poisson_process(labels, rng), PoissonCountLaw(labels), [part],
+                              reps=3000, seed=4, n_boot=4)
+    assert by_batch == by_call
+    assert by_batch.value <= 4 * by_batch.std_error + 0.05
+    # a constant rate: the batch draws another stream of the same law
+    window = Box((0.0,), (1.0,))
+    rate = IntensityMeasure(window, 1.0)
+    est = dpi_lower_bound(rate, PoissonCountLaw(IntensityMeasure(window, 2.0)), [PartitionSpec([window])],
+                          reps=20000, seed=3, n_boot=16)
+    assert est.value >= 1.0 - 4 * est.std_error - est.truncation_error - 0.05
+
+
 def test_tv_dominated_by_w1_on_partition_counts():
     window = Box((0.0, 0.0), (1.0, 1.0))
     part = PartitionSpec(

@@ -21,8 +21,11 @@ from palab.processes import (
     gnz_check,
     papangelou_bound,
     sample_gibbs,
+    sample_gibbs_batch,
+    sample_poisson_batch,
     sample_poisson_process,
 )
+from palab.processes import gibbs
 
 from helpers import midpoint_coverage, neighbour_counts
 
@@ -60,6 +63,190 @@ def test_sampler_budget_error():
     model = GibbsModel(beta=60.0, theta=50.0, rho=1.0, window=WINDOW)
     with pytest.raises(BudgetError):
         sample_gibbs(model, streams.derive(1), max_tries=50)
+
+
+# ---------------------------------------------------------------------------
+# the batched rejection sampler against one proposal at a time
+# ---------------------------------------------------------------------------
+
+def reference_gibbs(model, rng):
+    """Plain rejection, one proposal at a time: Poisson count, uniform points,
+    every pair's distance, then one uniform against exp(-theta * pairs)."""
+    while True:
+        n = rng.poisson(model.beta * model.window.volume())
+        pts = rng.uniform(model.window.lows, model.window.highs, size=(n, model.window.dim))
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        pairs = int(np.triu(d2 <= model.rho**2, k=1).sum())
+        if rng.random() < math.exp(-model.theta * pairs):
+            return pts
+
+
+def brute_close_pairs(pts, rho):
+    return sum(math.dist(p, q) <= rho for i, p in enumerate(pts) for q in pts[i + 1:])
+
+
+class RecordingRng:
+    """Passes draws through to a stream and records each chunk's proposals."""
+
+    def __init__(self, *key):
+        self.rng = streams.derive(*key)
+        self.chunks = []
+
+    def poisson(self, lam, size):
+        self.chunks.append(size)
+        return self.rng.poisson(lam, size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+def test_batch_theta_zero_is_poisson_chi_square():
+    model = GibbsModel(beta=2.0, theta=0.0, rho=0.1, window=WINDOW)
+    reps = 20000
+    counts = np.diff(sample_gibbs_batch(model, streams.derive(103), reps).offsets)
+    kmax = 7
+    obs = np.bincount(np.minimum(counts, kmax + 1), minlength=kmax + 2)
+    pmf = stats.poisson.pmf(np.arange(kmax + 1), 2.0)
+    pmf = np.append(pmf, 1.0 - pmf.sum())
+    mask = reps * pmf > 5
+    stat = ((obs[mask] - reps * pmf[mask]) ** 2 / (reps * pmf[mask])).sum()
+    assert stats.chi2.sf(stat, mask.sum() - 1) > 0.01
+
+
+def test_batch_theta_zero_is_the_poisson_batch():
+    # every proposal is accepted, so the batch is its first chunk's proposals
+    model = GibbsModel(beta=2.5, theta=0.0, rho=0.1, window=WINDOW)
+    gibbs_batch = sample_gibbs_batch(model, streams.derive(104), 500)
+    poisson_batch = sample_poisson_batch(IntensityMeasure(WINDOW, 2.5), streams.derive(104), 500)
+    assert np.array_equal(gibbs_batch.offsets, poisson_batch.offsets)
+    assert gibbs_batch.points.tobytes() == poisson_batch.points.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    GibbsModel(beta=3.0, theta=0.7, rho=0.2, window=WINDOW),
+    GibbsModel(beta=2.0, theta=2.0, rho=0.15, window=WINDOW),
+], ids=["strauss", "strong"])
+def test_batch_matches_one_proposal_at_a_time(model):
+    reps = 12000
+    batch = [p.points for p in sample_gibbs_batch(model, streams.derive(105), reps)]
+    rng = streams.derive(106)
+    oracle = [reference_gibbs(model, rng) for _ in range(reps)]
+    for stat in (len, lambda pts: model.close_pairs(pts)):
+        a = np.array([stat(p) for p in batch], dtype=float)
+        b = np.array([stat(p) for p in oracle], dtype=float)
+        se = math.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
+        assert abs(a.mean() - b.mean()) <= 4 * se
+
+
+def test_batch_keeps_the_first_acceptances_in_proposal_order():
+    # replay the recorded chunks through the plain acceptance rule; the last
+    # chunk has acceptances to spare, so keeping the first ones is tested
+    model = GibbsModel(beta=3.0, theta=0.7, rho=0.2, window=WINDOW)
+    size = 300
+    spy = RecordingRng(109)
+    batch = sample_gibbs_batch(model, spy, size)
+    assert len(spy.chunks) > 1
+    rng = streams.derive(109)
+    accepted = []
+    for k in spy.chunks:
+        counts = rng.poisson(3.0, k)
+        pts = rng.uniform(0.0, 1.0, size=(counts.sum(), 2))
+        u = rng.random(k)
+        for j, proposal in enumerate(np.split(pts, np.cumsum(counts)[:-1])):
+            if u[j] < math.exp(-model.theta * brute_close_pairs(proposal.tolist(), model.rho)):
+                accepted.append(proposal)
+    assert len(accepted) > size
+    assert [p.points.tolist() for p in batch] == [p.tolist() for p in accepted[:size]]
+
+
+def test_batch_budget_counts_rejections_in_a_row_across_chunks():
+    # replay each run: BudgetError exactly when max_tries rejections in a row
+    # come before the size-th acceptance, with nothing drawn after them
+    model = GibbsModel(beta=6.0, theta=1.0, rho=0.3, window=WINDOW)
+    size, max_tries = 30, 12
+    outcomes = set()
+    for seed in range(12):
+        spy = RecordingRng(seed)
+        try:
+            sample_gibbs_batch(model, spy, size, max_tries=max_tries)
+            raised = False
+        except BudgetError:
+            raised = True
+        rng = streams.derive(seed)
+        run = accepted = drawn = 0
+        expected = None
+        for k in spy.chunks:
+            counts = rng.poisson(6.0, k)
+            pts = rng.uniform(0.0, 1.0, size=(counts.sum(), 2))
+            u = rng.random(k)
+            for j, proposal in enumerate(np.split(pts, np.cumsum(counts)[:-1])):
+                if expected is not None:
+                    break
+                drawn += 1
+                if u[j] < math.exp(-model.theta * brute_close_pairs(proposal.tolist(), model.rho)):
+                    run, accepted = 0, accepted + 1
+                    expected = False if accepted == size else None
+                else:
+                    run += 1
+                    expected = True if run >= max_tries else None
+        assert raised == expected
+        if raised:
+            assert drawn == sum(spy.chunks)
+        outcomes.add(raised)
+    assert outcomes == {True, False}
+
+
+def test_batch_budget_error_stays_within_the_pair_budget():
+    model = GibbsModel(beta=60.0, theta=50.0, rho=1.0, window=WINDOW)
+    spy = RecordingRng(1)
+    with pytest.raises(BudgetError):
+        sample_gibbs_batch(model, spy, 5, max_tries=50)
+    assert sum(spy.chunks) == 50
+    spy = RecordingRng(2)
+    with pytest.raises(BudgetError):
+        sample_gibbs_batch(model, spy, 5, max_tries=400)
+    assert sum(spy.chunks) == 400
+    assert max(spy.chunks) * (1 + 0.5 * 60.0**2) <= gibbs._PAIR_ELEMS
+
+
+def test_batch_chunks_hold_the_pair_budget(monkeypatch):
+    # a dense model with every proposal accepted: chunks are capped by the
+    # pair budget alone, and every distance block stays inside it
+    model = GibbsModel(beta=60.0, theta=0.0, rho=0.1, window=WINDOW)
+    spy = RecordingRng(3)
+    batch = sample_gibbs_batch(model, spy, 400)
+    assert len(batch) == 400 and len(spy.chunks) > 1
+    assert max(spy.chunks) * (1 + 0.5 * 60.0**2) <= gibbs._PAIR_ELEMS
+    monkeypatch.setattr(gibbs, "_PAIR_ELEMS", 50)
+    lengths = np.random.default_rng(4).poisson(6.0, 200)
+    covered = np.zeros(len(lengths), dtype=int)
+    for segs, a, b in gibbs._pair_blocks(lengths):
+        assert (lengths[segs] == lengths[segs[0]]).all()
+        assert len(segs) * len(a) <= max(50, len(a))
+        covered[segs] += 1
+    assert (covered == (lengths >= 2)).all()
+
+
+@given(st.lists(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=7), max_size=12),
+       st.sampled_from([1, 4, 1 << 18]))
+def test_close_pairs_per_segment_match_brute_force(patterns, budget):
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in patterns], dtype=np.int64)])
+    pts = np.array([q for p in patterns for q in p], dtype=float).reshape(-1, 2)
+    old = gibbs._PAIR_ELEMS
+    gibbs._PAIR_ELEMS = budget
+    try:
+        got = gibbs._close_pairs(pts, offsets, 0.3)
+    finally:
+        gibbs._PAIR_ELEMS = old
+    assert got.tolist() == [brute_close_pairs(p, 0.3) for p in patterns]
+
+
+def test_batch_of_size_zero_is_empty():
+    model = GibbsModel(beta=2.0, theta=0.5, rho=0.1, window=WINDOW)
+    rng = streams.derive(5)
+    batch = sample_gibbs_batch(model, rng, 0)
+    assert len(batch) == 0 and batch.points.shape == (0, 2)
+    assert rng.random() == streams.derive(5).random()
 
 
 # ---------------------------------------------------------------------------

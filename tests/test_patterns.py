@@ -1,8 +1,8 @@
 """Poisson process sampler and partition plumbing tests."""
 
-import math
-
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +18,10 @@ from palab.processes import (
     LabelSet,
     LabelSpace,
     PartitionSpec,
+    PatternBatch,
     PointPattern,
     count_vector,
+    sample_poisson_batch,
     sample_poisson_process,
 )
 
@@ -191,3 +193,137 @@ def test_pattern_points_are_the_given_array_read_only():
     assert pts.flags.writeable
     with pytest.raises(ParameterError):
         PointPattern(np.array([0.1, 0.2]))
+
+
+# -- the constant-rate Poisson stream ----------------------------------------
+
+# (window, rate) -> total points, first lengths, sha256 of all points, the
+# stream's next uniform; recorded when each draw was still its own
+# rng.poisson / rng.uniform pair, before it became the size-1 batch
+POISSON_STREAM_PINNED = {
+    2: (3.0, 886, [3, 3, 3, 1, 5, 4, 4, 5, 1, 5, 2, 2],
+        "4321d311d4ed6faa142e5263f809ed4336a486cd8bcf3801e678dd85111b8ee7", 0.19365397957611807),
+    1: (0.7, 426, [3, 1, 1, 0, 1, 5, 1, 0, 1, 1, 3, 0],
+        "626182098acea2fac35877a5845380b7be6929278bfacbcbf8cb450daa06ace6", 0.7431321438179104),
+    0: (0.0, 0, [0] * 12,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0.7854452656984242),
+}
+
+
+@pytest.mark.parametrize("key", sorted(POISSON_STREAM_PINNED))
+def test_constant_rate_poisson_stream_pinned(key):
+    rate, total, first, digest, after = POISSON_STREAM_PINNED[key]
+    window = Box((0.0,), (2.0,)) if key == 1 else UNIT_SQUARE
+    rng = streams.derive(2024, 13)
+    intensity = IntensityMeasure(window, rate)
+    patterns = [sample_poisson_process(intensity, rng) for _ in range(300)]
+    pts = np.concatenate([p.points.reshape(-1, window.dim) for p in patterns])
+    assert [len(p) for p in patterns][:12] == first and len(pts) == total
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+    assert rng.random() == after
+
+
+def test_callable_density_stream_pinned():
+    # the rejection sampler's uniform proposals, recorded from rng.uniform
+    intensity = IntensityMeasure(Box((0.0, 0.0), (1.0, 2.0)), lambda x: 1.0 + x[:, 0] * x[:, 1], density_max=3.0)
+    rng = streams.derive(5)
+    pts = np.concatenate([sample_poisson_process(intensity, rng).points.reshape(-1, 2) for _ in range(500)])
+    assert len(pts) == 1478
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == "2c39ea39d7f4831a4c02296fcfade0505bed6338e1f5a4ea1873e7c2c9f351d0"
+    assert rng.random() == 0.7665179295917159
+
+
+def test_poisson_batch_halves_independent_poisson_chi_square():
+    part = PartitionSpec([Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))])
+    reps = 20000
+    rows = sample_poisson_batch(IntensityMeasure(UNIT_SQUARE, 3.0), streams.derive(8), reps).count_rows(part)
+    kmax = 4
+    obs = np.zeros((kmax + 2, kmax + 2))
+    np.add.at(obs, (np.minimum(rows[:, 0], kmax + 1), np.minimum(rows[:, 1], kmax + 1)), 1)
+    marg = stats.poisson.pmf(np.arange(kmax + 1), 1.5)
+    marg = np.append(marg, 1.0 - marg.sum())
+    expected = reps * np.outer(marg, marg)
+    mask = expected > 5
+    stat = ((obs[mask] - expected[mask]) ** 2 / expected[mask]).sum()
+    assert stats.chi2.sf(stat, mask.sum() - 1) > 0.01
+
+
+def test_poisson_batch_on_labels_draws_pattern_by_pattern():
+    intensity = IntensityMeasure(LabelSpace(("a", "b")), {"a": 0.5, "b": 1.5})
+    batch = sample_poisson_batch(intensity, streams.derive(11), 50)
+    rng = streams.derive(11)
+    assert [tuple(p.points) for p in batch] == [tuple(sample_poisson_process(intensity, rng).points) for _ in range(50)]
+
+
+# -- PatternBatch: counting a batch against count_vector, pattern by pattern -
+
+@st.composite
+def batch_cases(draw):
+    """Grid boxes over [0, 1]^w (w = 1..3) that share edges, and a batch of
+    patterns with points on grid lines and corners, repeated, outside the
+    window, or none at all."""
+    w = draw(st.integers(1, 3))
+    cuts = [sorted(draw(st.sets(st.sampled_from(EDGES), min_size=2, max_size=3))) for _ in range(w)]
+    cells = list(itertools.product(*[list(zip(c[:-1], c[1:])) for c in cuts]))
+    chosen = draw(st.lists(st.sampled_from(range(len(cells))), min_size=1, unique=True))
+    sets = [Box(tuple(lo for lo, _ in cells[i]), tuple(hi for _, hi in cells[i])) for i in chosen]
+    coord = st.sampled_from(EDGES) | st.floats(-0.5, 1.5)
+    patterns = draw(st.lists(st.lists(st.tuples(*[coord] * w), max_size=5), max_size=8))
+    if draw(st.booleans()):
+        patterns = [[] for _ in patterns]
+    return [np.array(p, dtype=float).reshape(-1, w) for p in patterns], sets
+
+
+@given(batch_cases())
+def test_count_rows_matches_count_vector_on_boxes(case):
+    points, sets = case
+    part = PartitionSpec(sets)
+    patterns = [PointPattern(p) for p in points]
+    rows = PatternBatch.from_patterns(patterns).count_rows(part)
+    assert rows.dtype == np.int64 and rows.shape == (len(patterns), part.dim)
+    assert [tuple(r) for r in rows.tolist()] == [count_vector(p, part) for p in patterns]
+    assert [tuple(r) for r in rows.tolist()] == [reference_counts(p.tolist(), sets) for p in points]
+
+
+@given(st.lists(st.lists(st.sampled_from("abcde"), max_size=4), max_size=8), st.data())
+def test_count_rows_matches_count_vector_on_labels(points, data):
+    labels = list("abcdef")
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(labels) - 1))))
+    part = PartitionSpec([LabelSet(labels[a:b]) for a, b in zip([0, *cuts], [*cuts, len(labels)])])
+    patterns = [PointPattern(p) for p in points]
+    rows = PatternBatch.from_patterns(patterns).count_rows(part)
+    assert [tuple(r) for r in rows.tolist()] == [count_vector(p, part) for p in patterns]
+    assert [tuple(r) for r in rows.tolist()] == [reference_counts(p, part.sets) for p in points]
+
+
+def test_batch_segments_are_the_patterns():
+    patterns = [PointPattern(np.array([[0.1, 0.2]])), PointPattern([]), PointPattern(np.array([[0.3, 0.4], [0.5, 0.6]]))]
+    batch = PatternBatch.from_patterns(patterns)
+    assert len(batch) == 3 and batch.offsets.tolist() == [0, 1, 1, 3]
+    assert [p.points.tolist() for p in batch] == [[[0.1, 0.2]], [], [[0.3, 0.4], [0.5, 0.6]]]
+    assert batch.pattern(2).points.tolist() == [[0.3, 0.4], [0.5, 0.6]]
+    assert not batch.points.flags.writeable
+
+
+def test_batch_without_points_counts_zero_in_any_sets():
+    boxes = PartitionSpec([Box((0.0,), (0.5,)), Box((0.5,), (1.0,))])
+    labels = PartitionSpec([LabelSet({"a"}), LabelSet({"b"})])
+    for batch in (PatternBatch.from_patterns([PointPattern([])] * 3), PatternBatch.from_patterns([])):
+        for part in (boxes, labels):
+            assert batch.count_rows(part).tolist() == [[0, 0]] * len(batch)
+
+
+def test_batch_rejects_mixed_or_malformed_patterns():
+    located, named = PointPattern(np.array([[0.2]])), PointPattern(["a"])
+    with pytest.raises(ParameterError):
+        PatternBatch.from_patterns([located, named])
+    with pytest.raises(ParameterError):
+        PatternBatch.from_patterns([located, PointPattern(np.array([[0.2, 0.3]]))])
+    with pytest.raises(ParameterError):
+        PatternBatch(np.zeros((2, 1)), [0, 1])
+    with pytest.raises(ParameterError):
+        PatternBatch(np.zeros((2, 1)), [0, 2, 1, 2])
+    with pytest.raises(ParameterError):
+        PatternBatch.from_patterns([named]).count_rows(PartitionSpec([Box((0.0,), (1.0,))]))
+    with pytest.raises(ParameterError):
+        PatternBatch.from_patterns([located]).count_rows(PartitionSpec([LabelSet({"a"})]))
