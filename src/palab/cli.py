@@ -462,7 +462,7 @@ def _cmd_bernoulli_verify(cfg: ExperimentConfig):
         boots = np.zeros(BERNOULLI_N_BOOT)
         for b in range(BERNOULLI_N_BOOT):
             take = streams.derive(cfg.seed, 30, b).integers(0, cfg.reps, size=cfg.reps)
-            boots[b] = wasserstein_l1(sample.law(take), target).value
+            boots[b] = wasserstein_l1(sample.law(take), target, start=res.v).value
         se = float(boots.std(ddof=1))
         ok = res.value <= bound + res.truncation_error + 3.0 * se
         payload.update(

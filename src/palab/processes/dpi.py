@@ -106,6 +106,12 @@ def dpi_lower_bound(
     pattern) give ``reps`` count rows per partition, the bootstrap resamples
     them and the confidence interval is the 2.5%..97.5% range over
     replicates.  A sampled source needs ``reps >= 2`` and ``n_boot >= 2``.
+
+    With a sampled ``xi`` and an exact ``eta``, every replicate of a
+    partition is solved against the estimate's target, and its support is a
+    subset of the estimate's: the replicate solves start from the estimate's
+    column duals (``wasserstein_l1``'s ``start``).  Other pairings, where a
+    replicate's target changes, solve cold.  Starts change pivots, not values.
     """
     partitions = list(partitions)
     if not partitions:
@@ -122,28 +128,27 @@ def dpi_lower_bound(
     xi_laws = [xi.count_pmf(part) for part in partitions] if xi_exact else [s.law() for s in xi_atoms]
     eta_laws = [eta.count_pmf(part) for part in partitions] if eta_exact else [s.law() for s in eta_atoms]
 
-    def eval_max(xi_laws_b, eta_laws_b) -> tuple[float, list[float], float]:
-        vals, trunc = [], 0.0
-        for pmf_xi, pmf_eta in zip(xi_laws_b, eta_laws_b):
-            res = wasserstein_l1(pmf_xi, pmf_eta)
-            vals.append(res.value)
-            trunc = max(trunc, res.truncation_error)
-        return max(vals), vals, trunc
+    def solve(xi_laws_b, eta_laws_b, starts):
+        return [wasserstein_l1(p, q, start=v) for p, q, v in zip(xi_laws_b, eta_laws_b, starts)]
 
-    value, per_partition, trunc = eval_max(xi_laws, eta_laws)
+    results = solve(xi_laws, eta_laws, [None] * len(partitions))
+    per_partition = tuple(res.value for res in results)
+    value = max(per_partition)
+    trunc = max(res.truncation_error for res in results)
     if xi_exact and eta_exact:
-        return DpiEstimate(value, 0.0, value, value, tuple(per_partition), trunc)
+        return DpiEstimate(value, 0.0, value, value, per_partition, trunc)
+    starts = [res.v if eta_exact else None for res in results]
 
     boots = []
     for b in range(n_boot):
         rng_b = streams.derive(seed, 20, b)
         xi_b = xi_laws if xi_exact else [s.law(rng_b.integers(0, reps, size=reps)) for s in xi_atoms]
         eta_b = eta_laws if eta_exact else [s.law(rng_b.integers(0, reps, size=reps)) for s in eta_atoms]
-        boots.append(eval_max(xi_b, eta_b)[0])
+        boots.append(max(res.value for res in solve(xi_b, eta_b, starts)))
     boots = np.array(boots)
     se = float(boots.std(ddof=1))
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    return DpiEstimate(value, se, float(lo), float(hi), tuple(per_partition), trunc)
+    return DpiEstimate(value, se, float(lo), float(hi), per_partition, trunc)
 
 
 @dataclass(frozen=True)

@@ -351,17 +351,16 @@ def uniform_points(box: Box, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPattern:
-    """Exact draw: N ~ Poisson(total), then N i.i.d. points from density/total:
-    uniform for a constant rate (the size-1 case of ``sample_poisson_batch``),
+    """Exact draw: N ~ Poisson(total) (no draw for total 0), then N i.i.d.
+    points from density/total: uniform for a constant rate on a box (the
+    stream of a size-1 ``sample_poisson_batch``, without building a batch),
     by rejection against density_max for a callable density, by categorical
     draw for labels."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
-    if isinstance(intensity.density, float):
-        return sample_poisson_batch(intensity, rng, 1).pattern(0)
     total = intensity.total
-    if total == 0.0:
-        return PointPattern(())
-    n = int(rng.poisson(total))
+    n = int(rng.poisson(total)) if total > 0.0 else 0
+    if isinstance(intensity.density, float):
+        return PointPattern(uniform_points(intensity.window, rng, n))
     if n == 0:
         return PointPattern(())
     if isinstance(intensity.window, LabelSpace):

@@ -4,14 +4,20 @@ The Wasserstein solver is a transportation network simplex on the complete
 bipartite graph of the two stored supports, with cost |x - y|_1.  It starts
 from a least-cost (matrix-minimum) basis, built in one walk over the arcs
 sorted by cost, where masks of the rows and columns with supply left drop
-dead arcs chunk by chunk.  It improves the basis by row-block pricing: each
-numpy step prices whole rows of the cost matrix, about ``_PRICE_ARCS`` arcs,
-and the most negative reduced cost of the first violating block enters.  The
-basis is one spanning tree rooted at source atom 0, held as parent, depth and
-parent-arc flow per node (Ahuja, Magnanti and Orlin, *Network Flows*,
-ch. 11).  Costs are integers, so the simplex multipliers (duals) are exact
-integers as well: the optimality test involves no rounding, and every solve
-ends with a complementary-slackness verification pass over the basic arcs.
+dead arcs chunk by chunk.  A solve may be given a start: column duals v of an
+earlier solve against the same target (``DistanceResult.v``).  The walk then
+visits the arcs by their reduced cost against v and its c-transform, then by
+cost, so the start is built mostly from arcs that were tight before; a start
+only orders the starting basis.  The simplex improves the basis by block
+pricing with a candidate list: each numpy step prices whole rows of the cost
+matrix, about ``_PRICE_ARCS`` arcs, the most negative reduced cost of the
+first violating block enters, and that block's other violating arcs are kept
+and re-priced on the next pivots until none violates.  The basis is one
+spanning tree rooted at source atom 0, held as parent, depth and parent-arc
+flow per node (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 11).  Costs
+are integers, so the simplex multipliers (duals) are exact integers as well:
+the optimality test involves no rounding, and every solve ends with a
+complementary-slackness verification pass over the basic arcs.
 
 Truncated inputs are renormalized to unit mass before solving; the
 ``truncation_error`` field accounts for both the missing tail moment and the
@@ -23,7 +29,7 @@ renormalization displacement, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,11 +51,15 @@ _PRICE_ARCS = 2048
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """A computed distance plus a rigorous truncation error interval."""
+    """A computed distance plus a rigorous truncation error interval; a W1
+    solve also keeps its optimal column duals ``v`` on Q's stored atoms (in
+    ``support_arrays`` order, with the first row dual 0), the ``start`` of a
+    re-solve against the same Q."""
 
     value: float
     truncation_error: float
     flow: Optional[list[tuple[Point, Point, float]]] = None
+    v: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 class _SimplexFailure(RuntimeError):
@@ -74,11 +84,14 @@ def _perturb(a: np.ndarray, b: np.ndarray):
     return a_p, b * (a_p.sum() / b.sum())
 
 
-def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray, start: Optional[np.ndarray] = None):
     """Least-cost (matrix-minimum) start.
 
-    Arcs are visited once in increasing cost order (ties by row-major index);
-    each arc whose row and column both still have supply carries
+    Arcs are visited once in increasing cost order (ties by row-major index).
+    Given column duals v = ``start`` (rounded to integers), they are visited
+    in increasing order of the reduced cost c_ij - u0_i - v_j against the
+    c-transform u0_i = min_j (c_ij - v_j), then of cost, then of index.  Each
+    arc whose row and column both still have supply carries
     min(remaining row supply, remaining column demand).  Every allocation
     exhausts at least one of its two nodes, so the arcs form a forest, and with
     perturbed (tie-free) supplies exactly m + n - 1 of them: a spanning tree.
@@ -93,9 +106,16 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     need = m + n - 1
     rem_a, rem_b = a.tolist(), b.tolist()
     live_a, live_b = a > 0.0, b > 0.0
-    # costs are nonnegative integers: the smallest dtype that holds them gives
+    key = cost
+    if start is not None:
+        # reduced costs c - u0 - v (>= 0: the pair is dual feasible), then cost
+        key = cost - np.rint(start)
+        key -= key.min(axis=1, keepdims=True)
+        key *= cost.max() + 1.0
+        key += cost
+    # keys are nonnegative integers: the smallest dtype that holds them gives
     # the same stable order as float64, several times faster
-    order = np.argsort(cost.astype(np.min_scalar_type(int(cost.max()))), axis=None, kind="stable")
+    order = np.argsort(key.astype(np.min_scalar_type(int(key.max()))), axis=None, kind="stable")
     flows: dict[tuple[int, int], float] = {}
     for i, j in _sorted_arcs(order, n, lambda rows, cols: live_a[rows] & live_b[cols]):
         ra, rb = rem_a[i], rem_b[j]
@@ -193,22 +213,29 @@ def _bland_streak_limit(m: int, n: int) -> int:
     return m + n
 
 
-def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
+                            start: Optional[np.ndarray] = None):
     """Solve min <cost, f> over f >= 0 with row sums a and column sums b.
 
     Returns the optimal basis tree as arrays (rows, cols, flow), with flows
     for the *unperturbed* supplies, and the duals u, v.  Supplies are
     perturbed internally to keep pivots nondegenerate; the optimal basis and
-    duals are unaffected by supplies.
+    duals are unaffected by supplies.  Column duals ``start`` only order the
+    least-cost start (``_initial_basis``).
 
     Pricing walks the rows in cyclic blocks of ``max(1, _PRICE_ARCS // n)``
     rows: one numpy step forms a block's reduced costs ``cost[r0:r1] -
     u[r0:r1, None] - v`` and the block's most negative one enters (Dantzig's
-    rule within the block); the next pivot prices from the block after it, and
-    a full wrap of ``ceil(m / rows)`` blocks with no violation ends the solve.
-    After more than m + n degenerate pivots in a row, Bland's rule takes over
-    for the rest of the solve: every pivot prices from row 0 and takes the
-    first violating arc in row-major order, which rules out cycling.
+    rule within the block).  The block's violating arcs are kept as a
+    candidate list of (rows, cols) arrays: the next pivots re-price only the
+    candidates, drop those that no longer violate and enter the most negative
+    one left, and the next block after the last one priced is priced only
+    once the list is empty.  A full wrap of ``ceil(m / rows)`` blocks with no
+    violation ends the solve; the candidate list never does.  After more than
+    m + n degenerate pivots in a row, Bland's rule takes over for the rest of
+    the solve: the candidate list is cleared and not used again, and every
+    pivot prices from row 0 and takes the first violating arc in row-major
+    order, which rules out cycling.
 
     The basis tree is rooted at row 0 and held once: per node its parent,
     depth and the flow on the arc to its parent (``pflow``), plus adjacency
@@ -223,9 +250,14 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     optimality test is free of rounding.
     """
     m, n = cost.shape
-    adj, parent, depth, pflow, u, v = _tree_structure(_initial_basis(*_perturb(a, b), cost), m, n, cost)
+    adj, parent, depth, pflow, u, v = _tree_structure(_initial_basis(*_perturb(a, b), cost, start), m, n, cost)
+    # negated row duals, then column duals: a pivot shifts a whole subtree by
+    # one step, and c - u - v is bitwise c + (-u) - v
+    pot = np.concatenate([-u, v])
+    neg_u, v = pot[:m], pot[m:]
     rows_per_block = max(1, _PRICE_ARCS // n)
     pos = 0  # first row of the next block to price
+    cand_i = cand_j = np.empty(0, dtype=np.intp)  # candidate list: violating arcs of the last block
     max_iters = 200 * (m + n) + 10_000
     streak_limit = _bland_streak_limit(m, n)
     degenerate_streak = 0
@@ -233,23 +265,35 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     for _ in range(max_iters):
         if degenerate_streak > streak_limit:
             bland = True  # anti-cycling fallback, for the rest of the solve
+            cand_i = cand_j = cand_i[:0]
         if bland:
             pos = 0  # Bland's rule: the first violating arc in row-major order
-        # --- cyclic row-block pricing (Dantzig within each block) ----------
         entering = None
-        for _ in range(-(-m // rows_per_block)):
-            lo, hi = pos, min(pos + rows_per_block, m)
-            pos = hi % m
-            red = cost[lo:hi] - u[lo:hi, None] - v
-            k = int(np.argmin(red))
-            if red.flat[k] < -_OPT_TOL:
-                if bland:
-                    k = int((red < -_OPT_TOL).argmax())  # first violating arc
-                entering = (lo + k // n, m + k % n)  # row node, column node
-                delta = float(red.flat[k])
-                break
-        if entering is None:
-            break  # a full wrap found no violating arc: optimal
+        if len(cand_i):  # --- re-price the candidate list ------------------
+            red = cost[cand_i, cand_j] + neg_u[cand_i] - v[cand_j]
+            live = red < -_OPT_TOL
+            cand_i, cand_j, red = cand_i[live], cand_j[live], red[live]
+            if len(red):
+                k = int(np.argmin(red))
+                entering = (int(cand_i[k]), m + int(cand_j[k]))  # row node, column node
+                delta = float(red[k])
+        if entering is None:  # --- cyclic row-block pricing (Dantzig within each block)
+            for _ in range(-(-m // rows_per_block)):
+                lo, hi = pos, min(pos + rows_per_block, m)
+                pos = hi % m
+                red = cost[lo:hi] + neg_u[lo:hi, None] - v
+                k = int(np.argmin(red))
+                if red.flat[k] < -_OPT_TOL:
+                    if bland:
+                        k = int((red < -_OPT_TOL).argmax())  # first violating arc
+                    else:
+                        cand_i, cand_j = np.divmod(np.flatnonzero(red < -_OPT_TOL), n)
+                        cand_i += lo
+                    entering = (lo + k // n, m + k % n)  # row node, column node
+                    delta = float(red.flat[k])
+                    break
+            else:
+                break  # a full wrap found no violating arc: optimal
         ei, ej = entering
         up_j, up_i = _cycle_path(parent, depth, ei, ej)
         # arcs alternate -, +, -, ... from either endpoint; the first minimum
@@ -291,10 +335,7 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
                     depth[nb] = dn
                     sub.append(nb)
         # duals: subtree nodes of q's type shift by +delta, the others by -delta
-        sub_arr = np.array(sub)
-        shift = delta if q < m else -delta
-        u[sub_arr[sub_arr < m]] += shift
-        v[sub_arr[sub_arr >= m] - m] -= shift
+        pot[sub] -= delta if q < m else -delta
         degenerate_streak = degenerate_streak + 1 if theta <= 0.0 else 0
     else:
         raise _SimplexFailure(f"no convergence within {max_iters} pivots")
@@ -307,7 +348,7 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     is_row = node < m
     flow = np.array(net[1:])
     return (np.where(is_row, node, par), np.where(is_row, par, node) - m,
-            np.where(is_row, flow, -flow), u, v)
+            np.where(is_row, flow, -flow), -neg_u, v)
 
 
 def _verify_optimal(a, b, cost, rows, cols, flow, u, v) -> float:
@@ -340,13 +381,20 @@ def _check_pair(P: LatticePmf, Q: LatticePmf) -> None:
         raise ParameterError("empty support")
 
 
-def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False) -> DistanceResult:
+def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False,
+                   start: Optional[np.ndarray] = None) -> DistanceResult:
     """Exact W_1 distance (1-norm ground metric) between the stored supports.
 
     Stored atoms are renormalized to unit mass; the reported
     ``truncation_error`` covers both tails and the renormalization:
     tail_moment(P) + tail_moment(Q) + (tail_mass(P) + tail_mass(Q)) * diam,
     with diam the largest |x|_1 over both stored supports.
+
+    ``start``, column duals on Q's stored atoms (``DistanceResult.v`` of an
+    earlier solve against the same Q), orders the starting basis of a
+    re-solve, e.g. for a bootstrap replicate whose support is a subset of the
+    estimate's.  It changes the pivots, not the optimum: the value is
+    certified by the same check as a cold solve.
     """
     _check_pair(P, Q)
     xs, pa = P.support_arrays()
@@ -354,7 +402,12 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False) -> Dis
     a = pa / pa.sum()
     b = qb / qb.sum()
     cost = _l1_cost_matrix(xs, ys)
-    rows, cols, flow, u, v = _transportation_simplex(a, b, cost)
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        # below 2**52 the rounded start and its reduced costs are exact integers
+        if start.shape != (len(b),) or not (np.abs(start) < 2.0**52).all():
+            raise ParameterError(f"start needs {len(b)} column duals below 2**52 in magnitude, got shape {start.shape}")
+    rows, cols, flow, u, v = _transportation_simplex(a, b, cost, start)
     value = _verify_optimal(a, b, cost, rows, cols, flow, u, v)
     diam = float(max(xs.sum(axis=1).max(), ys.sum(axis=1).max()))
     trunc = P.tail_moment + Q.tail_moment + (P.tail_mass + Q.tail_mass) * diam
@@ -366,7 +419,7 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False) -> Dis
             (tuple(xs[i].tolist()), tuple(ys[j].tolist()), f)
             for i, j, f in zip(rows[arcs].tolist(), cols[arcs].tolist(), flow[arcs].tolist())
         ]
-    return DistanceResult(value=value, truncation_error=trunc, flow=flow_list)
+    return DistanceResult(value=value, truncation_error=trunc, flow=flow_list, v=v)
 
 
 def total_variation(P: LatticePmf, Q: LatticePmf) -> DistanceResult:

@@ -1,7 +1,8 @@
 """Wasserstein/TV distance tests: trivial anchors, LP oracle agreement,
 metric axioms, dual feasibility spot checks, property tests against the d = 1
 CDF formula and the LP, metric properties under shifts, the simplex's
-degenerate starting bases, its row-block pricing shapes and Bland's rule."""
+degenerate starting bases, its row-block pricing shapes, its candidate list,
+Bland's rule and warm-started re-solves."""
 
 import math
 
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 from palab import transport
 from palab.errors import ParameterError
-from palab.measures import LatticePmf, PoissonVectorParams, bernoulli_sum_pmf, poisson_vector_pmf
+from palab.measures import (
+    LatticePmf,
+    PoissonVectorParams,
+    SampleAtoms,
+    bernoulli_sum_pmf,
+    poisson_vector_pmf,
+    truncate_small_atoms,
+)
 from palab.transport import (
     _initial_basis,
     _l1_cost_matrix,
@@ -463,3 +471,107 @@ def test_verify_optimal_rejects_corrupted_certificate(corrupt, message):
     corrupt(cert)
     with pytest.raises(transport._SimplexFailure, match=message):
         transport._verify_optimal(**cert)
+
+
+# -- candidate-list pricing --------------------------------------------------
+
+def _cycle_spy(monkeypatch, record):
+    """Wrap ``_cycle_path`` so that ``record(parent, depth, i_node, j_node)``
+    sees the basis tree and the entering arc of every pivot."""
+    cycle_path = transport._cycle_path
+
+    def spy(parent, depth, i_node, j_node):
+        record(parent, depth, i_node, j_node)
+        return cycle_path(parent, depth, i_node, j_node)
+
+    monkeypatch.setattr(transport, "_cycle_path", spy)
+
+
+@pytest.mark.parametrize("dim, sizes", [(2, (40, 700)), (3, (90, 300)), (4, (35, 650))])
+def test_candidate_list_enters_only_violating_arcs(monkeypatch, dim, sizes):
+    # a candidate keeps its row and column but the duals move under it: each
+    # entering arc must still price negative under the current tree's duals
+    P, Q = (random_pmf(np.random.default_rng(60 + dim), dim, k, span=6) for k in sizes)
+    cost = _l1_cost_matrix(P.points, Q.points)
+    m, n = cost.shape
+    assert transport._PRICE_ARCS // n < m  # more than one pricing block
+    reduced = []
+
+    def record(parent, depth, i_node, j_node):
+        u, v = _tree_duals(parent, depth, cost)
+        reduced.append(cost[i_node, j_node - m] - u[i_node] - v[j_node - m])
+
+    _cycle_spy(monkeypatch, record)
+    value = wasserstein_l1(P, Q).value
+    assert len(reduced) > 20
+    assert max(reduced) < -transport._OPT_TOL
+    assert abs(value - lp_wasserstein(P, Q)) <= 1e-8
+
+
+# -- warm-started re-solves --------------------------------------------------
+
+def _bootstrap_instance(dim):
+    """400 Poisson count rows merged for replicate laws, the truncated exact
+    Poisson target, and the sample's estimate against it."""
+    lam = (0.5, 0.3, 0.7, 0.4)[:dim]
+    target = truncate_small_atoms(poisson_vector_pmf(PoissonVectorParams(lam), 1e-10), 1e-9)
+    sample = SampleAtoms(np.random.default_rng(4 + dim).poisson(lam, size=(400, dim)))
+    return sample, target, wasserstein_l1(sample.law(), target)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_warm_resolve_of_bootstrap_subsets_equals_cold(dim):
+    sample, target, estimate = _bootstrap_instance(dim)
+    ys, b = target.support_arrays()
+    # the column duals and their c-transform certify the estimate
+    xs, a = sample.law().support_arrays()
+    u0 = (_l1_cost_matrix(xs, ys) - estimate.v).min(axis=1)
+    assert abs(a @ u0 + b / b.sum() @ estimate.v - estimate.value) <= 1e-12
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(4):
+        law = sample.law(rng.integers(0, 400, size=400))
+        cold = wasserstein_l1(law, target).value
+        assert abs(wasserstein_l1(law, target, start=estimate.v).value - cold) <= 1e-12
+
+
+def _pivots(monkeypatch, P, Q, start=None):
+    calls = []
+    _cycle_spy(monkeypatch, lambda *args: calls.append(1))
+    value = wasserstein_l1(P, Q, start=start).value
+    monkeypatch.undo()
+    return len(calls), value
+
+
+def test_warm_start_takes_fewer_pivots(monkeypatch):
+    sample, target, estimate = _bootstrap_instance(4)
+    take = np.random.default_rng(80).integers(0, 400, size=400)
+    cold, cold_value = _pivots(monkeypatch, sample.law(take), target)
+    warm, warm_value = _pivots(monkeypatch, sample.law(take), target, start=estimate.v)
+    assert warm < cold
+    assert abs(warm_value - cold_value) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_start_from_unrelated_target_gives_cold_value(dim):
+    sample, target, _ = _bootstrap_instance(dim)
+    n = len(target.probs)
+    other = random_pmf(np.random.default_rng(90 + dim), dim, n, span=9)
+    start = wasserstein_l1(random_pmf(np.random.default_rng(95 + dim), dim, 30), other).v
+    assert start.shape == (n,)
+    law = sample.law()
+    assert abs(wasserstein_l1(law, target, start=start).value - wasserstein_l1(law, target).value) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "nan", "inf", "huge"])
+def test_start_of_wrong_length_or_bad_values_is_rejected(bad):
+    sample, target, estimate = _bootstrap_instance(2)
+    one = np.arange(len(estimate.v)) == 1
+    start = {
+        "short": estimate.v[:-1],
+        "long": np.append(estimate.v, 0.0),
+        "nan": np.where(one, np.nan, estimate.v),
+        "inf": np.where(one, -np.inf, estimate.v),
+        "huge": np.where(one, 1e300, estimate.v),
+    }[bad]
+    with pytest.raises(ParameterError, match="start"):
+        wasserstein_l1(sample.law(), target, start=start)
