@@ -11,9 +11,9 @@ on their Monte Carlo standard error alone.  The windows are 2-D boxes.
 Exact draws come from rejection against the Poisson(beta * Lebesgue)
 proposal, batched over i.i.d. proposals (``sample_gibbs_batch``).  The GNZ
 check and the bound draw their repetitions from a fixed layout of 32 random
-streams: chunk c of the repetitions is one ``sample_gibbs_batch`` from
-``streams.derive(seed, stream, c)``, and each of its patterns is then
-integrated on its own.
+streams: chunk c is one ``PatternBatch`` from ``streams.derive(seed, stream, c)``.
+A GNZ test function reads the whole batch (``GnzTestFunction.terms``), and
+only the coverage areas are computed draw by draw.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ class GibbsModel:
     window: Box
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ParameterError("activity beta must be > 0")
-        if self.theta < 0:
-            raise ParameterError("interaction theta must be >= 0")
-        if self.rho <= 0:
-            raise ParameterError("interaction range rho must be > 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ParameterError("activity beta must be finite and > 0")
+        if not 0.0 <= self.theta < math.inf:
+            raise ParameterError("interaction theta must be finite and >= 0")
+        if not 0.0 < self.rho < math.inf:
+            raise ParameterError("interaction range rho must be finite and > 0")
 
     def close_pairs(self, pts: np.ndarray) -> int:
         pts = np.asarray(pts, dtype=np.float64)
@@ -233,16 +233,13 @@ def coverage_areas(points: np.ndarray, rho: float, box: Box) -> np.ndarray:
 
 class GnzTestFunction:
     """u(x, nu) = 1_A(x) * h(nu) with A = ``region_a`` (None: the whole
-    window); subclasses provide h and the GNZ left side for one pattern."""
+    window); subclasses give, for every pattern xi of a batch, h(xi) and the
+    GNZ left side sum_{x in xi} u(x, xi \\ x)."""
 
     region_a: Optional[Box] = None
 
-    def left_side(self, pattern: PointPattern) -> float:
-        """sum_{x in pattern} u(x, pattern \\ x)."""
-        raise NotImplementedError
-
-    def weight(self, pattern: PointPattern) -> float:
-        """h(pattern)."""
+    def terms(self, batch: PatternBatch) -> tuple[np.ndarray, np.ndarray]:
+        """``(reps,)`` float arrays: the left sides and the weights h."""
         raise NotImplementedError
 
 
@@ -253,49 +250,53 @@ class IndicatorTimesEmpty(GnzTestFunction):
         self.region_a = region_a
         self.region_b = region_b
 
-    def left_side(self, pattern: PointPattern) -> float:
-        """sum_x 1_A(x) * 1{pattern(B) - 1_B(x) = 0}."""
-        if len(pattern) == 0:
-            return 0.0
-        ok = np.ones(len(pattern), dtype=bool)
-        if self.region_a is not None:
-            ok &= self.region_a.contains(pattern.points)
-        if self.region_b is not None:
-            in_b = self.region_b.contains(pattern.points)
-            ok &= in_b.sum() - in_b == 0
-        return float(ok.sum())
-
-    def weight(self, pattern: PointPattern) -> float:
-        return float(self.region_b is None or pattern.count_in(self.region_b) == 0)
+    def terms(self, batch: PatternBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Left side sum_x 1_A(x) * 1{xi(B) - 1_B(x) = 0}, weight 1{xi(B) = 0}:
+        one membership test per region over all points, summed per pattern."""
+        pts = batch.points
+        if len(pts) == 0:
+            return np.zeros(len(batch)), np.ones(len(batch))
+        ok = np.ones(len(pts), dtype=bool) if self.region_a is None else self.region_a.contains(pts)
+        in_b = np.zeros(len(pts), dtype=bool) if self.region_b is None else self.region_b.contains(pts)
+        n_b = batch.segment_sums(in_b)
+        ok &= np.repeat(n_b, np.diff(batch.offsets)) == in_b  # B holds no point but x
+        return batch.segment_sums(ok).astype(float), (n_b == 0).astype(float)
 
 
 class TotalCount(GnzTestFunction):
     """u(x, nu) = nu(window): total number of points."""
 
-    def left_side(self, pattern: PointPattern) -> float:
-        """n (n - 1): each of the n points sees the n - 1 others."""
-        return float(len(pattern) * (len(pattern) - 1))
-
-    def weight(self, pattern: PointPattern) -> float:
-        return float(len(pattern))
+    def terms(self, batch: PatternBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Left side n (n - 1), each of the n points seeing the n - 1 others; weight n."""
+        n = np.diff(batch.offsets)
+        return (n * (n - 1)).astype(float), n.astype(float)
 
 
 # ---------------------------------------------------------------------------
 # GNZ check and Papangelou bound
 # ---------------------------------------------------------------------------
 
-def _gibbs_draws(model: GibbsModel, reps: int, seed: int, stream: int):
-    """Iterator over ``reps`` exact draws; chunk c of the fixed layout is one
-    batch from ``streams.derive(seed, stream, c)``.  At least two repetitions
-    are required, so that a standard error exists."""
+def _check_batches(model: GibbsModel, reps: int, seed: int, stream: int):
+    """The ``reps`` exact draws of a check, one batch per chunk c of the fixed
+    layout, drawn from ``streams.derive(seed, stream, c)``.  At least two
+    repetitions are required, so that a standard error exists."""
     if reps < 2:
         raise ParameterError(f"need at least 2 repetitions, got {reps}")
+    return (sample_gibbs_batch(model, streams.derive(seed, stream, c), size)
+            for c, size in enumerate(streams.chunk_sizes(reps, _CHUNKS)))
 
-    def draws():
-        for c, size in enumerate(streams.chunk_sizes(reps, _CHUNKS)):
-            yield from sample_gibbs_batch(model, streams.derive(seed, stream, c), size)
 
-    return draws()
+def _level_sums(model: GibbsModel, batch: PatternBatch, region: Box, levels_of, draws) -> np.ndarray:
+    """levels_of(c)[:n + 1] @ coverage_areas(xi, rho, region) for the patterns
+    xi of the batch numbered in ``draws`` (0 for the others), with
+    c = ``model.intensity_levels`` built once for the largest pattern."""
+    levels = levels_of(model.intensity_levels(int(np.diff(batch.offsets).max(initial=0))))
+    bounds = batch.offsets.tolist()
+    out = np.zeros(len(batch))
+    for i in draws:
+        lo, hi = bounds[i], bounds[i + 1]
+        out[i] = float(levels[:hi - lo + 1] @ coverage_areas(batch.points[lo:hi], model.rho, region))
+    return out
 
 
 @dataclass(frozen=True)
@@ -316,15 +317,13 @@ def gnz_check(model: GibbsModel, u: GnzTestFunction, reps: int, seed: int) -> Gn
     z-score divides the mean difference by its standard error.
     """
     region = model.window if u.region_a is None else u.region_a.intersection(model.window)
-    draws = _gibbs_draws(model, reps, seed, 1)
-    lhs_acc = np.zeros(reps)
-    rhs_acc = np.zeros(reps)
-    for s, xi in enumerate(draws):
-        lhs_acc[s] = u.left_side(xi)
-        h = u.weight(xi)
-        if h and region is not None:
-            areas = coverage_areas(xi.points, model.rho, region)
-            rhs_acc[s] = h * float(model.intensity_levels(len(xi)) @ areas)
+    lhs, rhs = [], []
+    for batch in _check_batches(model, reps, seed, 1):
+        left, h = u.terms(batch)
+        lhs.append(left)
+        draws = np.flatnonzero(h).tolist() if region is not None else ()
+        rhs.append(h * _level_sums(model, batch, region, lambda c: c, draws))
+    lhs_acc, rhs_acc = np.concatenate(lhs), np.concatenate(rhs)
     delta = lhs_acc - rhs_acc
     se = float(np.std(delta, ddof=1) / math.sqrt(reps))
     z = float(np.mean(delta)) / (se if se > 0 else 1.0)
@@ -351,10 +350,7 @@ def papangelou_bound(model: GibbsModel, target: IntensityMeasure, reps: int, see
     if not isinstance(target.density, float):
         raise ParameterError("exact integration requires a constant target density")
     f = float(target.density)
-    draws = _gibbs_draws(model, reps, seed, 2)
-    vals = np.zeros(reps)
-    for s, xi in enumerate(draws):
-        areas = coverage_areas(xi.points, model.rho, model.window)
-        vals[s] = float(np.abs(model.intensity_levels(len(xi)) - f) @ areas)
+    vals = np.concatenate([_level_sums(model, batch, model.window, lambda c: np.abs(c - f), range(len(batch)))
+                           for batch in _check_batches(model, reps, seed, 2)])
     se = float(np.std(vals, ddof=1) / math.sqrt(reps))
     return PapangelouBound(estimate=float(np.mean(vals)), std_error=se, reps=reps)

@@ -7,9 +7,10 @@ construction.
 
 Many patterns travel as one ``PatternBatch``: all points in one flat array
 (or one tuple of labels) with segment offsets.  Samplers draw a batch in a few
-numpy calls, and ``PatternBatch.count_rows`` counts every pattern of it in a
-partition at once, with the membership test ``count_vector`` makes for one
-pattern.
+numpy calls.  ``PatternBatch.segment_sums`` sums per-point values over each
+pattern, so ``count_rows`` counts every pattern of a batch in a partition at
+once, with the membership test ``count_vector`` makes for one pattern, and
+the GNZ test functions read a whole batch the same way.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class Box:
         highs = tuple(float(v) for v in self.highs)
         if len(lows) != len(highs) or not lows:
             raise ParameterError("box needs matching lows/highs")
-        if any(h <= l for l, h in zip(lows, highs)):
-            raise ParameterError(f"degenerate box {lows}..{highs}")
+        if any(not l < h or np.isinf(h - l) for l, h in zip(lows, highs)):
+            raise ParameterError(f"degenerate or unbounded box {lows}..{highs}")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
 
@@ -224,16 +225,20 @@ class PatternBatch:
         for lo, hi in zip(bounds, bounds[1:]):
             yield PointPattern(self.points[lo:hi])
 
+    def segment_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of integer or boolean ``values[offsets[i]:offsets[i + 1]]`` along
+        the first axis for each pattern i: a running int64 sum differenced at the offsets."""
+        running = np.zeros((len(values) + 1, *values.shape[1:]), dtype=np.int64)
+        np.cumsum(values, axis=0, out=running[1:])
+        return running[self.offsets[1:]] - running[self.offsets[:-1]]
+
     def count_rows(self, partition: PartitionSpec) -> np.ndarray:
         """``(reps, d)`` int64 counts of each pattern in each set: row i is
-        ``count_vector(self.pattern(i), partition)``, from one membership
-        table of all points and a running count per set differenced at the
-        offsets."""
+        ``count_vector(self.pattern(i), partition)``, the segment sums of one
+        membership table of all points."""
         if len(self.points) == 0:
             return np.zeros((len(self), partition.dim), dtype=np.int64)
-        running = np.zeros((len(self.points) + 1, partition.dim), dtype=np.int64)
-        np.cumsum(_membership(self.points, partition), axis=0, out=running[1:])
-        return running[self.offsets[1:]] - running[self.offsets[:-1]]
+        return self.segment_sums(_membership(self.points, partition))
 
 
 def _membership(points: Union[np.ndarray, tuple], partition: PartitionSpec) -> np.ndarray:
@@ -278,8 +283,8 @@ class IntensityMeasure:
             if not isinstance(self.density, dict):
                 raise ParameterError("label-space intensity needs a label->weight dict")
             weights = {k: float(v) for k, v in self.density.items()}
-            if any(v < 0 for v in weights.values()):
-                raise ParameterError("density must be nonnegative")
+            if any(not 0.0 <= v < np.inf for v in weights.values()):
+                raise ParameterError("density must be finite and nonnegative")
             if set(weights) - set(self.window.labels):
                 raise ParameterError("density assigns weight outside the label space")
             tot = sum(weights.get(l, 0.0) for l in self.window.labels)
@@ -287,21 +292,21 @@ class IntensityMeasure:
             object.__setattr__(self, "density_max", max(weights.values(), default=0.0))
         elif isinstance(self.density, (int, float)):
             rate = float(self.density)
-            if rate < 0:
-                raise ParameterError("density must be nonnegative")
+            if not 0.0 <= rate < np.inf:
+                raise ParameterError("density must be finite and nonnegative")
             object.__setattr__(self, "density", rate)
             object.__setattr__(self, "density_max", rate)
             tot = rate * self.window.volume()
         else:
-            if self.density_max <= 0:
-                raise ParameterError("callable density needs a positive density_max bound")
+            if not 0.0 < self.density_max < np.inf:
+                raise ParameterError("callable density needs a finite positive density_max bound")
             quad = integrate_box(self.density, self.window.lows, self.window.highs)
             tot = quad.value
             if tot < -1e-12:
                 raise ParameterError("density integrates to a negative value")
         if self.total is None:
             object.__setattr__(self, "total", float(tot))
-        elif abs(self.total - tot) > 1e-8 * (1.0 + abs(tot)):
+        elif not abs(self.total - tot) <= 1e-8 * (1.0 + abs(tot)):
             raise ParameterError(
                 f"declared total {self.total} differs from integral {tot} beyond 1e-8"
             )

@@ -72,8 +72,8 @@ class IntervalPairModel(UStatModel):
     form, which keeps every integral here one-dimensional."""
 
     def __init__(self, rate: float, delta: float):
-        if rate <= 0 or delta <= 0:
-            raise ParameterError("rate and delta must be positive")
+        if not (0.0 < rate < math.inf and 0.0 < delta < math.inf):
+            raise ParameterError("rate and delta must be finite and positive")
         self.order = 2
         self.rate = float(rate)
         self.delta = float(delta)

@@ -48,10 +48,16 @@ class SteinSolution:
 
     def residual_max(self) -> float:
         """max_i |lambda*ghat(i+1) - i*ghat(i) - g(i) + E g| over 0..N."""
-        n = len(self.g_values)
-        i = np.arange(n)
-        lhs = self.lam * self.ghat_values[1 : n + 1] - i * self.ghat_values[:n]
-        return float(np.max(np.abs(lhs - (self.g_values - self.poisson_mean_of_g))))
+        return float(column_checks(self.lam, self.g_values, self.ghat_values, self.poisson_mean_of_g)[0])
+
+
+def column_checks(lam: float, g: np.ndarray, ghat: np.ndarray, means):
+    """Per column of ``solve_stein_batch(lam, g)`` (or for one 1-D table): the
+    residual max_i |lambda*ghat(i+1) - i*ghat(i) - g(i) + E g| over 0..N,
+    sup_i |ghat(i)| and sup_i |ghat(i+1) - ghat(i)| over 0..N+1."""
+    i = np.arange(len(g)).reshape(-1, *(1,) * (g.ndim - 1))  # the row index, against every column
+    residual = np.abs(lam * ghat[1:] - i * ghat[:-1] - (g - means))
+    return residual.max(axis=0), np.abs(ghat).max(axis=0), np.abs(np.diff(ghat, axis=0)).max(axis=0)
 
 
 def check_lipschitz_1d(g: np.ndarray) -> None:
@@ -136,9 +142,8 @@ def solve_stein(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -
 
 def magic_factor_report(sol: SteinSolution) -> tuple[float, float]:
     """(sup_i |ghat(i)|, sup_i |ghat(i+1) - ghat(i)|) over the stored range."""
-    sup_abs = float(np.max(np.abs(sol.ghat_values)))
-    sup_delta = float(np.max(np.abs(np.diff(sol.ghat_values))))
-    return sup_abs, sup_delta
+    _, sup_abs, sup_delta = column_checks(sol.lam, sol.g_values, sol.ghat_values, sol.poisson_mean_of_g)
+    return float(sup_abs), float(sup_delta)
 
 
 def default_range(lam: float, support_need: int) -> int:

@@ -4,17 +4,21 @@ Everything here is deliberately written against a different route than the
 implementation it checks (dense LP instead of network simplex, plain sums
 instead of the library's accumulation order, the CDF formula instead of a
 transport solve at d = 1, Monte Carlo instead of closed forms, counts on a
-midpoint grid instead of exact disc-coverage areas), so agreement is
-meaningful.
+midpoint grid instead of exact disc-coverage areas, the GNZ terms pattern by
+pattern instead of over a batch), so agreement is meaningful.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from palab import streams
 from palab.measures import LatticePmf
+from palab.processes import GnzReport, PapangelouBound, TotalCount, coverage_areas, sample_gibbs_batch
 
 # HiGHS feasibility tolerances are absolute, so the LP is solved with supplies
 # scaled by this factor and the optimum divided by it: at unit mass a
@@ -128,3 +132,58 @@ def midpoint_coverage(points: np.ndarray, rho: float, lows, highs, cells: int):
     d = np.sqrt(((xs[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
     crossed = int((np.abs(d - rho) <= half_diag).any(axis=1).sum())
     return areas, crossed * cell_area
+
+
+# ---------------------------------------------------------------------------
+# the GNZ check and the Papangelou bound, one pattern at a time
+# ---------------------------------------------------------------------------
+
+def gnz_terms_per_pattern(u, pattern) -> tuple[float, float]:
+    """(GNZ left side, weight h) of one pattern for ``TotalCount`` or
+    ``IndicatorTimesEmpty``: the left side as
+    sum_x 1_A(x) * 1{pattern(B) - 1_B(x) = 0}, h as 1{pattern(B) = 0}."""
+    n = len(pattern)
+    if isinstance(u, TotalCount):
+        return float(n * (n - 1)), float(n)
+    if n == 0:
+        return 0.0, 1.0
+    ok = np.ones(n, dtype=bool)
+    if u.region_a is not None:
+        ok &= u.region_a.contains(pattern.points)
+    if u.region_b is not None:
+        in_b = u.region_b.contains(pattern.points)
+        ok &= in_b.sum() - in_b == 0
+    return float(ok.sum()), float(u.region_b is None or pattern.count_in(u.region_b) == 0)
+
+
+def per_pattern_draws(model, reps: int, seed: int, stream: int):
+    """The draws of the fixed layout of 32 streams as single patterns: chunk c
+    is one ``sample_gibbs_batch`` from ``streams.derive(seed, stream, c)``."""
+    for c, size in enumerate(streams.chunk_sizes(reps, 32)):
+        yield from sample_gibbs_batch(model, streams.derive(seed, stream, c), size)
+
+
+def per_pattern_gnz_check(model, u, reps: int, seed: int) -> GnzReport:
+    """``gnz_check`` draw by draw: left side, weight, coverage areas and
+    intensity levels for each pattern on its own."""
+    region = model.window if u.region_a is None else u.region_a.intersection(model.window)
+    lhs_acc, rhs_acc = np.zeros(reps), np.zeros(reps)
+    for s, xi in enumerate(per_pattern_draws(model, reps, seed, 1)):
+        lhs_acc[s], h = gnz_terms_per_pattern(u, xi)
+        if h and region is not None:
+            areas = coverage_areas(xi.points, model.rho, region)
+            rhs_acc[s] = h * float(model.intensity_levels(len(xi)) @ areas)
+    delta = lhs_acc - rhs_acc
+    se = float(np.std(delta, ddof=1) / math.sqrt(reps))
+    z = float(np.mean(delta)) / (se if se > 0 else 1.0)
+    return GnzReport(float(np.mean(lhs_acc)), float(np.mean(rhs_acc)), z, se, reps)
+
+
+def per_pattern_papangelou_bound(model, f: float, reps: int, seed: int) -> PapangelouBound:
+    """``papangelou_bound`` for the constant target density f, draw by draw."""
+    vals = np.zeros(reps)
+    for s, xi in enumerate(per_pattern_draws(model, reps, seed, 2)):
+        areas = coverage_areas(xi.points, model.rho, model.window)
+        vals[s] = float(np.abs(model.intensity_levels(len(xi)) - f) @ areas)
+    se = float(np.std(vals, ddof=1) / math.sqrt(reps))
+    return PapangelouBound(estimate=float(np.mean(vals)), std_error=se, reps=reps)

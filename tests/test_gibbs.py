@@ -15,6 +15,7 @@ from palab.processes import (
     GibbsModel,
     IndicatorTimesEmpty,
     IntensityMeasure,
+    PatternBatch,
     PointPattern,
     TotalCount,
     coverage_areas,
@@ -27,7 +28,7 @@ from palab.processes import (
 )
 from palab.processes import gibbs
 
-from helpers import midpoint_coverage, neighbour_counts
+from helpers import midpoint_coverage, neighbour_counts, per_pattern_gnz_check, per_pattern_papangelou_bound
 
 WINDOW = Box((0.0, 0.0), (1.0, 1.0))
 
@@ -57,6 +58,16 @@ def test_positive_theta_suppresses_close_pairs():
     gap = pairs_free.mean() - pairs_int.mean()
     se = math.sqrt(pairs_free.var(ddof=1) / reps + pairs_int.var(ddof=1) / reps)
     assert gap > 3 * se  # one-sided: interaction suppresses pairs at range rho
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", math.nan), ("beta", math.inf), ("theta", math.nan), ("theta", math.inf),
+    ("rho", math.nan), ("rho", math.inf),
+])
+def test_model_rejects_non_finite_parameters(field, value):
+    params = {"beta": 2.0, "theta": 0.5, "rho": 0.1, field: value}
+    with pytest.raises(ParameterError, match="finite"):
+        GibbsModel(window=WINDOW, **params)
 
 
 def test_sampler_budget_error():
@@ -404,31 +415,69 @@ def test_gibbs_integrals_need_a_planar_window():
 
 
 def test_gnz_left_side_matches_per_point_definition():
-    # sum_{x in xi} u(x, xi \ x), written out point by point
+    # the batch terms against sum_{x in xi} u(x, xi \ x) written out point by
+    # point, and the weight h against a count of B per pattern
     a, b = Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))
     patterns = [
         [],
         [(0.2, 0.3)],
         [(0.7, 0.3)],
+        [],
         [(0.2, 0.3), (0.5, 0.5)],               # second point on the shared edge: in A and B
+        [(0.5, 0.2)],                           # on the shared edge alone
         [(0.2, 0.3), (0.4, 0.9), (0.8, 0.1)],
         [(0.2, 0.3), (0.8, 0.1), (0.9, 0.9)],
         *[sample_poisson_process(IntensityMeasure(WINDOW, 3.0), streams.derive(17, k)).points
           for k in range(20)],
     ]
-    for pts in patterns:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        pattern = PointPattern(pts)
-        rest = [np.delete(pts, k, axis=0) for k in range(len(pts))]
-        for u, per_point in (
-            (IndicatorTimesEmpty(a, b),
-             [a.contains(x)[0] and not b.contains(r).any() for x, r in zip(pts, rest)]),
-            (IndicatorTimesEmpty(region_b=b), [not b.contains(r).any() for r in rest]),
-            (IndicatorTimesEmpty(region_a=a), [a.contains(x)[0] for x in pts]),
-            (TotalCount(), [len(r) for r in rest]),
-        ):
-            assert u.left_side(pattern) == float(sum(per_point))
-    assert IndicatorTimesEmpty(a, b).left_side(PointPattern([])) == 0.0
+    patterns = [np.asarray(pts, dtype=float).reshape(-1, 2) for pts in patterns]
+    batch = PatternBatch.from_patterns([PointPattern(pts) for pts in patterns])
+    assert (np.diff(batch.offsets) == 0).sum() >= 3  # empty segments among full ones
+    for u in (IndicatorTimesEmpty(a, b), IndicatorTimesEmpty(region_b=b), IndicatorTimesEmpty(region_a=a),
+              IndicatorTimesEmpty(), TotalCount()):
+        left, h = u.terms(batch)
+        assert left.dtype == h.dtype == np.float64 and left.shape == h.shape == (len(patterns),)
+        for i, pts in enumerate(patterns):
+            rest = [np.delete(pts, k, axis=0) for k in range(len(pts))]
+            in_a = [u.region_a is None or u.region_a.contains(x)[0] for x in pts]
+            if isinstance(u, TotalCount):
+                per_point, weight = [len(r) for r in rest], len(pts)
+            else:
+                empty_b = [u.region_b is None or not u.region_b.contains(r).any() for r in rest]
+                per_point = [x and e for x, e in zip(in_a, empty_b)]
+                weight = u.region_b is None or not u.region_b.contains(pts).any()
+            assert left[i] == float(sum(per_point))
+            assert h[i] == float(weight)
+    empty = PatternBatch.from_patterns([PointPattern([])] * 3)
+    assert empty.points.shape == (0, 0)
+    for u, expected in ((IndicatorTimesEmpty(a, b), [1.0] * 3), (TotalCount(), [0.0] * 3)):
+        left, h = u.terms(empty)
+        assert left.tolist() == [0.0] * 3 and h.tolist() == expected
+
+
+GNZ_ORACLE_US = [
+    TotalCount(),
+    IndicatorTimesEmpty(),
+    IndicatorTimesEmpty(Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))),
+    IndicatorTimesEmpty(region_a=Box((0.25, 0.25), (0.75, 0.75))),
+    IndicatorTimesEmpty(region_b=Box((0.5, 0.5), (1.0, 1.0))),
+    IndicatorTimesEmpty(Box((-0.5, 0.25), (0.5, 1.5)), Box((0.5, 0.5), (1.0, 1.0))),
+    IndicatorTimesEmpty(Box((1.5, 0.0), (2.0, 1.0)), Box((0.5, 0.5), (1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("reps", [2, 31, 33, 600])
+@pytest.mark.parametrize("theta", [0.0, 0.8])
+def test_gnz_check_and_bound_equal_the_per_pattern_loop(theta, reps):
+    # the 32-stream layout: 2 and 31 repetitions take one draw from each of 2 and
+    # 31 streams; 33 and 600 spread over all 32 streams in chunks of unequal size
+    model = GibbsModel(beta=2.0, theta=theta, rho=0.15, window=WINDOW)
+    for seed in (3, 4):
+        for u in GNZ_ORACLE_US:
+            assert gnz_check(model, u, reps, seed) == per_pattern_gnz_check(model, u, reps, seed)
+        for f in (0.0, 1.2, 2.0):
+            got = papangelou_bound(model, IntensityMeasure(WINDOW, f), reps, seed)
+            assert got == per_pattern_papangelou_bound(model, f, reps, seed)
 
 
 def test_papangelou_bound_zero_for_poisson_target():

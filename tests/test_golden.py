@@ -8,7 +8,9 @@ must update these numbers deliberately and say so.  The GNZ right sides and
 the Papangelou estimates were re-recorded when exact disc-coverage areas
 replaced the midpoint grid (the draws and the GNZ left side did not move),
 and all three Gibbs pins again when the rejection sampler began drawing its
-proposals in batches.
+proposals in batches.  The GNZ pins over five test functions, the theta = 0
+Papangelou pin and the ``gnz-check``/``papangelou-bound`` bytes were recorded
+before the GNZ terms were computed over whole batches, and held unchanged.
 
 The exact W1 values at the end pin the network simplex itself: its pivot
 rule, leaving-arc tie rule and integer duals.  A solver change that keeps
@@ -42,6 +44,7 @@ from palab.processes import (
     IntervalPairModel,
     PartitionSpec,
     PoissonCountLaw,
+    TotalCount,
     build_ustat_process,
     dpi_lower_bound,
     gnz_check,
@@ -68,6 +71,55 @@ def test_gnz_check_pinned():
 def test_papangelou_bound_pinned():
     r = papangelou_bound(MODEL, IntensityMeasure(WINDOW, 2.0), reps=40, seed=6)
     assert [r.estimate, r.std_error] == [0.897122339325815, 0.006587788195583013]
+
+
+B_QUADRANT = Box((0.5, 0.5), (1.0, 1.0))
+# u -> (lhs, rhs, z_score, std_error) of gnz_check(MODEL, u, reps=40, seed=11)
+GNZ_PINNED = {
+    "total_count": (TotalCount(), [5.7, 6.292028484385731, -0.7319531662103711, 0.8088338321574738]),
+    "one": (IndicatorTimesEmpty(), [2.5, 2.6296468308579395, -0.5062950550522824, 0.25606971579951876]),
+    "b_only": (IndicatorTimesEmpty(region_b=B_QUADRANT),
+               [1.375, 1.6394552067999046, -1.396703328541942, 0.1893424332825046]),
+    "a_sticks_out": (IndicatorTimesEmpty(Box((-0.5, 0.25), (0.5, 1.5)), B_QUADRANT),
+                     [0.6, 0.589889461998811, 0.10200652269891143, 0.09911658327018835]),
+    "a_outside": (IndicatorTimesEmpty(Box((1.5, 0.0), (2.0, 1.0)), B_QUADRANT), [0.0, 0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GNZ_PINNED))
+def test_gnz_check_test_functions_pinned(name):
+    u, expected = GNZ_PINNED[name]
+    r = gnz_check(MODEL, u, reps=40, seed=11)
+    assert [r.lhs, r.rhs, r.z_score, r.std_error] == expected
+
+
+def test_papangelou_bound_poisson_model_and_target_pinned():
+    model = GibbsModel(beta=3.0, theta=0.0, rho=0.2, window=WINDOW)
+    r = papangelou_bound(model, IntensityMeasure(WINDOW, 3.0), reps=40, seed=12)
+    assert [r.estimate, r.std_error] == [0.0, 0.0]
+
+
+GIBBS_CLI_PINNED = {
+    "gnz-check": '{"lhs":0.52500000000000002,"quad_bound":0.0,"reps":200,"rhs":0.5618736221533297,'
+                 '"schema_version":1,"std_error":0.053655533677754143,"verdict":"PASS",'
+                 '"z_score":-0.68722869060973946,"z_threshold":4.0}\n',
+    "papangelou-bound": '{"estimate":0.89492863388488497,"quad_bound":0.0,"reps":200,"schema_version":1,'
+                        '"std_error":0.0037954332353803003,"verdict":"PASS"}\n',
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(GIBBS_CLI_PINNED))
+def test_gibbs_cli_output_pinned(tmp_path, subcommand):
+    model = tmp_path / "gibbs.json"
+    model.write_text(json.dumps({
+        "schema_version": 1, "beta": 3.0, "theta": 0.7, "rho": 0.2,
+        "window": {"lows": [0.0, 0.0], "highs": [1.0, 1.0]}, "target_density": 2.0,
+        "u": {"kind": "indicator_empty", "region_a": {"lows": [0.0, 0.0], "highs": [0.5, 1.0]},
+              "region_b": {"lows": [0.5, 0.5], "highs": [1.0, 1.0]}},
+    }))
+    out = tmp_path / "out.json"
+    assert main([subcommand, "--model", str(model), "--reps", "200", "--seed", "13", "--out", str(out)]) == 0
+    assert out.read_text() == GIBBS_CLI_PINNED[subcommand]
 
 
 def test_sampled_dpi_lower_bound_pinned():

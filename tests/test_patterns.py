@@ -28,6 +28,35 @@ from palab.processes import (
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("lows, highs", [
+    ((0.0,), (math.inf,)),
+    ((-math.inf, 0.0), (1.0, 1.0)),
+    ((0.0, math.nan), (1.0, 1.0)),
+    ((0.0,), (math.nan,)),
+], ids=["inf-high", "inf-low", "nan-low", "nan-high"])
+def test_box_rejects_non_finite_corners(lows, highs):
+    with pytest.raises(ParameterError, match="box"):
+        Box(lows, highs)
+
+
+@pytest.mark.parametrize("window, density", [
+    (UNIT_SQUARE, math.nan),
+    (UNIT_SQUARE, math.inf),
+    (LabelSpace(("a", "b")), {"a": 1.0, "b": math.nan}),
+    (LabelSpace(("a", "b")), {"a": math.inf}),
+], ids=["nan-rate", "inf-rate", "nan-label-weight", "inf-label-weight"])
+def test_intensity_rejects_non_finite_density(window, density):
+    with pytest.raises(ParameterError, match="finite"):
+        IntensityMeasure(window, density)
+
+
+def test_intensity_rejects_non_finite_density_bound_and_total():
+    with pytest.raises(ParameterError, match="finite"):
+        IntensityMeasure(UNIT_SQUARE, lambda x: np.ones(len(x)), density_max=math.inf)
+    with pytest.raises(ParameterError, match="differs"):
+        IntensityMeasure(UNIT_SQUARE, 2.0, total=math.nan)
+
+
 def test_zero_intensity_gives_empty_pattern():
     pattern = sample_poisson_process(IntensityMeasure(UNIT_SQUARE, 0.0), 1)
     assert len(pattern) == 0

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from palab import streams
-from palab.errors import BudgetError
+from palab.errors import BudgetError, ParameterError
 from palab.processes import (
     Box,
     IntervalPairModel,
@@ -35,6 +35,14 @@ def interval_r_closed_form(rate: float, delta: float) -> float:
 
 
 # -- builder -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rate, delta", [
+    (math.nan, 0.3), (math.inf, 0.3), (1.0, math.nan), (1.0, math.inf),
+], ids=["nan-rate", "inf-rate", "nan-delta", "inf-delta"])
+def test_interval_pair_model_rejects_non_finite_parameters(rate, delta):
+    with pytest.raises(ParameterError, match="finite"):
+        IntervalPairModel(rate=rate, delta=delta)
+
 
 def test_build_k1_identity_returns_input():
     model = MonotoneMapModel(1.0, lambda x: x, lambda y: y)
