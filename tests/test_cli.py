@@ -1,6 +1,7 @@
 """CLI harness tests: schema validation, exit codes, deterministic outputs,
 and the documented pipelines end to end."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -540,3 +541,135 @@ def test_grid_flag_has_no_effect(tmp_path, gibbs_model, subcommand):
     # --grid is accepted for old scripts; the integrals are exact
     assert outs[0] == outs[1] == outs[2]
     assert json.loads(outs[0])["quad_bound"] == 0.0
+
+
+# Byte pins of each subcommand/format pair not pinned elsewhere: stdout,
+# the stderr verdict line and the exit code, on small fixed models.
+PIN_LABELS = {"type": "dirac_labels", "space": ["a", "b", "c"]}
+PIN_P = [[0.1, 0.05], [0.02, 0.08], [0.07, 0.03], [0.04, 0.06]]
+PIN_MODELS = {
+    "bern1": {"schema_version": 1, "n": 4, "d": 2, "p": PIN_P, "m": 1},
+    "bern0": {"schema_version": 1, "n": 4, "d": 2, "p": PIN_P, "m": 0},
+    "pair": {"schema_version": 1, "family": "interval_pair", "rate": 1.5, "delta": 0.4},
+    "triplet": {"schema_version": 1, "family": "triplet_sum", "rate": 1.2, "threshold": 0.8},
+    "dirac": {
+        "schema_version": 1,
+        "xi": {**PIN_LABELS, "points": ["a", "a", "c"]}, "eta": {**PIN_LABELS, "points": ["b", "c"]},
+        "partitions": [[{"labels": ["a"]}, {"labels": ["b", "c"]}], [{"labels": ["a", "b", "c"]}]],
+    },
+    "dirac_bound": {
+        "schema_version": 1,
+        "xi": {**PIN_LABELS, "points": ["a", "a", "c"]}, "eta": {**PIN_LABELS, "points": ["b", "c"]},
+        "partitions": [[{"labels": ["a"]}, {"labels": ["b", "c"]}]], "bound": 1.5,
+    },
+    "poisson": {
+        "schema_version": 1,
+        "xi": {"type": "poisson", "rate": 3.0, "window": {"lows": [0.0], "highs": [1.0]}, "exact": False},
+        "eta": {"type": "poisson", "rate": 2.5, "window": {"lows": [0.0], "highs": [1.0]}},
+        "partitions": [[{"box": {"lows": [0.0], "highs": [0.5]}}, {"box": {"lows": [0.5], "highs": [1.0]}}]],
+    },
+    "gibbs": {
+        "schema_version": 1, "beta": 2.0, "theta": 0.5, "rho": 0.1,
+        "window": {"lows": [0.0, 0.0], "highs": [1.0, 1.0]}, "u": {"kind": "total_count"},
+    },
+    "p": {"dim": 2, "atoms": [{"x": [0, 1], "p": 0.5}, {"x": [2, 0], "p": 0.25}, {"x": [1, 1], "p": 0.25}],
+          "tail_mass": 0.0, "tail_moment": 0.0},
+    "q": {"dim": 2, "atoms": [{"x": [1, 0], "p": 0.5}, {"x": [0, 2], "p": 0.5}], "tail_mass": 0.0, "tail_moment": 0.0},
+}
+POISSON_DPI = ["dpi-estimate", "--model", "{poisson}", "--reps", "300", "--n-boot", "8", "--seed", "5"]
+# case -> (argv, exit code, stdout)
+OUTPUT_PINNED = {
+    "bernoulli-bound": (["bernoulli-bound", "--model", "{bern1}"], 0, (
+        '{"Q":[0.042860423950412674,0.042860423950412674,0.027275539384481129,0.021210184315342273],'
+        '"bound":1.732978859207785,"corollary_bound":0.052500000000000005,"schema_version":1,"verdict":"PASS"}\n')),
+    "bernoulli-verify-exact": (["bernoulli-verify", "--model", "{bern0}"], 0, (
+        '{"bound":0.052500000000000005,"corollary_bound":0.052500000000000005,"distance":0.035956296481993832,'
+        '"mode":"exact","schema_version":1,"std_error":0.0,"truncation_error":1.694487804333692e-08,'
+        '"verdict":"PASS"}\n')),
+    "ustat-bound-interval-pair": (["ustat-bound", "--model", "{pair}"], 0, (
+        '{"R":1.4399999963810544,"R_error_bound":1.0382271042885804e-08,"bound":5.7599999855242174,'
+        '"family":"interval_pair","order":2,"schema_version":1,"verdict":"PASS"}\n')),
+    "ustat-bound-triplet-sum": (["ustat-bound", "--model", "{triplet}"], 0, (
+        '{"R":0.070778879971058334,"R_error_bound":1.3891222894191202e-10,"bound":0.18874367992282221,'
+        '"family":"triplet_sum","order":3,"schema_version":1,"verdict":"PASS"}\n')),
+    "dpi-estimate-dirac-json": (["dpi-estimate", "--model", "{dirac}"], 0, (
+        '{"ci_high":3.0,"ci_low":3.0,"estimate":3.0,"per_partition":[3.0,1.0],"schema_version":1,'
+        '"std_error":0.0,"truncation_error":0.0,"verdict":"PASS"}\n')),
+    "dpi-estimate-dirac-csv": (["dpi-estimate", "--model", "{dirac}", "--format", "csv"], 0,
+                               "partition,w1_lower_bound\n0,3\n1,1\n"),
+    "dpi-estimate-poisson-json": (POISSON_DPI, 0, (
+        '{"ci_high":0.61648420497021172,"ci_low":0.45802769378527236,"estimate":0.52532421422222786,'
+        '"per_partition":[0.52532421422222786],"schema_version":1,"std_error":0.055034100203140875,'
+        '"truncation_error":3.2286258209068317e-08,"verdict":"PASS"}\n')),
+    "dpi-estimate-poisson-csv": ([*POISSON_DPI, "--format", "csv"], 0,
+                                 "partition,w1_lower_bound\n0,0.52532421422222786\n"),
+    "dpi-estimate-bound-fail": (["dpi-estimate", "--model", "{dirac_bound}"], 2, (
+        '{"ci_high":3.0,"ci_low":3.0,"estimate":3.0,"per_partition":[3.0],"schema_version":1,'
+        '"std_error":0.0,"truncation_error":0.0,"verdict":"FAIL"}\n')),
+    "gnz-check-fail": (["gnz-check", "--model", "{gibbs}", "--reps", "64", "--seed", "3", "--z-threshold", "0.01"], 2, (
+        '{"lhs":4.03125,"quad_bound":0.0,"reps":64,"rhs":3.8655713118729622,"schema_version":1,'
+        '"std_error":0.44556188405796771,"verdict":"FAIL","z_score":0.37184214820647155,"z_threshold":0.01}\n')),
+    "wasserstein": (["wasserstein", "--p", "{p}", "--q", "{q}", "--flow-csv", "{flow}"], 0,
+                    '{"schema_version":1,"truncation_error":0.0,"value":1.0,"verdict":"PASS"}\n'),
+    "stein-check-csv": (["stein-check", "--lambda-grid", "1:3:2", "--g", "random:2", "--range", "40", "--seed", "7",
+                         "--format", "csv"], 0, (
+        "lambda,g_id,sup_abs,sup_delta,residual\n"
+        "1,0,0.54201189358651913,0.49381843401682457,1.7763568394002505e-15\n"
+        "1,1,0.46028937649854429,0.46028937649854429,8.8817841970012523e-16\n"
+        "3,0,0.53712832650494891,0.41102121950319032,2.2204460492503131e-15\n"
+        "3,1,0.2142493139264173,0.2142493139264173,1.3322676295501878e-15\n")),
+}
+FLOW_PINNED = 'x,y,mass\n"0 1","0 2",0.5\n"1 1","1 0",0.25\n"2 0","1 0",0.25\n'
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_PINNED))
+def test_subcommand_output_pinned(tmp_path, capsys, case):
+    argv, code, expected = OUTPUT_PINNED[case]
+    paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in PIN_MODELS.items()}
+    paths["flow"] = str(tmp_path / "flow.csv")
+    assert run_cli([a.format(**paths) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err == f"{argv[0]}: {'PASS' if code == 0 else 'FAIL'}\n"
+    if "--flow-csv" in argv:
+        assert (tmp_path / "flow.csv").read_text() == FLOW_PINNED
+
+
+def _opt(flag, dest, default=None, required=False, type=None, choices=None):
+    return ([flag], dest, default, required, type, choices)
+
+
+_COMMON_OPTS = [
+    _opt("--seed", "seed", 0, type="int"), _opt("--reps", "reps", 10_000, type="int"), _opt("--out", "out"),
+    _opt("--format", "fmt", "json", choices=("json", "csv")), _opt("--threads", "threads", type="int"),
+]
+_MODEL_OPT = _opt("--model", "model", required=True)
+_GRID_OPT = _opt("--grid", "grid", type="int")
+# subcommand -> its options in order: (option strings, dest, default, required, type, choices)
+PARSER_SURFACE = {
+    "stein-check": [
+        *_COMMON_OPTS, _opt("--lambda-grid", "lambda_grid", "0.1:10:25"), _opt("--g", "g", "random:200"),
+        _opt("--range", "grange", 300, type="int"), _opt("--sup-tol", "sup_tol", 1.0 + 1e-12, type="float"),
+        _opt("--residual-tol", "residual_tol", 1e-10, type="float"),
+    ],
+    "bernoulli-bound": [_MODEL_OPT, *_COMMON_OPTS],
+    "bernoulli-verify": [_MODEL_OPT, *_COMMON_OPTS],
+    "ustat-bound": [_MODEL_OPT, *_COMMON_OPTS],
+    "papangelou-bound": [_MODEL_OPT, *_COMMON_OPTS, _GRID_OPT],
+    "gnz-check": [_MODEL_OPT, *_COMMON_OPTS, _GRID_OPT, _opt("--z-threshold", "z_threshold", 4.0, type="float")],
+    "dpi-estimate": [_MODEL_OPT, *_COMMON_OPTS, _opt("--n-boot", "n_boot", 32, type="int")],
+    "wasserstein": [
+        *_COMMON_OPTS, _opt("--p", "p_path", required=True), _opt("--q", "q_path", required=True),
+        _opt("--flow-csv", "flow_csv"),
+    ],
+}
+
+
+def test_parser_surface_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(PARSER_SURFACE)
+    for name, p in sub.choices.items():
+        got = [(a.option_strings, a.dest, a.default, a.required, getattr(a.type, "__name__", None), a.choices)
+               for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        assert got == PARSER_SURFACE[name], name
