@@ -7,8 +7,9 @@ Wall-clock metadata goes to a ``<out>.meta.json`` sidecar so reruns with the
 same config and seed are byte-identical.
 
 Exit codes: 0 all checks pass, 2 a dominance or statistical check failed,
-1 usage or configuration error (including any ``palab.errors`` failure),
-3 internal failure (a failed solver certificate check or a bug).
+1 usage or configuration error (including a non-finite flag value and any
+``palab.errors`` failure), 3 internal failure (a failed solver certificate
+check or a bug).
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import jsonschema
 import numpy as np
@@ -74,228 +76,62 @@ BERNOULLI_N_BOOT = 24
 # model schemas
 # ---------------------------------------------------------------------------
 
-_WINDOW_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "lows": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "highs": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    },
-    "required": ["lows", "highs"],
-    "additionalProperties": False,
-}
-
-_SET_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"box": _WINDOW_SCHEMA},
-            "required": ["box"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "labels": {"type": "array", "items": {"type": ["string", "integer"]}, "minItems": 1}
-            },
-            "required": ["labels"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_SOURCE_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "dirac_labels"},
-                "space": {"type": "array", "items": {"type": ["string", "integer"]}, "minItems": 1},
-                "points": {"type": "array", "items": {"type": ["string", "integer"]}},
-            },
-            "required": ["type", "space", "points"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "poisson"},
-                "rate": {"type": "number", "minimum": 0},
-                "window": _WINDOW_SCHEMA,
-                "exact": {"type": "boolean"},
-            },
-            "required": ["type", "rate", "window"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "gibbs"},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "theta": {"type": "number", "minimum": 0},
-                "rho": {"type": "number", "exclusiveMinimum": 0},
-                "window": _WINDOW_SCHEMA,
-            },
-            "required": ["type", "beta", "theta", "rho", "window"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "ustat_interval"},
-                "rate": {"type": "number", "exclusiveMinimum": 0},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["type", "rate", "delta"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-SCHEMAS = {
-    "bernoulli": {
-        "type": "object",
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "n": {"type": "integer", "minimum": 1},
-            "d": {"type": "integer", "minimum": 1},
-            "p": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-            "m": {"type": "integer", "minimum": 0},
-            "family": {"enum": ["sliding_min", "independent"]},
-        },
-        "required": ["schema_version", "n", "d", "p", "m"],
-        "additionalProperties": False,
-    },
-    "gibbs": {
-        "type": "object",
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "beta": {"type": "number", "exclusiveMinimum": 0},
-            "theta": {"type": "number", "minimum": 0},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-            "window": _WINDOW_SCHEMA,
-            "target_density": {"type": "number", "minimum": 0},
-            "u": {
-                "type": "object",
-                "properties": {
-                    "kind": {"enum": ["one", "total_count", "indicator_empty"]},
-                    "region_a": _WINDOW_SCHEMA,
-                    "region_b": _WINDOW_SCHEMA,
-                },
-                "required": ["kind"],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["schema_version", "beta", "theta", "rho", "window"],
-        "additionalProperties": False,
-    },
-    "ustat": {
-        "oneOf": [
-            {
-                "type": "object",
-                "properties": {
-                    "schema_version": {"const": SCHEMA_VERSION},
-                    "family": {"const": "interval_pair"},
-                    "rate": {"type": "number", "exclusiveMinimum": 0},
-                    "delta": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "required": ["schema_version", "family", "rate", "delta"],
-                "additionalProperties": False,
-            },
-            {
-                "type": "object",
-                "properties": {
-                    "schema_version": {"const": SCHEMA_VERSION},
-                    "family": {"const": "triplet_sum"},
-                    "rate": {"type": "number", "exclusiveMinimum": 0},
-                    "threshold": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "required": ["schema_version", "family", "rate", "threshold"],
-                "additionalProperties": False,
-            },
-        ]
-    },
-    "dpi": {
-        "type": "object",
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "xi": _SOURCE_SCHEMA,
-            "eta": _SOURCE_SCHEMA,
-            "partitions": {
-                "type": "array",
-                "items": {"type": "array", "items": _SET_SCHEMA, "minItems": 1},
-                "minItems": 1,
-            },
-            "bound": {"type": "number", "minimum": 0},
-        },
-        "required": ["schema_version", "xi", "eta", "partitions"],
-        "additionalProperties": False,
-    },
-    # LatticePmf.to_json, the input of ``wasserstein``.  Atoms are checked when
-    # the pmf is built: a schema walk over every atom costs ~40 us per atom.
-    "pmf": {
-        "type": "object",
-        "properties": {"dim": {"type": "integer", "minimum": 1}, "atoms": {"type": "array"},
-                       "tail_mass": {"type": "number"}, "tail_moment": {"type": "number"}},
-        "required": ["dim", "atoms", "tail_mass", "tail_moment"],
-        "additionalProperties": False,
-    },
-}
-
-
-def _output_schema(fields: dict) -> dict:
-    props = {"schema_version": {"const": SCHEMA_VERSION}, "verdict": {"enum": ["PASS", "FAIL"]}}
-    props.update(fields)
-    return {
-        "type": "object",
-        "properties": props,
-        "required": sorted(props),
-        "additionalProperties": False,
-    }
+def _strict(properties: dict, required) -> dict:
+    """A JSON object schema: these properties, the ``required`` ones present, no others."""
+    return {"type": "object", "properties": properties, "required": list(required), "additionalProperties": False}
 
 
 _NUM = {"type": "number"}
-_NUMS = {"type": "array", "items": {"type": "number"}}
+_NUMS = {"type": "array", "items": _NUM}
+_INT = {"type": "integer"}
+_LABELS = {"type": "array", "items": {"type": ["string", "integer"]}}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+_VERSION = {"schema_version": {"const": SCHEMA_VERSION}}
+_WINDOW_SCHEMA = _strict({"lows": {**_NUMS, "minItems": 1}, "highs": {**_NUMS, "minItems": 1}},
+                         ["lows", "highs"])
+_SET_SCHEMA = {"oneOf": [
+    _strict({"box": _WINDOW_SCHEMA}, ["box"]),
+    _strict({"labels": {**_LABELS, "minItems": 1}}, ["labels"]),
+]}
+# a Gibbs model, in a ``gibbs`` model file or as a ``dpi`` source
+_GIBBS_FIELDS = {"beta": _POSITIVE, "theta": _NONNEGATIVE, "rho": _POSITIVE, "window": _WINDOW_SCHEMA}
+_SOURCE_SCHEMA = {"oneOf": [
+    _strict({"type": {"const": "dirac_labels"}, "space": {**_LABELS, "minItems": 1}, "points": _LABELS},
+            ["type", "space", "points"]),
+    _strict({"type": {"const": "poisson"}, "rate": _NONNEGATIVE, "window": _WINDOW_SCHEMA,
+             "exact": {"type": "boolean"}}, ["type", "rate", "window"]),
+    _strict({"type": {"const": "gibbs"}, **_GIBBS_FIELDS}, ["type", *_GIBBS_FIELDS]),
+    _strict({"type": {"const": "ustat_interval"}, "rate": _POSITIVE, "delta": _POSITIVE}, ["type", "rate", "delta"]),
+]}
 
-OUTPUT_SCHEMAS = {
-    "stein-check": _output_schema({
-        "lambda_grid": _NUMS, "n_g": {"type": "integer"}, "range": {"type": "integer"},
-        "worst_sup": _NUM, "worst_residual": _NUM, "sup_tol": _NUM, "residual_tol": _NUM,
-    }),
-    "bernoulli-bound": _output_schema({"bound": _NUM, "corollary_bound": _NUM, "Q": _NUMS}),
-    "bernoulli-verify": _output_schema({
-        "bound": _NUM, "corollary_bound": _NUM, "mode": {"enum": ["exact", "empirical"]},
-        "distance": _NUM, "std_error": _NUM, "truncation_error": _NUM,
-    }),
-    "ustat-bound": _output_schema({
-        "family": {"type": "string"}, "R": _NUM, "R_error_bound": _NUM, "bound": _NUM,
-        "order": {"type": "integer"},
-    }),
-    "papangelou-bound": _output_schema({
-        "estimate": _NUM, "std_error": _NUM, "quad_bound": _NUM, "reps": {"type": "integer"},
-    }),
-    "gnz-check": _output_schema({
-        "lhs": _NUM, "rhs": _NUM, "z_score": _NUM, "std_error": _NUM, "quad_bound": _NUM,
-        "z_threshold": _NUM, "reps": {"type": "integer"},
-    }),
-    "dpi-estimate": _output_schema({
-        "estimate": _NUM, "std_error": _NUM, "ci_low": _NUM, "ci_high": _NUM,
-        "per_partition": _NUMS, "truncation_error": _NUM,
-    }),
-    "wasserstein": _output_schema({"value": _NUM, "truncation_error": _NUM}),
+SCHEMAS = {
+    "bernoulli": _strict({
+        **_VERSION, "n": {"type": "integer", "minimum": 1}, "d": {"type": "integer", "minimum": 1},
+        "p": {"type": "array", "items": _NUMS}, "m": {"type": "integer", "minimum": 0},
+        "family": {"enum": ["sliding_min", "independent"]},
+    }, ["schema_version", "n", "d", "p", "m"]),
+    "gibbs": _strict({
+        **_VERSION, **_GIBBS_FIELDS, "target_density": _NONNEGATIVE,
+        "u": _strict({"kind": {"enum": ["one", "total_count", "indicator_empty"]},
+                      "region_a": _WINDOW_SCHEMA, "region_b": _WINDOW_SCHEMA}, ["kind"]),
+    }, ["schema_version", *_GIBBS_FIELDS]),
+    "ustat": {"oneOf": [
+        _strict({**_VERSION, "family": {"const": family}, "rate": _POSITIVE, param: _POSITIVE},
+                ["schema_version", "family", "rate", param])
+        for family, param in (("interval_pair", "delta"), ("triplet_sum", "threshold"))
+    ]},
+    "dpi": _strict({
+        **_VERSION, "xi": _SOURCE_SCHEMA, "eta": _SOURCE_SCHEMA,
+        "partitions": {"type": "array", "items": {"type": "array", "items": _SET_SCHEMA, "minItems": 1}, "minItems": 1},
+        "bound": _NONNEGATIVE,
+    }, ["schema_version", "xi", "eta", "partitions"]),
+    # LatticePmf.to_json, the input of ``wasserstein``.  Atoms are checked when
+    # the pmf is built: a schema walk over every atom costs ~40 us per atom.
+    "pmf": _strict({"dim": {"type": "integer", "minimum": 1}, "atoms": {"type": "array"},
+                    "tail_mass": _NUM, "tail_moment": _NUM},
+                   ["dim", "atoms", "tail_mass", "tail_moment"]),
 }
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated experiment: subcommand, model spec, seed, reps, output."""
-
-    subcommand: str
-    model: dict
-    seed: int
-    reps: int
-    out: Optional[str]
-    fmt: str
-    overrides: dict
 
 
 @functools.cache
@@ -335,6 +171,13 @@ def _partitions_from(obj: list) -> list[PartitionSpec]:
     return [PartitionSpec([_set_from(s) for s in sets]) for sets in obj]
 
 
+def _gibbs_from(obj: dict) -> GibbsModel:
+    return GibbsModel(
+        beta=float(obj["beta"]), theta=float(obj["theta"]), rho=float(obj["rho"]),
+        window=_window_from(obj["window"]),
+    )
+
+
 def _source_from(obj: dict, partitions: list[PartitionSpec]):
     kind = obj["type"]
     if kind == "dirac_labels":
@@ -349,12 +192,7 @@ def _source_from(obj: dict, partitions: list[PartitionSpec]):
             return PoissonCountLaw(intensity, prune_mass=1e-9)
         return intensity  # sampled: drawn as one batch
     if kind == "gibbs":
-        return GibbsModel(
-            beta=float(obj["beta"]),
-            theta=float(obj["theta"]),
-            rho=float(obj["rho"]),
-            window=_window_from(obj["window"]),
-        )
+        return _gibbs_from(obj)
     if kind == "ustat_interval":
         model = IntervalPairModel(rate=float(obj["rate"]), delta=float(obj["delta"]))
 
@@ -366,24 +204,59 @@ def _source_from(obj: dict, partitions: list[PartitionSpec]):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: one ``_COMMANDS`` entry each.  The function ``(args, config)``
+# returns (passed, output fields, CSV rows or None); the parser and
+# ``OUTPUT_SCHEMAS`` are built from the table, and ``run`` adds
+# ``schema_version`` and ``verdict`` and picks the exit code.  ``config`` is
+# read before the run, so its failures are config errors.
 # ---------------------------------------------------------------------------
 
-def _cmd_stein_check(cfg: ExperimentConfig):
-    spec = cfg.overrides
-    lo, hi, n_lam = spec["lambda_grid"]
-    n_g = spec["n_g"]
-    top = spec["range"]
-    lambdas = np.linspace(lo, hi, n_lam)
-    sup_tol = spec["sup_tol"]
-    res_tol = spec["res_tol"]
-    rows = [("lambda", "g_id", "sup_abs", "sup_delta", "residual")] if cfg.fmt == "csv" else None
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its function, ``--help`` line, output fields (JSON
+    schemas by name) and extra flags (``(flag, add_argument keywords)``).  Its
+    config is the ``--model`` file checked against ``SCHEMAS[model]`` or,
+    without a model file, ``load(args)``."""
+
+    run: Callable
+    help: str
+    fields: dict
+    model: Optional[str] = None
+    load: Optional[Callable] = None
+    flags: tuple = ()
+
+
+def _stein_sweep(args) -> tuple[tuple[float, float, int], int]:
+    """The ``stein-check`` sweep: ((lo, hi, count) of the lambda grid, number of g columns)."""
+    kind, _, count = args.g.partition(":")
+    if kind != "random":
+        raise ParameterError(f"unsupported g family {kind!r}")
+    if not count.isdigit() or int(count) < 1:
+        raise ParameterError(f"--g needs random:<count> with count >= 1, got {args.g!r}")
+    if args.grange < 0:
+        raise ParameterError(f"--range must be >= 0, got {args.grange}")
+    try:
+        lo, hi, n = args.lambda_grid.split(":")
+        grid = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ParameterError(f"--lambda-grid must read lo:hi:count, got {args.lambda_grid!r}") from None
+    if not (math.isfinite(grid[0]) and math.isfinite(grid[1])):
+        raise ParameterError(f"--lambda-grid needs finite bounds, got {args.lambda_grid!r}")
+    if grid[2] < 1:
+        raise ParameterError(f"--lambda-grid needs a count >= 1, got {grid[2]}")
+    return grid, int(count)
+
+
+def _cmd_stein_check(args, sweep):
+    (lo, hi, n_lam), n_g = sweep
+    top = args.grange
+    rows = [("lambda", "g_id", "sup_abs", "sup_delta", "residual")] if args.fmt == "csv" else None
     worst_sup = worst_res = 0.0
-    rng = streams.derive(cfg.seed, 3)
+    rng = streams.derive(args.seed, 3)
     g_cols = np.empty((top + 1, n_g))
     for g_id in range(n_g):  # a start in [-1, 1], then top steps in [-1, 1]
         g_cols[:, g_id] = np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(-1.0, 1.0, size=top)]).cumsum()
-    for lam in lambdas:
+    for lam in np.linspace(lo, hi, n_lam):
         ghat, means = solve_stein_batch(float(lam), g_cols)
         residual, sup_abs, sup_delta = column_checks(lam, g_cols, ghat, means)
         if rows is not None:
@@ -391,338 +264,245 @@ def _cmd_stein_check(cfg: ExperimentConfig):
                       f"{sup_delta[g_id]:.17g}", f"{residual[g_id]:.17g}") for g_id in range(n_g)]
         worst_sup = max(worst_sup, float(sup_abs.max()), float(sup_delta.max()))
         worst_res = max(worst_res, float(residual.max()))
-    ok = worst_sup <= sup_tol and worst_res <= res_tol
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "lambda_grid": [lo, hi, n_lam],
-        "n_g": n_g,
-        "range": top,
-        "worst_sup": worst_sup,
-        "worst_residual": worst_res,
-        "sup_tol": sup_tol,
-        "residual_tol": res_tol,
-        "verdict": "PASS" if ok else "FAIL",
+    fields = {
+        "lambda_grid": [lo, hi, n_lam], "n_g": n_g, "range": top, "worst_sup": worst_sup,
+        "worst_residual": worst_res, "sup_tol": args.sup_tol, "residual_tol": args.residual_tol,
     }
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), payload, rows
+    return worst_sup <= args.sup_tol and worst_res <= args.residual_tol, fields, rows
 
 
-def _bernoulli_model(cfg: ExperimentConfig) -> BernoulliArrayModel:
-    m = cfg.model
-    return BernoulliArrayModel(
-        n=m["n"], d=m["d"], p=m["p"], m=m["m"],
-        family=m.get("family", "sliding_min"),
-    )
+def _bernoulli_model(m: dict) -> BernoulliArrayModel:
+    return BernoulliArrayModel(n=m["n"], d=m["d"], p=m["p"], m=m["m"], family=m.get("family", "sliding_min"))
 
 
-def _cmd_bernoulli_bound(cfg: ExperimentConfig):
-    model = _bernoulli_model(cfg)
+def _cmd_bernoulli_bound(args, m):
+    model = _bernoulli_model(m)
     qs = [q_factor(model, k) for k in range(1, model.n + 1)]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "bound": mdep_bound(model),
-        "corollary_bound": corollary_bound(model.p),
-        "Q": qs,
-        "verdict": "PASS",
-    }
-    return EXIT_OK, payload, None
+    return True, {"bound": mdep_bound(model), "corollary_bound": corollary_bound(model.p), "Q": qs}, None
 
 
-def _cmd_bernoulli_verify(cfg: ExperimentConfig):
-    model = _bernoulli_model(cfg)
-    if model.m > 0 and cfg.reps < 2:  # the bootstrap standard error needs two rows
-        raise ParameterError(f"an m-dependent array needs --reps >= 2, got {cfg.reps}")
+def _cmd_bernoulli_verify(args, m):
+    model = _bernoulli_model(m)
+    if model.m > 0 and args.reps < 2:  # the bootstrap standard error needs two rows
+        raise ParameterError(f"an m-dependent array needs --reps >= 2, got {args.reps}")
     bound = mdep_bound(model)
     lam = PoissonVectorParams(tuple(model.p.sum(axis=0)))
     target = truncate_small_atoms(poisson_vector_pmf(lam, 1e-10), 1e-9)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "bound": bound,
-        "corollary_bound": corollary_bound(model.p),
-        "mode": "",
-        "distance": 0.0,
-        "std_error": 0.0,
-        "truncation_error": 0.0,
-        "verdict": "",
-    }
     if model.m == 0:
-        exact = bernoulli_sum_pmf(model.p)
-        res = wasserstein_l1(exact, target)
-        ok = res.value <= bound + res.truncation_error + 1e-8
-        payload.update(mode="exact", distance=res.value, truncation_error=res.truncation_error)
+        res = wasserstein_l1(bernoulli_sum_pmf(model.p), target)
+        mode, se, slack = "exact", 0.0, 1e-8
     else:
-        sample = SampleAtoms(sample_mdep_counts(model, cfg.reps, cfg.seed))
+        sample = SampleAtoms(sample_mdep_counts(model, args.reps, args.seed))
         res = wasserstein_l1(sample.law(), target)
         boots = np.zeros(BERNOULLI_N_BOOT)
         for b in range(BERNOULLI_N_BOOT):
-            take = streams.derive(cfg.seed, 30, b).integers(0, cfg.reps, size=cfg.reps)
+            take = streams.derive(args.seed, 30, b).integers(0, args.reps, size=args.reps)
             boots[b] = wasserstein_l1(sample.law(take), target, start=res.v).value
         se = float(boots.std(ddof=1))
-        ok = res.value <= bound + res.truncation_error + 3.0 * se
-        payload.update(
-            mode="empirical", distance=res.value, std_error=se,
-            truncation_error=res.truncation_error,
-        )
-    payload["verdict"] = "PASS" if ok else "FAIL"
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), payload, None
+        mode, slack = "empirical", 3.0 * se
+    fields = {
+        "bound": bound, "corollary_bound": corollary_bound(model.p), "mode": mode, "distance": res.value,
+        "std_error": se, "truncation_error": res.truncation_error,
+    }
+    return res.value <= bound + res.truncation_error + slack, fields, None
 
 
-def _cmd_ustat_bound(cfg: ExperimentConfig):
-    m = cfg.model
+def _cmd_ustat_bound(args, m):
     if m["family"] == "interval_pair":
         model = IntervalPairModel(rate=float(m["rate"]), delta=float(m["delta"]))
     else:
         model = TripletSumModel(rate=float(m["rate"]), threshold=float(m["threshold"]))
     r = ustat_R(model)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "family": m["family"],
-        "R": r.value,
-        "R_error_bound": r.error_bound,
-        "bound": ustat_bound(model),
+    fields = {
+        "family": m["family"], "R": r.value, "R_error_bound": r.error_bound, "bound": ustat_bound(model),
         "order": model.order,
-        "verdict": "PASS",
     }
-    return EXIT_OK, payload, None
+    return True, fields, None
 
 
-def _gibbs_model(cfg: ExperimentConfig) -> GibbsModel:
-    m = cfg.model
-    return GibbsModel(
-        beta=float(m["beta"]), theta=float(m["theta"]), rho=float(m["rho"]),
-        window=_window_from(m["window"]),
-    )
+def _cmd_papangelou_bound(args, m):
+    model = _gibbs_from(m)
+    target = IntensityMeasure(model.window, float(m.get("target_density", m["beta"])))
+    res = papangelou_bound(model, target, reps=args.reps, seed=args.seed)
+    # the integral is exact; quad_bound stays for old readers
+    return True, {"estimate": res.estimate, "std_error": res.std_error, "quad_bound": 0.0, "reps": res.reps}, None
 
 
-def _cmd_papangelou_bound(cfg: ExperimentConfig):
-    model = _gibbs_model(cfg)
-    f = float(cfg.model.get("target_density", cfg.model["beta"]))
-    target = IntensityMeasure(model.window, f)
-    res = papangelou_bound(model, target, reps=cfg.reps, seed=cfg.seed)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "estimate": res.estimate,
-        "std_error": res.std_error,
-        "quad_bound": 0.0,  # the integral is exact; the field stays for old readers
-        "reps": res.reps,
-        "verdict": "PASS",
+def _cmd_gnz_check(args, m):
+    u = m.get("u", {"kind": "one"})
+    if u["kind"] == "total_count":
+        fn = TotalCount()
+    else:  # "one" is 1_A * 1{nu(B) = 0} with neither region
+        regions = ("region_a", "region_b") if u["kind"] == "indicator_empty" else ()
+        fn = IndicatorTimesEmpty(**{k: _window_from(u[k]) for k in regions if k in u})
+    report = gnz_check(_gibbs_from(m), fn, reps=args.reps, seed=args.seed)
+    fields = {
+        "lhs": report.lhs, "rhs": report.rhs, "z_score": report.z_score, "std_error": report.std_error,
+        "quad_bound": 0.0, "z_threshold": args.z_threshold, "reps": report.reps,
     }
-    return EXIT_OK, payload, None
+    return abs(report.z_score) <= args.z_threshold, fields, None
 
 
-def _cmd_gnz_check(cfg: ExperimentConfig):
-    model = _gibbs_model(cfg)
-    u_spec = cfg.model.get("u", {"kind": "one"})
-    if u_spec["kind"] == "one":
-        u = IndicatorTimesEmpty()
-    elif u_spec["kind"] == "total_count":
-        u = TotalCount()
-    else:
-        u = IndicatorTimesEmpty(
-            region_a=_window_from(u_spec["region_a"]) if "region_a" in u_spec else None,
-            region_b=_window_from(u_spec["region_b"]) if "region_b" in u_spec else None,
-        )
-    report = gnz_check(model, u, reps=cfg.reps, seed=cfg.seed)
-    z_tol = cfg.overrides["z_threshold"]
-    ok = abs(report.z_score) <= z_tol
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "z_score": report.z_score,
-        "std_error": report.std_error,
-        "quad_bound": 0.0,
-        "z_threshold": z_tol,
-        "reps": report.reps,
-        "verdict": "PASS" if ok else "FAIL",
-    }
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), payload, None
-
-
-def _cmd_dpi_estimate(cfg: ExperimentConfig):
-    m = cfg.model
+def _cmd_dpi_estimate(args, m):
     partitions = _partitions_from(m["partitions"])
     est = dpi_lower_bound(
         _source_from(m["xi"], partitions), _source_from(m["eta"], partitions), partitions,
-        reps=cfg.reps, seed=cfg.seed, n_boot=cfg.overrides["n_boot"],
+        reps=args.reps, seed=args.seed, n_boot=args.n_boot,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "estimate": est.value,
-        "std_error": est.std_error,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "per_partition": list(est.per_partition),
-        "truncation_error": est.truncation_error,
-        "verdict": "PASS",
+    fields = {
+        "estimate": est.value, "std_error": est.std_error, "ci_low": est.ci_low, "ci_high": est.ci_high,
+        "per_partition": list(est.per_partition), "truncation_error": est.truncation_error,
     }
-    rows = [("partition", "w1_lower_bound")]
-    rows += [(str(i), f"{v:.17g}") for i, v in enumerate(est.per_partition)]
-    code = EXIT_OK
-    if "bound" in m:
-        # a lower bound exceeding the claimed upper bound is a failed check
-        slack = 3.0 * est.std_error + est.truncation_error
-        if est.value > float(m["bound"]) + slack:
-            payload["verdict"] = "FAIL"
-            code = EXIT_CHECK_FAILED
-    return code, payload, rows
+    rows = [("partition", "w1_lower_bound")] + [(str(i), f"{v:.17g}") for i, v in enumerate(est.per_partition)]
+    # a lower bound exceeding the claimed upper bound is a failed check
+    passed = "bound" not in m or est.value <= float(m["bound"]) + (3.0 * est.std_error + est.truncation_error)
+    return passed, fields, rows
 
 
-def _cmd_wasserstein(cfg: ExperimentConfig):
-    P, Q = (LatticePmf.from_json_dict(cfg.overrides[k]) for k in ("p", "q"))
-    flow_csv = cfg.overrides.get("flow_csv")
-    res = wasserstein_l1(P, Q, want_flow=flow_csv is not None)
-    if flow_csv:
-        with open(flow_csv, "w", encoding="utf-8") as fh:
+def _cmd_wasserstein(args, pmfs):
+    P, Q = (LatticePmf.from_json_dict(obj) for obj in pmfs)
+    res = wasserstein_l1(P, Q, want_flow=args.flow_csv is not None)
+    if args.flow_csv:
+        with open(args.flow_csv, "w", encoding="utf-8") as fh:
             fh.write("x,y,mass\n")
             for x, y, mass in res.flow:
                 fh.write(f"\"{' '.join(map(str, x))}\",\"{' '.join(map(str, y))}\",{mass:.17g}\n")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "value": res.value,
-        "truncation_error": res.truncation_error,
-        "verdict": "PASS",
-    }
-    return EXIT_OK, payload, None
+    return True, {"value": res.value, "truncation_error": res.truncation_error}, None
 
+
+_INERT = "accepted for old scripts; no effect"
+_MODEL_FLAG = ("--model", {"required": True, "help": "JSON model file"})
+_COMMON_FLAGS = (
+    ("--seed", {"type": int, "default": 0}),
+    ("--reps", {"type": int, "default": 10_000}),
+    ("--out", {"default": None}),
+    ("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "json"}),
+    ("--threads", {"type": int, "default": None, "help": _INERT}),
+)
+_GRID_FLAG = ("--grid", {"type": int, "default": None, "help": _INERT})
 
 _COMMANDS = {
-    "stein-check": (_cmd_stein_check, None),
-    "bernoulli-bound": (_cmd_bernoulli_bound, "bernoulli"),
-    "bernoulli-verify": (_cmd_bernoulli_verify, "bernoulli"),
-    "ustat-bound": (_cmd_ustat_bound, "ustat"),
-    "papangelou-bound": (_cmd_papangelou_bound, "gibbs"),
-    "gnz-check": (_cmd_gnz_check, "gibbs"),
-    "dpi-estimate": (_cmd_dpi_estimate, "dpi"),
-    "wasserstein": (_cmd_wasserstein, None),
+    "stein-check": _Command(
+        _cmd_stein_check, "magic-factor and residual sweep", load=_stein_sweep,
+        fields={"lambda_grid": _NUMS, "n_g": _INT, "range": _INT, "worst_sup": _NUM, "worst_residual": _NUM,
+                "sup_tol": _NUM, "residual_tol": _NUM},
+        flags=(
+            ("--lambda-grid", {"default": "0.1:10:25", "help": "lo:hi:count"}),
+            ("--g", {"default": "random:200", "help": "random:<count>"}),
+            ("--range", {"type": int, "default": 300, "dest": "grange"}),
+            ("--sup-tol", {"type": float, "default": 1.0 + 1e-12}),
+            ("--residual-tol", {"type": float, "default": 1e-10}),
+        ),
+    ),
+    "bernoulli-bound": _Command(
+        _cmd_bernoulli_bound, "m-dependent Bernoulli bound, independent-rows bound and Q factors",
+        model="bernoulli",
+        fields={"bound": _NUM, "corollary_bound": _NUM, "Q": _NUMS},
+    ),
+    "bernoulli-verify": _Command(
+        _cmd_bernoulli_verify, "exact (m = 0) or sampled W1 to the Poisson law against the bound",
+        model="bernoulli",
+        fields={"bound": _NUM, "corollary_bound": _NUM, "mode": {"enum": ["exact", "empirical"]},
+                "distance": _NUM, "std_error": _NUM, "truncation_error": _NUM},
+    ),
+    "ustat-bound": _Command(
+        _cmd_ustat_bound, "U-statistic R-functional and bound", model="ustat",
+        fields={"family": {"type": "string"}, "R": _NUM, "R_error_bound": _NUM, "bound": _NUM, "order": _INT},
+    ),
+    "papangelou-bound": _Command(
+        _cmd_papangelou_bound, "conditional-intensity bound of a Gibbs model", model="gibbs", flags=(_GRID_FLAG,),
+        fields={"estimate": _NUM, "std_error": _NUM, "quad_bound": _NUM, "reps": _INT},
+    ),
+    "gnz-check": _Command(
+        _cmd_gnz_check, "GNZ identity check of the Gibbs sampler", model="gibbs",
+        flags=(_GRID_FLAG, ("--z-threshold", {"type": float, "default": 4.0})),
+        fields={"lhs": _NUM, "rhs": _NUM, "z_score": _NUM, "std_error": _NUM, "quad_bound": _NUM,
+                "z_threshold": _NUM, "reps": _INT},
+    ),
+    "dpi-estimate": _Command(
+        _cmd_dpi_estimate, "partition lower bound on the process distance", model="dpi",
+        flags=(("--n-boot", {"type": int, "default": DEFAULT_N_BOOT}),),
+        fields={"estimate": _NUM, "std_error": _NUM, "ci_low": _NUM, "ci_high": _NUM, "per_partition": _NUMS,
+                "truncation_error": _NUM},
+    ),
+    "wasserstein": _Command(
+        _cmd_wasserstein, "exact W1 between two serialized pmfs",
+        load=lambda args: (_load_model(args.p_path, "pmf"), _load_model(args.q_path, "pmf")),
+        flags=(("--p", {"required": True, "dest": "p_path"}), ("--q", {"required": True, "dest": "q_path"}),
+               ("--flow-csv", {"default": None})),
+        fields={"value": _NUM, "truncation_error": _NUM},
+    ),
 }
 
+
+def _output_schema(fields: dict) -> dict:
+    props = {**_VERSION, "verdict": {"enum": ["PASS", "FAIL"]}, **fields}
+    return _strict(props, sorted(props))
+
+
+OUTPUT_SCHEMAS = {name: _output_schema(cmd.fields) for name, cmd in _COMMANDS.items()}
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _write_outputs(cfg: ExperimentConfig, payload: dict, rows) -> None:
-    if cfg.fmt == "csv" and rows is not None:
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="palab", description=__doc__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for flag, kwargs in ((_MODEL_FLAG,) if cmd.model else ()) + _COMMON_FLAGS + cmd.flags:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+def _write_outputs(args, payload: dict, rows) -> None:
+    if args.fmt == "csv" and rows is not None:
         text = "\n".join(",".join(r) for r in rows) + "\n"
     else:
         text = jsonio.dumps(payload)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        jsonio.write(cfg.out + ".meta.json", {"subcommand": cfg.subcommand, "written_at": time.time()})
+        jsonio.write(args.out + ".meta.json", {"subcommand": args.subcommand, "written_at": time.time()})
     else:
         sys.stdout.write(text)
 
 
-def run(cfg: ExperimentConfig) -> int:
-    """Execute a validated config; exit code 0 (pass), 2 (check failed),
-    1 (a ``palab.errors`` failure) or 3 (any other exception)."""
-    fn, _schema = _COMMANDS[cfg.subcommand]
+def run(args, config) -> int:
+    """Run subcommand ``args.subcommand`` on its config; exit code 0 (pass),
+    2 (check failed), 1 (a ``palab.errors`` failure) or 3 (any other exception)."""
+    name = args.subcommand
     try:
-        code, payload, rows = fn(cfg)
-        _validate(payload, cfg.subcommand)
-        _write_outputs(cfg, payload, rows)
+        passed, fields, rows = _COMMANDS[name].run(args, config)
+        payload = {"schema_version": SCHEMA_VERSION, **fields, "verdict": "PASS" if passed else "FAIL"}
+        _validate(payload, name)
+        _write_outputs(args, payload, rows)
     except Exception as exc:  # flush a failed marker, then report the failure
-        if cfg.out:
+        if args.out:
             with contextlib.suppress(OSError):  # an unwritable --out gets no marker
-                jsonio.write(cfg.out, {"failed": True, "error": str(exc), "subcommand": cfg.subcommand})
+                jsonio.write(args.out, {"failed": True, "error": str(exc), "subcommand": name})
         if isinstance(exc, PalabError):
-            print(f"{cfg.subcommand}: FAILED ({exc})", file=sys.stderr)
+            print(f"{name}: FAILED ({exc})", file=sys.stderr)
             return EXIT_USAGE
         traceback.print_exc()
         return EXIT_INTERNAL
-    print(f"{cfg.subcommand}: {payload.get('verdict', 'PASS')}", file=sys.stderr)
-    return code
-
-
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    try:
-        lo, hi, n = text.split(":")
-        grid = float(lo), float(hi), int(n)
-    except ValueError:
-        raise ParameterError(f"--lambda-grid must read lo:hi:count, got {text!r}") from None
-    if grid[2] < 1:
-        raise ParameterError(f"--lambda-grid needs a count >= 1, got {grid[2]}")
-    return grid
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="palab", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, needs_model=True):
-        if needs_model:
-            p.add_argument("--model", required=True, help="JSON model file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--reps", type=int, default=10_000)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None, help="accepted for old scripts; no effect")
-
-    p = sub.add_parser("stein-check", help="magic-factor and residual sweep")
-    common(p, needs_model=False)
-    p.add_argument("--lambda-grid", default="0.1:10:25", help="lo:hi:count")
-    p.add_argument("--g", default="random:200", help="random:<count>")
-    p.add_argument("--range", type=int, default=300, dest="grange")
-    p.add_argument("--sup-tol", type=float, default=1.0 + 1e-12)
-    p.add_argument("--residual-tol", type=float, default=1e-10)
-
-    for name in ("bernoulli-bound", "bernoulli-verify", "ustat-bound"):
-        common(sub.add_parser(name))
-    for name in ("papangelou-bound", "gnz-check"):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--grid", type=int, default=None, help="accepted for old scripts; no effect")
-    p.add_argument("--z-threshold", type=float, default=4.0)
-    p = sub.add_parser("dpi-estimate")
-    common(p)
-    p.add_argument("--n-boot", type=int, default=DEFAULT_N_BOOT)
-    p = sub.add_parser("wasserstein")
-    common(p, needs_model=False)
-    p.add_argument("--p", required=True, dest="p_path")
-    p.add_argument("--q", required=True, dest="q_path")
-    p.add_argument("--flow-csv", default=None)
-    return parser
+    print(f"{name}: {payload['verdict']}", file=sys.stderr)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides: dict = {}
-    model: dict = {}
-    _fn, schema = _COMMANDS[args.subcommand]
+    cmd = _COMMANDS[args.subcommand]
     try:
-        if schema is not None:
-            model = _load_model(args.model, schema)
-        if args.subcommand == "stein-check":
-            kind, _, count = args.g.partition(":")
-            if kind != "random":
-                raise ParameterError(f"unsupported g family {kind!r}")
-            if not count.isdigit() or int(count) < 1:
-                raise ParameterError(f"--g needs random:<count> with count >= 1, got {args.g!r}")
-            if args.grange < 0:
-                raise ParameterError(f"--range must be >= 0, got {args.grange}")
-            overrides = {
-                "lambda_grid": _parse_grid(args.lambda_grid),
-                "n_g": int(count),
-                "range": args.grange,
-                "sup_tol": args.sup_tol,
-                "res_tol": args.residual_tol,
-            }
-        elif args.subcommand == "gnz-check":
-            overrides = {"z_threshold": args.z_threshold}
-        elif args.subcommand == "dpi-estimate":
-            overrides = {"n_boot": args.n_boot}
-        elif args.subcommand == "wasserstein":
-            overrides = {"p": _load_model(args.p_path, "pmf"), "q": _load_model(args.q_path, "pmf"),
-                         "flow_csv": args.flow_csv}
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+        config = _load_model(args.model, cmd.model) if cmd.model else cmd.load(args)
     except (OSError, json.JSONDecodeError, jsonschema.ValidationError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = ExperimentConfig(
-        subcommand=args.subcommand, model=model, seed=args.seed, reps=args.reps,
-        out=args.out, fmt=args.fmt, overrides=overrides,
-    )
-    return run(cfg)
+    return run(args, config)
 
 
 if __name__ == "__main__":

@@ -254,8 +254,6 @@ class IndicatorTimesEmpty(GnzTestFunction):
         """Left side sum_x 1_A(x) * 1{xi(B) - 1_B(x) = 0}, weight 1{xi(B) = 0}:
         one membership test per region over all points, summed per pattern."""
         pts = batch.points
-        if len(pts) == 0:
-            return np.zeros(len(batch)), np.ones(len(batch))
         ok = np.ones(len(pts), dtype=bool) if self.region_a is None else self.region_a.contains(pts)
         in_b = np.zeros(len(pts), dtype=bool) if self.region_b is None else self.region_b.contains(pts)
         n_b = batch.segment_sums(in_b)

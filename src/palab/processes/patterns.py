@@ -56,8 +56,12 @@ class Box:
         return out
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Which rows of an ``(n, w)`` array lie in the closed box; no points
+        (an empty pattern's ``(0, 0)`` array too) give an empty mask."""
         pts = np.atleast_2d(pts)
         ok = np.ones(len(pts), dtype=bool)
+        if len(pts) == 0:
+            return ok
         for k, (l, h) in enumerate(zip(self.lows, self.highs)):
             ok &= (pts[:, k] >= l) & (pts[:, k] <= h)
         return ok
@@ -126,13 +130,6 @@ class PointPattern:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def count_in(self, region: SetSpec) -> int:
-        if isinstance(region, LabelSet):
-            return sum(1 for p in self.points if p in region.members)
-        if len(self) == 0:
-            return 0
-        return int(region.contains(self.points).sum())
 
 
 @dataclass(frozen=True)

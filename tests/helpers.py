@@ -153,7 +153,7 @@ def gnz_terms_per_pattern(u, pattern) -> tuple[float, float]:
     if u.region_b is not None:
         in_b = u.region_b.contains(pattern.points)
         ok &= in_b.sum() - in_b == 0
-    return float(ok.sum()), float(u.region_b is None or pattern.count_in(u.region_b) == 0)
+    return float(ok.sum()), float(u.region_b is None or int(u.region_b.contains(pattern.points).sum()) == 0)
 
 
 def per_pattern_draws(model, reps: int, seed: int, stream: int):

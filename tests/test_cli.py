@@ -155,6 +155,22 @@ def test_stein_check_malformed_arguments_exit_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--sup-tol", "--residual-tol", "--z-threshold", "--lambda-grid"])
+def test_non_finite_flags_are_config_errors(tmp_path, capsys, gibbs_model, flag, value):
+    # read with the config, like a non-finite number in a model file: no run, no --out file
+    if flag == "--z-threshold":
+        argv = ["gnz-check", "--model", gibbs_model, "--reps", "20"]
+    else:  # a repeated --lambda-grid replaces the first
+        argv = ["stein-check", "--lambda-grid", "1:2:2", "--g", "random:2", "--range", "60"]
+    out = tmp_path / "out.json"
+    value = f"1:{value}:2" if flag == "--lambda-grid" else value
+    assert run_cli([*argv, flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_dpi_two_point_dirac_exactly_two(tmp_path):
     model = write_json(
         tmp_path / "dpi.json",

@@ -147,9 +147,9 @@ def test_tuple_bound_ustat_coupling_route():
             for j in range(i):
                 region = part.sets[j]
                 z = (
-                    xi_aug.count_in(region)
-                    - xi_plain.count_in(region)
-                    - PointPattern([y_atom]).count_in(region)
+                    int(region.contains(xi_aug.points).sum())
+                    - int(region.contains(xi_plain.points).sum())
+                    - int(region.contains(np.array([y_atom])).sum())
                 )
                 assert z >= 0, "U-statistic coupling must have nonnegative components"
                 z_means[j] += z

@@ -342,6 +342,13 @@ def test_batch_without_points_counts_zero_in_any_sets():
             assert batch.count_rows(part).tolist() == [[0, 0]] * len(batch)
 
 
+@pytest.mark.parametrize("points", [PointPattern([]).points, PatternBatch.from_patterns([PointPattern([])] * 3).points,
+                                    np.zeros((0, 2))], ids=["empty-pattern", "all-empty-batch", "no-rows-of-2"])
+def test_box_contains_no_points_is_an_empty_mask(points):
+    inside = UNIT_SQUARE.contains(points)
+    assert inside.dtype == bool and inside.shape == (0,)
+
+
 def test_batch_rejects_mixed_or_malformed_patterns():
     located, named = PointPattern(np.array([[0.2]])), PointPattern(["a"])
     with pytest.raises(ParameterError):
