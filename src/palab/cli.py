@@ -446,14 +446,24 @@ OUTPUT_SCHEMAS = {name: _output_schema(cmd.fields) for name, cmd in _COMMANDS.it
 # plumbing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1 (argparse's own code, 2, means a failed check here)."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="palab", description=__doc__)
+    parser = _Parser(prog="palab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         for flag, kwargs in ((_MODEL_FLAG,) if cmd.model else ()) + _COMMON_FLAGS + cmd.flags:
             p.add_argument(flag, **kwargs)
     return parser
+
+
+_parser = functools.cache(_build_parser)  # one parser per process: parse_args keeps no state
 
 
 def _write_outputs(args, payload: dict, rows) -> None:
@@ -492,7 +502,7 @@ def run(args, config) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cmd = _COMMANDS[args.subcommand]
     try:
         for dest, value in vars(args).items():

@@ -15,6 +15,7 @@ the GNZ test functions read a whole batch the same way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -30,7 +31,8 @@ Label = Union[str, int]
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box window in R^w."""
+    """Axis-aligned box window in R^w; ``uniform_points`` reads its corners as
+    the arrays ``_lows`` and ``_span`` (highs - lows), built once."""
 
     lows: tuple[float, ...]
     highs: tuple[float, ...]
@@ -44,6 +46,8 @@ class Box:
             raise ParameterError(f"degenerate or unbounded box {lows}..{highs}")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
+        object.__setattr__(self, "_lows", np.array(lows))
+        object.__setattr__(self, "_span", np.array(highs) - self._lows)
 
     @property
     def dim(self) -> int:
@@ -108,15 +112,18 @@ class PointPattern:
     """Finite counting measure: locations with multiplicities.
 
     Box-window locations are one read-only ``(n, w)`` float64 array, kept as
-    given (a float64 array is not copied); label patterns are a tuple of
-    labels.  An empty pattern is a ``(0, 0)`` array unless given a shape, and
-    counts 0 in every set.
+    given (a 2-D float64 array is wrapped in a read-only view, neither copied
+    nor converted); label patterns are a tuple of labels.  An empty pattern is
+    a ``(0, 0)`` array unless given a shape, and counts 0 in every set.
     """
 
     points: Union[np.ndarray, tuple]
 
     def __init__(self, points: Union[np.ndarray, Sequence]):
-        if isinstance(points, np.ndarray) or not len(points) or isinstance(points[0], (tuple, list, np.ndarray)):
+        if type(points) is np.ndarray and points.ndim == 2 and points.dtype == np.float64:
+            pts = points.view()
+            pts.flags.writeable = False
+        elif isinstance(points, np.ndarray) or not len(points) or isinstance(points[0], (tuple, list, np.ndarray)):
             pts = np.asarray(points, dtype=np.float64)
             if pts.size == 0 and pts.ndim < 2:
                 pts = pts.reshape(0, 0)
@@ -250,6 +257,13 @@ def _membership(points: Union[np.ndarray, tuple], partition: PartitionSpec) -> n
     return ((pts >= partition._lows) & (pts <= partition._highs)).all(axis=2)
 
 
+@functools.cache
+def empty_pattern(width: int) -> PointPattern:
+    """The one shared, read-only empty pattern with ``(0, width)`` points;
+    width 0 is the ``(0, 0)`` of ``PointPattern([])``."""
+    return PointPattern(np.empty((0, width)))
+
+
 def count_vector(pattern: PointPattern, partition: PartitionSpec) -> tuple[int, ...]:
     """Points of the pattern in each set; boxes are closed, so a point on an
     edge shared by two boxes counts in both.  Label sets need a label pattern
@@ -348,8 +362,7 @@ def uniform_points(box: Box, rng: np.random.Generator, n: int) -> np.ndarray:
     """``(n, w)`` i.i.d. uniform points of the box: bit for bit
     ``rng.uniform(lows, highs, size=(n, w))`` (low + range * u, one double per
     entry in C order), without that call's per-call broadcasting cost."""
-    lows = np.array(box.lows)
-    return lows + (np.array(box.highs) - lows) * rng.random((n, len(lows)))
+    return box._lows + box._span * rng.random((n, len(box._lows)))
 
 
 def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPattern:
@@ -357,14 +370,16 @@ def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPat
     points from density/total: uniform for a constant rate on a box (the
     stream of a size-1 ``sample_poisson_batch``, without building a batch),
     by rejection against density_max for a callable density, by categorical
-    draw for labels."""
+    draw for labels.  No points give the shared ``empty_pattern``: ``(0, w)``
+    on a width-w box for a constant rate (no uniforms are drawn for n = 0, so
+    skipping that call leaves the stream unchanged), ``(0, 0)`` otherwise."""
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
     total = intensity.total
     n = int(rng.poisson(total)) if total > 0.0 else 0
     if isinstance(intensity.density, float):
-        return PointPattern(uniform_points(intensity.window, rng, n))
+        return PointPattern(uniform_points(intensity.window, rng, n)) if n else empty_pattern(intensity.window.dim)
     if n == 0:
-        return PointPattern(())
+        return empty_pattern(0)
     if isinstance(intensity.window, LabelSpace):
         labels = intensity.window.labels
         probs = np.array([intensity.density.get(l, 0.0) for l in labels]) / total

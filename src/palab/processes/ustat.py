@@ -25,7 +25,7 @@ import numpy as np
 from .. import streams
 from ..errors import BudgetError, ParameterError, QuadratureError
 from ..quadrature import integrate_box
-from .patterns import Box, IntensityMeasure, PointPattern
+from .patterns import Box, IntensityMeasure, PointPattern, empty_pattern
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
 DEFAULT_MAX_TRIES = 500_000
@@ -185,9 +185,12 @@ def build_ustat_process(
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> PointPattern:
     """One atom per unordered k-tuple of distinct input points inside D
-    (equivalently delta_{g} with weight 1/k! over ordered tuples)."""
+    (equivalently delta_{g} with weight 1/k! over ordered tuples); fewer
+    than k points give the shared ``(0, 0)`` empty pattern."""
     n = len(points)
     k = model.order
+    if n < k:
+        return empty_pattern(0)
     if n**k > tuple_budget:
         raise BudgetError(f"{n}^{k} ordered tuples exceed the budget {tuple_budget}")
     out = []

@@ -19,6 +19,13 @@ are integers, so the simplex multipliers (duals) are exact integers as well:
 the optimality test involves no rounding, and every solve ends with a
 complementary-slackness verification pass over the basic arcs.
 
+At d = 1 no simplex runs: |x - y| on the sorted supports is a Monge cost
+array, so the north-west-corner staircase of the same perturbed supplies is an
+optimal basis (Hoffman, 1963), and its duals follow the staircase from
+u[0] = 0 (``_north_west_corner``).  Its flows give the monotone plan.  The
+d = 1 basis passes the same complementary-slackness verification; ``start``
+is not used there.
+
 Truncated inputs are renormalized to unit mass before solving; the
 ``truncation_error`` field accounts for both the missing tail moment and the
 renormalization displacement, so
@@ -351,6 +358,35 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
             np.where(is_row, flow, -flow), -neg_u, v)
 
 
+def _north_west_corner(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """The optimal basis of a d = 1 problem on sorted supports, in the form
+    ``_transportation_simplex`` returns: arrays (rows, cols, flow) and duals u, v.
+
+    |x - y| on sorted supports is a Monge cost array, so the north-west-corner
+    rule is optimal (Hoffman, 1963).  Its basis is the staircase from arc (0, 0)
+    to (m - 1, n - 1) that merges the interior cumulative sums of the
+    ``_perturb`` supplies: each step moves to the next row or column, whichever
+    sum comes first (the column on a tie, which adds a zero-flow arc).  Arc k
+    carries the unperturbed mass between the (k - 1)-th and k-th sums of that
+    merge.  The duals follow the staircase from u[0] = 0: a row step sets
+    u_i = c_ij - v_j and a column step v_j = c_ij - u_i, exact integer sums.
+    Where the perturbed problem is nondegenerate they are its only optimal
+    duals, so the simplex ends with the same ones."""
+    m, n = cost.shape
+    a_p, b_p = _perturb(a, b)
+    steps = np.argsort(np.concatenate([np.cumsum(b_p)[:-1], np.cumsum(a_p)[:-1]]), kind="stable")
+    row_step = steps >= n - 1
+    rows = np.concatenate([[0], np.cumsum(row_step)])
+    cols = np.concatenate([[0], np.cumsum(~row_step)])
+    sums = np.concatenate([np.cumsum(b)[:-1], np.cumsum(a)[:-1]])[steps]
+    flow = np.diff(sums, prepend=0.0, append=a.sum())
+    arc_cost = cost[rows, cols]
+    rise = np.diff(arc_cost)  # c at a step's arc minus c at the arc before it
+    u = np.concatenate([[0.0], np.cumsum(rise[row_step])])
+    v = arc_cost[0] + np.concatenate([[0.0], np.cumsum(rise[~row_step])])
+    return rows, cols, flow, u, v
+
+
 def _verify_optimal(a, b, cost, rows, cols, flow, u, v) -> float:
     """Complementary-slackness pass over the basic arcs (rows, cols) and
     their flows; returns the certified optimal value."""
@@ -394,7 +430,8 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False,
     earlier solve against the same Q), orders the starting basis of a
     re-solve, e.g. for a bootstrap replicate whose support is a subset of the
     estimate's.  It changes the pivots, not the optimum: the value is
-    certified by the same check as a cold solve.
+    certified by the same check as a cold solve.  At d = 1 the basis is the
+    north-west-corner staircase and ``start`` is only checked.
     """
     _check_pair(P, Q)
     xs, pa = P.support_arrays()
@@ -407,7 +444,8 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False,
         # below 2**52 the rounded start and its reduced costs are exact integers
         if start.shape != (len(b),) or not (np.abs(start) < 2.0**52).all():
             raise ParameterError(f"start needs {len(b)} column duals below 2**52 in magnitude, got shape {start.shape}")
-    rows, cols, flow, u, v = _transportation_simplex(a, b, cost, start)
+    basis = _north_west_corner(a, b, cost) if P.dim == 1 else _transportation_simplex(a, b, cost, start)
+    rows, cols, flow, u, v = basis
     value = _verify_optimal(a, b, cost, rows, cols, flow, u, v)
     diam = float(max(xs.sum(axis=1).max(), ys.sum(axis=1).max()))
     trunc = P.tail_moment + Q.tail_moment + (P.tail_mass + Q.tail_mass) * diam

@@ -5,11 +5,13 @@ implementation it checks (dense LP instead of network simplex, plain sums
 instead of the library's accumulation order, the CDF formula instead of a
 transport solve at d = 1, Monte Carlo instead of closed forms, counts on a
 midpoint grid instead of exact disc-coverage areas, the GNZ terms pattern by
-pattern instead of over a batch), so agreement is meaningful.
+pattern instead of over a batch, every index tuple instead of
+``itertools.combinations`` for U-statistic atoms), so agreement is meaningful.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -72,6 +74,19 @@ def w1_1d(P: LatticePmf, Q: LatticePmf) -> float:
         f_q += q_mass.get(x, 0.0)
         total += abs(f_p - f_q) * (nxt - x)
     return total
+
+
+def ustat_atoms_by_tuples(points: np.ndarray, model) -> np.ndarray:
+    """U-statistic atoms of an ``(n, w)`` point array by brute force: every
+    ordered k-tuple of point indices, kept once when its indices increase and
+    mapped by the kernel when it lies in the domain.  No atoms give ``(0, 0)``."""
+    pts = [tuple(p) for p in points.tolist()]
+    out = []
+    for idx in itertools.product(range(len(pts)), repeat=model.order):
+        tup = [pts[i] for i in idx]
+        if all(i < j for i, j in zip(idx, idx[1:])) and model.in_domain(tup):
+            out.append(model.kernel(tup))
+    return np.array(out, dtype=np.float64).reshape(len(out), len(out[0]) if out else 0)
 
 
 def atoms(pmf: LatticePmf) -> dict:

@@ -513,6 +513,39 @@ def test_wasserstein_cli_with_flow(tmp_path):
     assert len(lines) == 2
 
 
+def test_wasserstein_d1_flow_is_the_monotone_plan(tmp_path):
+    # two optimal plans cost 2.25 here; at d = 1 the solver returns the one
+    # that never crosses
+    p = {"dim": 1, "atoms": [{"x": [0], "p": 0.5}, {"x": [2], "p": 0.25}, {"x": [3], "p": 0.25}],
+         "tail_mass": 0.0, "tail_moment": 0.0}
+    q = {"dim": 1, "atoms": [{"x": [1], "p": 0.25}, {"x": [4], "p": 0.5}, {"x": [5], "p": 0.25}],
+         "tail_mass": 0.0, "tail_moment": 0.0}
+    p_path, q_path = write_json(tmp_path / "p.json", p), write_json(tmp_path / "q.json", q)
+    flow = tmp_path / "flow.csv"
+    assert run_cli(["wasserstein", "--p", p_path, "--q", q_path, "--out", str(tmp_path / "w.json"),
+                    "--flow-csv", str(flow)]) == 0
+    assert (tmp_path / "w.json").read_text() == (
+        '{"schema_version":1,"truncation_error":0.0,"value":2.25,"verdict":"PASS"}\n')
+    assert flow.read_text() == 'x,y,mass\n"0","1",0.25\n"0","4",0.25\n"2","4",0.25\n"3","5",0.25\n'
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bernoulli-bound"], 1),
+    (["stein-check", "--bogus"], 1),
+    (["stein-check", "--sup-tol", "-inf"], 1),
+    (["--help"], 0),
+], ids=["missing-model", "unknown-flag", "negative-infinity-as-option", "help"])
+def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("usage: palab") and "error:" in err and out == ""
+    else:
+        assert out.startswith("usage: palab") and err == ""
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "palab.cli", "--help"], capture_output=True, text=True

@@ -62,6 +62,18 @@ def test_zero_intensity_gives_empty_pattern():
     assert len(pattern) == 0
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_empty_poisson_draws_keep_the_window_width(width):
+    box = Box((0.0,) * width, (1.0,) * width)
+    assert sample_poisson_process(IntensityMeasure(box, 0.0), 1).points.shape == (0, width)
+    rng = streams.derive(7)
+    draws = [sample_poisson_process(IntensityMeasure(box, 0.5), rng) for _ in range(40)]
+    empty = [p for p in draws if len(p) == 0]
+    assert empty and len(empty) < len(draws)
+    for p in empty:
+        assert p.points.shape == (0, width) and not p.points.flags.writeable
+
+
 def test_unit_rate_mean_count():
     intensity = IntensityMeasure(UNIT_SQUARE, 1.0)
     rng = streams.derive(42)

@@ -189,6 +189,67 @@ def test_w1_matches_cdf_formula_at_d1(pair):
     assert abs(wasserstein_l1(P, Q).value - w1_1d(P, Q)) <= 1e-12
 
 
+def _assert_staircase_is_the_simplex_optimum(P, Q):
+    res = wasserstein_l1(P, Q, want_flow=True)
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
+    cost = _l1_cost_matrix(P.points, Q.points)
+    rows, cols, flow, u, v = transport._transportation_simplex(a, b, cost)
+    value = transport._verify_optimal(a, b, cost, rows, cols, flow, u, v)
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    # The optimal duals are unique where the perturbed problem is
+    # nondegenerate.  Where two perturbed cumulative sums lie within rounding
+    # of each other (identical laws can do that), the simplex may end on
+    # other optimal duals; the value is still the same.
+    a_p, b_p = _perturb(a, b)
+    sums = np.sort(np.concatenate([np.cumsum(a_p)[:-1], np.cumsum(b_p)[:-1]]))
+    if np.diff(sums).min(initial=1.0) > 1e-15:
+        assert res.v.tobytes() == v.tobytes()
+    assert abs(res.value - w1_1d(P, Q)) <= 1e-12
+    # the plan is monotone: with arcs in source order, targets never fall
+    targets = [y for _, (y,), _ in res.flow]
+    assert targets == sorted(targets)
+
+
+def _with_masses(P, masses):
+    return LatticePmf.from_arrays(1, P.points, np.asarray(masses, dtype=float) / np.sum(masses))
+
+
+@st.composite
+def d1_pairs(draw):
+    """d = 1 pairs of random laws, laws with tied masses or tied cumulative
+    sums (equal or small-integer masses), identical laws, single atoms and
+    disjoint supports."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([2, 4, 12, 60]))
+    P, Q = (random_pmf(rng, 1, draw(st.integers(1, 40)), span) for _ in range(2))
+    kind = draw(st.sampled_from(["random", "equal masses", "integer masses", "identical", "single atom", "disjoint"]))
+    if kind == "equal masses":
+        P, Q = uniform_on(P), uniform_on(Q)
+    elif kind == "integer masses":
+        P, Q = (_with_masses(L, rng.integers(1, 4, size=len(L.probs))) for L in (P, Q))
+    elif kind == "identical":
+        Q = P
+    elif kind == "single atom":
+        P = dirac(int(rng.integers(0, 2 * span)))
+    elif kind == "disjoint":
+        Q = shifted(Q, span + int(rng.integers(0, 5)))
+    return (Q, P) if draw(st.booleans()) else (P, Q)
+
+
+@settings(max_examples=120)
+@given(d1_pairs())
+def test_d1_staircase_is_the_simplex_optimum(pair):
+    # value and column duals bitwise those of the simplex, the value within
+    # 1e-12 of the CDF formula
+    _assert_staircase_is_the_simplex_optimum(*pair)
+
+
+def test_d1_staircase_is_the_simplex_optimum_on_a_large_pair():
+    P = random_pmf(np.random.default_rng(57), 1, 600, span=1500)
+    Q = random_pmf(np.random.default_rng(58), 1, 180, span=900)
+    _assert_staircase_is_the_simplex_optimum(P, Q)
+
+
 @given(pmf_pairs(dims=[2, 3, 4], max_atoms=30))
 def test_w1_matches_lp_oracle_at_d2_to_4(pair):
     P, Q = pair
@@ -394,8 +455,10 @@ def test_bland_rule_takes_first_violating_arc(monkeypatch, dim, sizes):
     # Bland's rule from the first pivot: every entering arc must be the first
     # arc in row-major order with a negative reduced cost.  The instances have
     # more arcs than one pricing block, so this needs the scan to restart at
-    # row 0 on every pivot.
+    # row 0 on every pivot.  The simplex is called directly: wasserstein_l1
+    # does not reach it at d = 1.
     P, Q = (random_pmf(np.random.default_rng(48 + dim), dim, k) for k in sizes)
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
     cost = _l1_cost_matrix(P.points, Q.points)
     m, n = cost.shape
     assert m * n > BLOCK
@@ -410,7 +473,7 @@ def test_bland_rule_takes_first_violating_arc(monkeypatch, dim, sizes):
 
     monkeypatch.setattr(transport, "_bland_streak_limit", lambda m, n: -1)
     monkeypatch.setattr(transport, "_cycle_path", spy)
-    value = wasserstein_l1(P, Q).value  # raises unless _verify_optimal passes
+    value = transport._verify_optimal(a, b, cost, *transport._transportation_simplex(a, b, cost))
     assert len(entering) > 10
     assert entering == first
     oracle = w1_1d(P, Q) if dim == 1 else lp_wasserstein(P, Q)

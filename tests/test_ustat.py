@@ -22,6 +22,8 @@ from palab.processes import (
     ustat_bound,
 )
 
+from helpers import ustat_atoms_by_tuples
+
 
 def interval_r_closed_form(rate: float, delta: float) -> float:
     """Hand-derived: R = t^3 * int_0^1 |[x-d, x+d] cap [0,1]|^2 dx."""
@@ -63,6 +65,19 @@ def test_build_respects_domain():
     out = build_ustat_process(PointPattern([(0.1,), (0.15,), (0.9,)]), model)
     assert len(out) == 1  # only the first two are delta-close
     assert out.points[0].tolist() == pytest.approx([0.125])
+
+
+@pytest.mark.parametrize("model", [IntervalPairModel(rate=2.0, delta=0.3), TripletSumModel(rate=2.0, threshold=1.2)],
+                         ids=["interval-pair", "triplet-sum"])
+@pytest.mark.parametrize("n", range(7))
+def test_build_matches_per_tuple_oracle(model, n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        pts = rng.random((n, 1))
+        out = build_ustat_process(PointPattern(pts), model).points
+        want = ustat_atoms_by_tuples(pts, model)
+        assert out.shape == want.shape  # (0, 0) without atoms, n < k among them
+        assert out.tobytes() == want.tobytes()
 
 
 def test_build_budget_error():
