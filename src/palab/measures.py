@@ -11,9 +11,9 @@ rigorous error interval.
 Poisson law is evaluated, for the product-Poisson targets and the Stein solver.
 
 ``merge_rows`` is the one place where equal lattice rows are merged and their
-weights summed: prefix marginals, total variation, the coupling tables and the
-Stein decomposition go through it.  ``SampleAtoms`` (empirical laws) shares its
-merge and keeps each row's atom, so one merge serves a whole bootstrap.
+weights summed: prefix marginals, total variation and the coupling tables go
+through it.  ``SampleAtoms`` (empirical laws) shares its merge and keeps each
+row's atom, so one merge serves a whole bootstrap.
 """
 
 from __future__ import annotations

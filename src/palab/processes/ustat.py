@@ -42,7 +42,6 @@ class UStatModel:
 
     order: int
     mu: IntensityMeasure
-    y_window: Box
     fallback: tuple
 
     def in_domain(self, pts: Sequence[float]) -> bool:
@@ -78,7 +77,6 @@ class IntervalPairModel(UStatModel):
         self.rate = float(rate)
         self.delta = float(delta)
         self.mu = IntensityMeasure(Box((0.0,), (1.0,)), float(rate))
-        self.y_window = Box((0.0,), (1.0,))
         self.fallback = (0.0, 0.0)
 
     def in_domain(self, pts) -> bool:
@@ -127,7 +125,6 @@ class TripletSumModel(UStatModel):
         self.rate = float(rate)
         self.threshold = float(threshold)
         self.mu = IntensityMeasure(Box((0.0,), (1.0,)), float(rate))
-        self.y_window = Box((0.0,), (1.0,))
         self.fallback = (0.0, 0.0, 0.0)
 
     def in_domain(self, pts) -> bool:
@@ -163,7 +160,6 @@ class MonotoneMapModel(UStatModel):
         self._g = g
         self._g_inv = g_inverse
         self.mu = IntensityMeasure(Box((0.0,), (1.0,)), float(rate))
-        self.y_window = Box((min(g(0.0), g(1.0)),), (max(g(0.0), g(1.0)),))
         self.fallback = (0.0,)
 
     def in_domain(self, pts) -> bool:

@@ -21,6 +21,13 @@ Beyond the table g is extended as the constant g(N) (any 1-Lipschitz extension
 is admissible; the precondition below makes the choice irrelevant up to
 eps_tail).  E[g(P_lambda)] is evaluated for that extended g exactly up to
 rounding, so the magic-factor bounds survive at full range.
+
+The solution map g -> ghat is linear (Barbour, Holst & Janson, Poisson
+Approximation, 1992).  The telescoping check ``decomposition_check`` uses this:
+it averages g over the independent Poisson suffix first, then makes one batched
+solve per coordinate with one column per distinct prefix of X.  Those columns
+are combinations of 1-Lipschitz sections with nonnegative weights summing to
+at most 1, so they pass the solver's Lipschitz check like any other input.
 """
 
 from __future__ import annotations
@@ -77,20 +84,20 @@ def mean_tail_defect(lam: float, n: int) -> float:
     return float(lam * poisson_sf(n - 1, lam) - n * poisson_sf(n, lam))
 
 
-def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL,
-                      check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized solve for columns of ``g`` (shape (N+1,) or (N+1, B)).
 
     Returns (ghat with shape (N+2, B), means with shape (B,)).
     """
     g = np.asarray(g, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[0] == 0:
+        raise ParameterError(f"g must be a table over 0..N of shape (N+1,) or (N+1, B), got shape {g.shape}")
     if g.ndim == 1:
         g = g[:, None]
     n_max = g.shape[0] - 1
     if lam < 0 or not np.isfinite(lam):
         raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
-    if check:
-        check_lipschitz_1d(g)
+    check_lipschitz_1d(g)
     if lam > 0 and mean_tail_defect(lam, n_max) > eps_tail:
         raise ParameterError(
             f"g table over 0..{n_max} too short to certify E[g(P_{lam:g})] within {eps_tail:g}"
@@ -134,8 +141,8 @@ def solve_stein(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -
     E[g(P_lambda)] given g's linear growth bound (checked exactly).
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or len(g) < 1:
-        raise ParameterError("g must be a one-dimensional table over 0..N")
+    if g.ndim != 1:
+        raise ParameterError(f"g must be a one-dimensional table over 0..N, got shape {g.shape}")
     ghat, means = solve_stein_batch(lam, g, eps_tail=eps_tail)
     return SteinSolution(float(lam), g.copy(), ghat[:, 0], float(means[0]))
 
@@ -170,11 +177,16 @@ def decomposition_check(
         E[g(P) - g(X)] = sum_i E[ X_i ghat_i(X_i) - lambda_i ghat_i(X_i + 1) ]
 
     with ghat_i the Stein solution for the section of g at (X_{1:i-1}, ., P_{i+1:d}),
-    evaluated by exhaustive summation over the truncated joint support of the
-    independent pair (X, P).  The Poisson box cuts axis i at the smallest N
-    with P(P_i > N) <= eps_box / d; a g table shorter than that raises
-    ``ParameterError``.  Contract: residual <= 1e-8 plus the truncation
-    contribution of the Poisson box.
+    for X independent of P.  The map g -> ghat is linear and P_{i+1:d} is
+    independent of X, so the suffix expectation is taken before the solve:
+    h_d = g, h_{i-1} = h_i averaged over P_i on the Poisson box (the last step
+    gives E g(P)), and coordinate i needs one Stein column per distinct prefix
+    X_{1:i-1}, the section of h_i there.  The Poisson box cuts axis i at the
+    smallest N with P(P_i > N) <= eps_box / d.  A g that is not finite and
+    1-Lipschitz raises ``ContractError``; a negative or infinite eps_box, or a
+    g axis too short for the support of X plus 1, the solver range or the
+    Poisson box, raises ``ParameterError``.  Contract: residual <= 1e-8 plus
+    the truncation contribution of the Poisson box.
     """
     d = X.dim
     g = np.asarray(g, dtype=float)
@@ -204,44 +216,19 @@ def decomposition_check(
             )
         axes.append(poisson_pmf(np.arange(n + 1), lam))
 
-    # left side: E g(P) - E g(X), both by exhaustive summation
-    box = g[tuple(slice(0, len(ax)) for ax in axes)]
-    e_g_p = box
+    # h[i]: g with P_{i+1:d} averaged out, so h[d] = g and h[0] = E g(P)
+    h = [g]
     for ax in reversed(axes):
-        e_g_p = e_g_p @ ax
-    e_g_p = float(e_g_p)
-    e_g_x = float(sum(p * g[tuple(x)] for x, p in zip(xs, px)))
-    lhs = e_g_p - e_g_x
+        h.append(h[-1][..., : len(ax)] @ ax)
+    h.reverse()
+    lhs = float(h[0]) - float(px @ g[tuple(xs.T)])
 
-    # right side, coordinate by coordinate
+    # right side: one batched solve per coordinate, one column per distinct
+    # prefix X_{1:i-1} (the atoms are lexsorted, so equal prefixes are adjacent)
     rhs = 0.0
-    for i in range(1, d + 1):
-        lam_i = params.lambdas[i - 1]
-        marg_pts, marg_p = X.prefix_marginal(i).support_arrays()
-        # rows are lexsorted, so rows sharing the prefix X_{1:i-1} are adjacent
-        starts = np.r_[True, (marg_pts[1:, : i - 1] != marg_pts[:-1, : i - 1]).any(axis=1)]
-        suffix_axes = axes[i:]
-        if suffix_axes:
-            w = suffix_axes[0]
-            for ax in suffix_axes[1:]:
-                w = np.multiply.outer(w, ax)
-            suffix_w = w.ravel()
-            suffix_shape = tuple(len(ax) for ax in suffix_axes)
-        else:
-            suffix_w = np.ones(1)
-            suffix_shape = ()
-        # one batched solve per coordinate: columns indexed by (prefix, suffix)
-        n_suffix = len(suffix_w)
-        cols = []
-        for pre in marg_pts[starts, : i - 1].tolist():
-            sec = g[tuple(pre)][tuple([slice(None)] + [slice(0, s) for s in suffix_shape])]
-            cols.append(sec.reshape(sec.shape[0], -1))
-        ghat, _ = solve_stein_batch(lam_i, np.concatenate(cols, axis=1), eps_tail=eps_tail, check=False)
-        term_i = 0.0
-        prefix_ids = np.cumsum(starts) - 1
-        for pi, xi, pxi in zip(prefix_ids.tolist(), marg_pts[:, i - 1].tolist(), marg_p.tolist()):
-            base = pi * n_suffix
-            inner = xi * ghat[xi, base : base + n_suffix] - lam_i * ghat[xi + 1, base : base + n_suffix]
-            term_i += pxi * float(inner @ suffix_w)
-        rhs += term_i
+    for i, lam in enumerate(params.lambdas):
+        starts = np.r_[True, (xs[1:, :i] != xs[:-1, :i]).any(axis=1)]
+        ghat, _ = solve_stein_batch(lam, h[i + 1][tuple(xs[starts, :i].T)].T, eps_tail=eps_tail)
+        col, x = np.cumsum(starts) - 1, xs[:, i]
+        rhs += float(px @ (x * ghat[x, col] - lam * ghat[x + 1, col]))
     return abs(lhs - rhs)

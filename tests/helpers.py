@@ -6,7 +6,9 @@ instead of the library's accumulation order, the CDF formula instead of a
 transport solve at d = 1, Monte Carlo instead of closed forms, counts on a
 midpoint grid instead of exact disc-coverage areas, the GNZ terms pattern by
 pattern instead of over a batch, every index tuple instead of
-``itertools.combinations`` for U-statistic atoms), so agreement is meaningful.
+``itertools.combinations`` for U-statistic atoms, one Stein column per
+(prefix, Poisson-suffix cell) instead of suffix-averaged sections), so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from palab import streams
-from palab.measures import LatticePmf
+from palab.measures import LatticePmf, PoissonVectorParams, poisson_cut, poisson_pmf
 from palab.processes import GnzReport, PapangelouBound, TotalCount, coverage_areas, sample_gibbs_batch
+from palab.stein import solve_stein_batch
 
 # HiGHS feasibility tolerances are absolute, so the LP is solved with supplies
 # scaled by this factor and the optimum divided by it: at unit mass a
@@ -125,6 +128,41 @@ def random_lipschitz_1d(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random 1-Lipschitz function on 0..n-1 via bounded increments."""
     steps = rng.uniform(-1.0, 1.0, size=n - 1)
     return np.concatenate([[rng.uniform(-1, 1)], steps]).cumsum()
+
+
+def decomposition_residual_by_cells(X: LatticePmf, params: PoissonVectorParams, g: np.ndarray,
+                                    eps_box: float = 1e-12) -> float:
+    """The telescoping residual of ``stein.decomposition_check`` for valid
+    inputs, without the solver's linearity: one Stein column per (prefix
+    X_{1:i-1}, cell of the Poisson suffix box), each solution weighted by the
+    suffix cell's probability and summed atom by atom of X's prefix marginal."""
+    d = X.dim
+    axes = [poisson_pmf(np.arange(poisson_cut(lam, eps_box / d) + 1), lam) for lam in params.lambdas]
+    xs, px = X.support_arrays()
+    e_g_p = g[tuple(slice(0, len(ax)) for ax in axes)]
+    for ax in reversed(axes):
+        e_g_p = e_g_p @ ax
+    lhs = float(e_g_p) - sum(p * g[tuple(x)] for x, p in zip(xs.tolist(), px.tolist()))
+    rhs = 0.0
+    for i in range(1, d + 1):
+        lam_i = params.lambdas[i - 1]
+        marg_pts, marg_p = X.prefix_marginal(i).support_arrays()
+        starts = np.r_[True, (marg_pts[1:, : i - 1] != marg_pts[:-1, : i - 1]).any(axis=1)]
+        suffix_w = np.ones(1)
+        for ax in axes[i:]:
+            suffix_w = np.multiply.outer(suffix_w, ax).ravel()
+        suffix_box = tuple(slice(0, len(ax)) for ax in axes[i:])
+        cols = []
+        for pre in marg_pts[starts, : i - 1].tolist():
+            sec = g[tuple(pre)][(slice(None),) + suffix_box]
+            cols.append(sec.reshape(sec.shape[0], -1))
+        ghat, _ = solve_stein_batch(lam_i, np.concatenate(cols, axis=1))
+        n_suffix = len(suffix_w)
+        prefix_ids = np.cumsum(starts) - 1
+        for pi, xi, pxi in zip(prefix_ids.tolist(), marg_pts[:, i - 1].tolist(), marg_p.tolist()):
+            block = slice(pi * n_suffix, (pi + 1) * n_suffix)
+            rhs += pxi * float((xi * ghat[xi, block] - lam_i * ghat[xi + 1, block]) @ suffix_w)
+    return abs(lhs - rhs)
 
 
 def neighbour_counts(xs: np.ndarray, points: np.ndarray, rho: float) -> np.ndarray:

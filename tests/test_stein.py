@@ -29,7 +29,7 @@ from palab.stein import (
     solve_stein_batch,
 )
 
-from helpers import random_lipschitz_1d, random_lipschitz_table
+from helpers import decomposition_residual_by_cells, random_lipschitz_1d, random_lipschitz_table
 
 
 def mpmath_stein_oracle(lam: float, g: np.ndarray, dps: int | None = None) -> np.ndarray:
@@ -139,15 +139,24 @@ def test_magic_factors_on_long_range():
 
 
 def test_linearity_of_the_solver():
-    rng = np.random.default_rng(3)
-    g1 = random_lipschitz_1d(rng, 80)
-    g2 = random_lipschitz_1d(rng, 80)
-    a, b = 0.6, -0.4
-    lam = 2.3
-    s1 = solve_stein(lam, g1)
-    s2 = solve_stein(lam, g2)
-    combo = solve_stein(lam, a * g1 + b * g2)
-    assert np.max(np.abs(combo.ghat_values - (a * s1.ghat_values + b * s2.ghat_values))) <= 1e-10
+    cases = [
+        (2.3, 0.6, -0.4, 1.0),
+        (0.0, 0.6, -0.4, 1.0),
+        (216.0, 0.6, -0.4, 1.0),
+        # weights summing below 1 over columns of very different scale: each
+        # solve stops its tail series at a different k
+        (2.3, 0.7, 0.2, 1e-6),
+    ]
+    for lam, a, b, scale in cases:
+        rng = np.random.default_rng(3)
+        n = max(80, default_range(lam, 0) + 1)
+        g1 = random_lipschitz_1d(rng, n)
+        g2 = scale * random_lipschitz_1d(rng, n)
+        s1 = solve_stein(lam, g1)
+        s2 = solve_stein(lam, g2)
+        combo = solve_stein(lam, a * g1 + b * g2)
+        err = np.max(np.abs(combo.ghat_values - (a * s1.ghat_values + b * s2.ghat_values)))
+        assert err <= 1e-10, (lam, a, b, scale, err)
 
 
 def test_non_lipschitz_rejected_and_negative_lambda():
@@ -219,6 +228,19 @@ def test_non_finite_g_rejected(bad):
 
 
 @pytest.mark.parametrize("lam", [0.0, 2.0])
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (60, 2, 2), ()], ids=["empty", "no-rows", "3-d", "scalar"])
+def test_batch_rejects_malformed_tables(lam, shape):
+    with pytest.raises(ParameterError, match=r"shape \(N\+1,\) or \(N\+1, B\)"):
+        solve_stein_batch(lam, np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(0,), (60, 2)])
+def test_single_solve_rejects_non_1d_tables(shape):
+    with pytest.raises(ParameterError):
+        solve_stein(2.0, np.zeros(shape))
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
 def test_zero_column_batch(lam):
     ghat, means = solve_stein_batch(lam, np.zeros((61, 0)))
     assert ghat.shape == (62, 0)
@@ -256,6 +278,11 @@ def test_decomposition_random_bernoulli_sum_d2():
     assert decomposition_check(X, params, g) <= 1e-8
 
 
+def _min_table(shape):
+    """g = min(x_1, ..., x_d) on a lattice box."""
+    return np.minimum.reduce(np.meshgrid(*[np.arange(n, dtype=float) for n in shape], indexing="ij"))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_decomposition_min_table_sections_differ_per_prefix(d):
     # g = min(x_1, ..., x_d): the section at each prefix X_{1:i-1} differs by
@@ -266,8 +293,34 @@ def test_decomposition_min_table_sections_differ_per_prefix(d):
     X = bernoulli_sum_pmf(p)
     lam = tuple(p.sum(axis=0))
     shape = tuple(default_range(l, 6) + 1 for l in lam)
-    g = np.minimum.reduce(np.meshgrid(*[np.arange(n, dtype=float) for n in shape], indexing="ij"))
-    assert decomposition_check(X, PoissonVectorParams(lam), g) <= 1e-10
+    assert decomposition_check(X, PoissonVectorParams(lam), _min_table(shape)) <= 1e-10
+
+
+def _oracle_case(name):
+    """(X, params, g) of one derandomized decomposition instance."""
+    # the min cases are the instances of the test above
+    rng = np.random.default_rng(21 if name.endswith("min") else sum(map(ord, name)))
+    if name == "single-atom":
+        X, lam = LatticePmf(2, {(1, 3): 1.0}), (0.7, 1.3)
+    else:
+        d = int(name[1])
+        p = rng.random((4, d)) * (0.6 / d)
+        if name.endswith("zero-rate"):
+            p[:, 1] = 0.0
+        X, lam = bernoulli_sum_pmf(p), tuple(p.sum(axis=0))
+    shape = tuple(default_range(l, 6) + 1 for l in lam)
+    g = _min_table(shape) if name.endswith("min") else random_lipschitz_table(rng, shape)
+    return X, PoissonVectorParams(lam), g
+
+
+@pytest.mark.parametrize("eps_box", [1e-12, 1e-4])
+@pytest.mark.parametrize("name", ["d1", "d2", "d3", "d2-zero-rate", "d3-zero-rate", "single-atom", "d2-min", "d3-min"])
+def test_decomposition_matches_per_cell_oracle(name, eps_box):
+    # eps_box = 1e-4 leaves a truncation residual between 1e-6 and 1e-3 that
+    # both routes must reproduce, not just two rounding-level numbers
+    X, params, g = _oracle_case(name)
+    assert decomposition_check(X, params, g, eps_box=eps_box) == pytest.approx(
+        decomposition_residual_by_cells(X, params, g, eps_box=eps_box), rel=0, abs=1e-12)
 
 
 def test_decomposition_rejects_short_table():
