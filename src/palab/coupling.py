@@ -268,13 +268,9 @@ def sample_mdep_labels(model: BernoulliArrayModel, reps: int, seed: int) -> np.n
     Draws n + m shared uniforms per repetition and applies the window sampler.
     """
     stat = _window_stats(model, reps, seed)
-    t = model.thresholds  # (n, d+1)
-    labels = np.zeros((reps, model.n), dtype=np.int64)
-    for r in range(model.n):
-        # label = #{j >= 1 : t_{r,j} < stat}; stat in (t_{j-1}, t_j] maps to
-        # e_j (0-based label j-1) and stat beyond t_d to the zero vector (d)
-        labels[:, r] = np.searchsorted(t[r, 1:], stat[:, r], side="left")
-    return labels
+    # label = #{j >= 1 : t_{r,j} < stat}; stat in (t_{j-1}, t_j] maps to
+    # e_j (0-based label j-1) and stat beyond t_d to the zero vector (d)
+    return (stat[..., None] > model.thresholds[None, :, 1:]).sum(-1)
 
 
 def sample_mdep_array(model: BernoulliArrayModel, seed: int) -> np.ndarray:
@@ -289,7 +285,7 @@ def sample_mdep_array(model: BernoulliArrayModel, seed: int) -> np.ndarray:
 def sample_mdep_counts(model: BernoulliArrayModel, reps: int, seed: int) -> np.ndarray:
     """(reps, d) count vectors X = sum_r Y^(r) of ``sample_mdep_labels``' draws:
     G_k = #{r : stat_r > t_{r,k}} labels are >= k (G_0 = n), so e_j counts
-    G_{j-1} - G_j, from the same comparisons as the labels' ``searchsorted``."""
+    G_{j-1} - G_j, from the same comparisons as the labels."""
     stat = _window_stats(model, reps, seed)
     t = model.thresholds
     above = np.full((reps, model.d + 1), model.n, dtype=np.int64)

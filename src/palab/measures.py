@@ -7,8 +7,9 @@ stored support.  Truncations are never silent; whoever drops mass must put it
 into ``tail_mass``/``tail_moment`` so downstream distances can report a
 rigorous error interval.
 
-``poisson_pmf``, ``poisson_sf`` and ``poisson_cut`` are the one place the
-Poisson law is evaluated, for the product-Poisson targets and the Stein solver.
+``poisson_pmf``, ``poisson_law``, ``poisson_sf`` and ``poisson_cut`` are the one
+place the Poisson law is evaluated (by numpy and ``math.lgamma`` alone), for the
+product-Poisson targets and the Stein solver.
 
 ``merge_rows`` is the one place where equal lattice rows are merged and their
 weights summed: prefix marginals, total variation and the coupling tables go
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from . import jsonio
 from .errors import CapacityError, ParameterError
@@ -35,6 +35,9 @@ NORMALIZATION_DEFECT_LIMIT = 1e-9
 
 # Default cap on the number of atoms a constructor may materialize.
 DEFAULT_ATOM_BUDGET = 4_000_000
+
+# Relative margin on the product-Poisson tail accounts: covers the kernel's own error (~2e-12)
+TAIL_MARGIN = 1e-10
 
 Point = tuple[int, ...]
 
@@ -154,24 +157,52 @@ class LatticePmf:
         return LatticePmf.from_json_dict(jsonio.loads(text))
 
 
+# log k! by ``math.lgamma`` (CPython's own: the bits do not depend on libm), grown on demand
+_LOG_FACTORIAL = np.zeros(1)
+
+
 def poisson_pmf(k, lam: float):
     """P(P = k) for P ~ Poisson(lam) at integers k: exp(k log lam - log k! - lam),
-    scipy.stats' own formula, and 0 for k < 0 (where log k! is +inf)."""
-    return np.exp(xlogy(np.maximum(k, 0), lam) - gammaln(k + 1) - lam)
+    with 0**0 = 1 at lam = 0, and 0 for k < 0."""
+    global _LOG_FACTORIAL
+    k = np.asarray(k, dtype=np.int64)
+    if lam == 0.0:
+        return (k == 0).astype(float)
+    kk = np.maximum(k, 0)
+    if kk.max(initial=0) >= len(_LOG_FACTORIAL):
+        _LOG_FACTORIAL = np.array([math.lgamma(j + 1.0) for j in range(2 * int(kk.max()) + 1)])
+    return np.where(k < 0, 0.0, np.exp(kk * math.log(lam) - _LOG_FACTORIAL[kk] - lam))
+
+
+def poisson_law(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """pmf and sf of Poisson(lam) on 0..n from one evaluation: sf(k) = P(P > k)
+    is the pmf summed from far in the tail, n + lam + 40 sqrt(lam) + 80, down to
+    k + 1, so a small tail keeps its relative accuracy."""
+    pmf = poisson_pmf(np.arange(n + int(lam + 40.0 * math.sqrt(lam)) + 82), lam)
+    return pmf[: n + 1], np.cumsum(pmf[:0:-1])[::-1][: n + 1]
 
 
 def poisson_sf(k, lam: float):
-    """P(P > k) for P ~ Poisson(lam) at integers k: ``pdtrc``, and 1 for k < 0
-    (where ``pdtrc`` is nan)."""
-    return np.where(k < 0, 1.0, pdtrc(k, lam))
+    """P(P > k) for P ~ Poisson(lam) at integers k, and 1 for k < 0."""
+    k = np.asarray(k, dtype=np.int64)
+    return np.where(k < 0, 1.0, poisson_law(lam, int(k.max(initial=0)))[1][np.maximum(k, 0)])
+
+
+def poisson_cut_law(lam: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``poisson_law(lam, N)`` at the cut N = ``poisson_cut(lam, eps)``: the first
+    k with sf(k) <= eps in one such array, whose range doubles until it holds one."""
+    n = int(lam + 40.0 * math.sqrt(lam)) + 80
+    while True:
+        pmf, sf = poisson_law(lam, n)
+        cut = int(np.argmax(sf <= eps))
+        if sf[cut] <= eps:
+            return pmf[: cut + 1], sf[: cut + 1]
+        n *= 2
 
 
 def poisson_cut(lam: float, eps: float) -> int:
     """Smallest N >= 0 with P(P > N) <= eps for P ~ Poisson(lam); 0 when lam = 0."""
-    hi = 1
-    while poisson_sf(hi, lam) > eps:
-        hi *= 2
-    return int(np.argmax(poisson_sf(np.arange(hi + 1), lam) <= eps))
+    return len(poisson_cut_law(lam, eps)[0]) - 1
 
 
 @dataclass(frozen=True)
@@ -201,32 +232,26 @@ def poisson_vector_pmf(
     """Product-Poisson pmf truncated to a box [0,N_1] x ... x [0,N_d].
 
     Each cut N_i is the smallest N with P(P_i > N) <= eps / d, so the total
-    truncated mass is <= eps.  ``tail_moment`` uses the exact identity
-    E[P 1{P > N}] = lambda * P(P >= N) plus independence across coordinates,
-    so it is a rigorous upper bound.
+    truncated mass is <= eps.  ``tail_mass`` is 1 - prod_i (1 - P(P_i > N_i))
+    and ``tail_moment`` uses the exact identity E[P 1{P > N}] = lambda *
+    P(P >= N) plus independence across coordinates; both read the tails at the
+    cuts and are inflated by ``TAIL_MARGIN``, so they are rigorous upper bounds.
     """
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"eps must be in (0,1), got {eps}")
-    lam = np.asarray(params.lambdas, dtype=float)
-    d = params.dim
-    cuts = [poisson_cut(lv, eps / d) for lv in lam]
-    size = 1
-    for n in cuts:
-        size *= n + 1
-        if size > atom_budget:
-            raise CapacityError(
-                f"truncation box {[c + 1 for c in cuts]} exceeds atom budget {atom_budget}"
-            )
-    table = poisson_pmf(np.arange(cuts[0] + 1), lam[0])
-    for n, lv in zip(cuts[1:], lam[1:]):
-        table = np.multiply.outer(table, poisson_pmf(np.arange(n + 1), lv))
-    stored = float(table.ravel().sum())
-    tail_mass = max(0.0, 1.0 - stored)
+    lam, d = params.lambdas, params.dim
+    axes = [poisson_cut_law(lv, eps / d) for lv in lam]
+    if math.prod(len(pmf) for pmf, _ in axes) > atom_budget:
+        raise CapacityError(f"truncation box {[len(pmf) for pmf, _ in axes]} exceeds atom budget {atom_budget}")
+    table = axes[0][0]
+    for pmf, _ in axes[1:]:
+        table = np.multiply.outer(table, pmf)
+    over = [float(sf[-1]) for _, sf in axes]  # P(P_j > N_j); P(P_j >= N_j) adds pmf(N_j)
+    tail_mass = (1.0 + TAIL_MARGIN) * (0.0 - math.expm1(math.fsum(math.log1p(-s) for s in over)))
     # E[|X|_1 ; X outside box] <= sum_j [ E[P_j; P_j > N_j] + sum_{i != j} lam_i P(P_j > N_j) ]
-    lam_total = float(lam.sum())
-    tail_moment = 0.0
-    for n, lv in zip(cuts, lam):
-        tail_moment += lv * float(poisson_sf(n - 1, lv)) + (lam_total - lv) * float(poisson_sf(n, lv))
+    lam_total = math.fsum(lam)
+    tail_moment = (1.0 + TAIL_MARGIN) * sum(
+        lv * (o + float(pmf[-1])) + (lam_total - lv) * o for lv, o, (pmf, _) in zip(lam, over, axes))
     tail_moment = max(tail_moment, tail_mass)
     positive = table > 0.0
     return LatticePmf.from_arrays(d, np.argwhere(positive), table[positive], tail_mass, tail_moment)

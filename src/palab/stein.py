@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .measures import LatticePmf, PoissonVectorParams, poisson_cut, poisson_pmf, poisson_sf
+from .measures import LatticePmf, PoissonVectorParams, poisson_cut_law, poisson_law
 
 LIPSCHITZ_TOL = 1e-12
 DEFAULT_EPS_TAIL = 1e-13
@@ -78,12 +78,6 @@ def check_lipschitz_1d(g: np.ndarray) -> None:
         raise ContractError(f"g declared 1-Lipschitz but max increment is {float(worst[bad[0]])}")
 
 
-def mean_tail_defect(lam: float, n: int) -> float:
-    """Upper bound on |E g_true(P) - E g_ext(P)| over 1-Lipschitz extensions of
-    a table ending at n: sum_{k>n} (k-n) pmf(k) = lam*P(P>=n) - n*P(P>n)."""
-    return float(lam * poisson_sf(n - 1, lam) - n * poisson_sf(n, lam))
-
-
 def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized solve for columns of ``g`` (shape (N+1,) or (N+1, B)).
 
@@ -98,19 +92,20 @@ def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_T
     if lam < 0 or not np.isfinite(lam):
         raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
     check_lipschitz_1d(g)
-    if lam > 0 and mean_tail_defect(lam, n_max) > eps_tail:
+    pmf, sf = poisson_law(lam, n_max)
+    # |E g_true(P) - E g_ext(P)| over 1-Lipschitz extensions of a table ending
+    # at n is at most sum_{k>n} (k-n) pmf(k) = lam*P(P>=n) - n*P(P>n)
+    if lam * (sf[n_max] + pmf[n_max]) - n_max * sf[n_max] > eps_tail:
         raise ParameterError(
             f"g table over 0..{n_max} too short to certify E[g(P_{lam:g})] within {eps_tail:g}"
         )
+    means = pmf @ g + sf[n_max] * g[n_max]
     ghat = np.zeros((n_max + 2, g.shape[1]))
     if lam == 0.0:
-        means = g[0].copy()
         idx = np.arange(1, n_max + 1)
         ghat[1 : n_max + 1] = (g[0][None, :] - g[1:]) / idx[:, None]
         ghat[n_max + 1] = (g[0] - g[n_max]) / (n_max + 1)  # constant extension
     else:
-        pmf = poisson_pmf(np.arange(n_max + 1), lam)
-        means = pmf @ g + float(poisson_sf(n_max, lam)) * g[n_max]
         centered = g - means[None, :]
         mode = min(int(np.floor(lam)), n_max + 1)
         for i in range(mode):
@@ -177,16 +172,17 @@ def decomposition_check(
         E[g(P) - g(X)] = sum_i E[ X_i ghat_i(X_i) - lambda_i ghat_i(X_i + 1) ]
 
     with ghat_i the Stein solution for the section of g at (X_{1:i-1}, ., P_{i+1:d}),
-    for X independent of P.  The map g -> ghat is linear and P_{i+1:d} is
+    for X independent of P, with X's stored atoms renormalized to unit mass
+    (as ``wasserstein_l1`` does).  The map g -> ghat is linear and P_{i+1:d} is
     independent of X, so the suffix expectation is taken before the solve:
     h_d = g, h_{i-1} = h_i averaged over P_i on the Poisson box (the last step
     gives E g(P)), and coordinate i needs one Stein column per distinct prefix
     X_{1:i-1}, the section of h_i there.  The Poisson box cuts axis i at the
     smallest N with P(P_i > N) <= eps_box / d.  A g that is not finite and
-    1-Lipschitz raises ``ContractError``; a negative or infinite eps_box, or a
-    g axis too short for the support of X plus 1, the solver range or the
-    Poisson box, raises ``ParameterError``.  Contract: residual <= 1e-8 plus
-    the truncation contribution of the Poisson box.
+    1-Lipschitz raises ``ContractError``; an empty stored support of X, a
+    negative or infinite eps_box, or a g axis too short for the support of X
+    plus 1, the solver range or the Poisson box, raises ``ParameterError``.
+    Contract: residual <= 1e-8 plus the truncation contribution of the box.
     """
     d = X.dim
     g = np.asarray(g, dtype=float)
@@ -196,6 +192,9 @@ def decomposition_check(
         raise ParameterError(f"eps_box must be finite and >= 0, got {eps_box}")
     check_lipschitz_table(g)
     xs, px = X.support_arrays()
+    if not len(px):
+        raise ParameterError("X has an empty stored support")
+    px = px / px.sum()
     sup_max = xs.max(axis=0)
     axes = []
     for i, lam in enumerate(params.lambdas):
@@ -208,13 +207,13 @@ def decomposition_check(
             raise ParameterError(
                 f"g table axis {i} too small: solver range needs {need + 1} entries, found {g.shape[i]}"
             )
-        n = poisson_cut(lam, eps_box / d)
-        if n + 1 > g.shape[i]:
+        ax = poisson_cut_law(lam, eps_box / d)[0]
+        if len(ax) > g.shape[i]:
             raise ParameterError(
                 f"g table axis of length {g.shape[i]} too small to cover Poisson({lam:g}) "
-                f"tail accuracy {eps_box / d:g} (needs {n + 1})"
+                f"tail accuracy {eps_box / d:g} (needs {len(ax)})"
             )
-        axes.append(poisson_pmf(np.arange(n + 1), lam))
+        axes.append(ax)
 
     # h[i]: g with P_{i+1:d} averaged out, so h[d] = g and h[0] = E g(P)
     h = [g]

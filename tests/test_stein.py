@@ -259,6 +259,20 @@ def test_decomposition_poisson_vs_itself():
     assert decomposition_check(X, params, g) <= 1e-10
 
 
+def test_decomposition_renormalizes_a_truncated_x():
+    # a constant g has E[g(P) - g(X)] = 0 and ghat = 0 whatever X's tail
+    params = PoissonVectorParams((2.0,))
+    X = poisson_vector_pmf(params, 1e-3)
+    assert X.tail_mass > 1e-4
+    assert decomposition_check(X, params, np.full(default_range(2.0, 10) + 1, 100.0)) <= 1e-8
+
+
+def test_decomposition_rejects_empty_support():
+    X = LatticePmf(1, {}, tail_mass=1.0)
+    with pytest.raises(ParameterError, match="empty stored support"):
+        decomposition_check(X, PoissonVectorParams((0.3,)), np.zeros(200))
+
+
 def test_decomposition_bernoulli_identity_g():
     X = bernoulli_sum_pmf(np.array([[0.3]]))
     params = PoissonVectorParams((0.3,))
