@@ -113,8 +113,12 @@ SCHEMAS = {
     }, ["schema_version", "n", "d", "p", "m"]),
     "gibbs": _strict({
         **_VERSION, **_GIBBS_FIELDS, "target_density": _NONNEGATIVE,
-        "u": _strict({"kind": {"enum": ["one", "total_count", "indicator_empty"]},
-                      "region_a": _WINDOW_SCHEMA, "region_b": _WINDOW_SCHEMA}, ["kind"]),
+        # the GNZ test function: only 1_A * 1{nu(B) = 0} has regions
+        "u": {"oneOf": [
+            _strict({"kind": {"enum": ["one", "total_count"]}}, ["kind"]),
+            _strict({"kind": {"const": "indicator_empty"}, "region_a": _WINDOW_SCHEMA, "region_b": _WINDOW_SCHEMA},
+                    ["kind"]),
+        ]},
     }, ["schema_version", *_GIBBS_FIELDS]),
     "ustat": {"oneOf": [
         _strict({**_VERSION, "family": {"const": family}, "rate": _POSITIVE, param: _POSITIVE},
@@ -333,8 +337,7 @@ def _cmd_gnz_check(args, m):
     if u["kind"] == "total_count":
         fn = TotalCount()
     else:  # "one" is 1_A * 1{nu(B) = 0} with neither region
-        regions = ("region_a", "region_b") if u["kind"] == "indicator_empty" else ()
-        fn = IndicatorTimesEmpty(**{k: _window_from(u[k]) for k in regions if k in u})
+        fn = IndicatorTimesEmpty(**{k: _window_from(v) for k, v in u.items() if k != "kind"})
     report = gnz_check(_gibbs_from(m), fn, reps=args.reps, seed=args.seed)
     fields = {
         "lhs": report.lhs, "rhs": report.rhs, "z_score": report.z_score, "std_error": report.std_error,

@@ -273,15 +273,6 @@ def sample_mdep_labels(model: BernoulliArrayModel, reps: int, seed: int) -> np.n
     return (stat[..., None] > model.thresholds[None, :, 1:]).sum(-1)
 
 
-def sample_mdep_array(model: BernoulliArrayModel, seed: int) -> np.ndarray:
-    """One draw of the array: an (n, d) 0/1 matrix whose rows are the Y^(r)."""
-    labels = sample_mdep_labels(model, 1, seed)[0]
-    out = np.zeros((model.n, model.d), dtype=np.int64)
-    hit = labels < model.d
-    out[np.nonzero(hit)[0], labels[hit]] = 1
-    return out
-
-
 def sample_mdep_counts(model: BernoulliArrayModel, reps: int, seed: int) -> np.ndarray:
     """(reps, d) count vectors X = sum_r Y^(r) of ``sample_mdep_labels``' draws:
     G_k = #{r : stat_r > t_{r,k}} labels are >= k (G_0 = n), so e_j counts

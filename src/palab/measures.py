@@ -7,9 +7,9 @@ stored support.  Truncations are never silent; whoever drops mass must put it
 into ``tail_mass``/``tail_moment`` so downstream distances can report a
 rigorous error interval.
 
-``poisson_pmf``, ``poisson_law``, ``poisson_sf`` and ``poisson_cut`` are the one
-place the Poisson law is evaluated (by numpy and ``math.lgamma`` alone), for the
-product-Poisson targets and the Stein solver.
+``poisson_pmf``, ``poisson_law`` (pmf and sf on 0..n) and ``poisson_cut`` are the
+one place the Poisson law is evaluated (by numpy and ``math.lgamma`` alone), for
+the product-Poisson targets and the Stein solver.
 
 ``merge_rows`` is the one place where equal lattice rows are merged and their
 weights summed: prefix marginals, total variation and the coupling tables go
@@ -180,12 +180,6 @@ def poisson_law(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     k + 1, so a small tail keeps its relative accuracy."""
     pmf = poisson_pmf(np.arange(n + int(lam + 40.0 * math.sqrt(lam)) + 82), lam)
     return pmf[: n + 1], np.cumsum(pmf[:0:-1])[::-1][: n + 1]
-
-
-def poisson_sf(k, lam: float):
-    """P(P > k) for P ~ Poisson(lam) at integers k, and 1 for k < 0."""
-    k = np.asarray(k, dtype=np.int64)
-    return np.where(k < 0, 1.0, poisson_law(lam, int(k.max(initial=0)))[1][np.maximum(k, 0)])
 
 
 def poisson_cut_law(lam: float, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -150,7 +150,7 @@ def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int,
 
 def sample_gibbs(model: GibbsModel, seed_or_rng, max_tries: int = DEFAULT_MAX_TRIES) -> PointPattern:
     """One exact draw: the size-1 case of ``sample_gibbs_batch``."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
+    rng = streams.generator(seed_or_rng)
     return sample_gibbs_batch(model, rng, 1, max_tries).pattern(0)
 
 

@@ -373,7 +373,7 @@ def sample_poisson_process(intensity: IntensityMeasure, seed_or_rng) -> PointPat
     draw for labels.  No points give the shared ``empty_pattern``: ``(0, w)``
     on a width-w box for a constant rate (no uniforms are drawn for n = 0, so
     skipping that call leaves the stream unchanged), ``(0, 0)`` otherwise."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
+    rng = streams.generator(seed_or_rng)
     total = intensity.total
     n = int(rng.poisson(total)) if total > 0.0 else 0
     if isinstance(intensity.density, float):

@@ -28,7 +28,7 @@ from ..quadrature import integrate_box
 from .patterns import Box, IntensityMeasure, PointPattern, empty_pattern
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
-DEFAULT_MAX_TRIES = 500_000
+XA_MAX_TRIES = 500_000
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class UStatModel:
 
     order: int
     mu: IntensityMeasure
-    fallback: tuple
 
     def in_domain(self, pts: Sequence[float]) -> bool:
         raise NotImplementedError
@@ -77,7 +76,6 @@ class IntervalPairModel(UStatModel):
         self.rate = float(rate)
         self.delta = float(delta)
         self.mu = IntensityMeasure(Box((0.0,), (1.0,)), float(rate))
-        self.fallback = (0.0, 0.0)
 
     def in_domain(self, pts) -> bool:
         (x1,), (x2,) = pts
@@ -125,7 +123,6 @@ class TripletSumModel(UStatModel):
         self.rate = float(rate)
         self.threshold = float(threshold)
         self.mu = IntensityMeasure(Box((0.0,), (1.0,)), float(rate))
-        self.fallback = (0.0, 0.0, 0.0)
 
     def in_domain(self, pts) -> bool:
         return sum(p[0] for p in pts) <= self.threshold
@@ -160,7 +157,6 @@ class MonotoneMapModel(UStatModel):
         self._g = g
         self._g_inv = g_inverse
         self.mu = IntensityMeasure(Box((0.0,), (1.0,)), float(rate))
-        self.fallback = (0.0,)
 
     def in_domain(self, pts) -> bool:
         return True
@@ -196,7 +192,7 @@ def build_ustat_process(
     return PointPattern(out)
 
 
-def ustat_R(model: UStatModel, rel_tol: float = 1e-8) -> RResult:
+def ustat_R(model: UStatModel) -> RResult:
     """R-functional by tensorized quadrature of the squared codegree.
 
     Boundary convention: R = 0 for k = 1.
@@ -215,9 +211,7 @@ def ustat_R(model: UStatModel, rel_tol: float = 1e-8) -> RResult:
 
         # kinked (piecewise-polynomial) integrands need deep subdivision,
         # which is cheap in one dimension
-        quad = integrate_box(
-            integrand, [0.0] * i, [1.0] * i, rel_tol=rel_tol, max_level=13 if i == 1 else 10
-        )
+        quad = integrate_box(integrand, [0.0] * i, [1.0] * i, max_level=13 if i == 1 else 10)
         if quad.value > best.value:
             best = RResult(quad.value, quad.error_bound)
     return best
@@ -230,28 +224,23 @@ def ustat_bound(model: UStatModel) -> float:
     return 2.0 ** (k + 1) / math.factorial(k) * ustat_R(model).value
 
 
-def sample_xA(
-    model: UStatModel,
-    region: Box,
-    seed_or_rng,
-    max_tries: int = DEFAULT_MAX_TRIES,
-) -> tuple:
+def sample_xA(model: UStatModel, region: Box, seed_or_rng) -> tuple:
     """Draw the tuple X^A: propose k i.i.d. mu/mu(X) points restricted to D and
     accept when g lands in the target region (symmetry cancels the 1/k!).
 
-    Returns the model fallback tuple when the region carries no intensity.
+    A region that carries no intensity gives k copies of the window's low corner.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else streams.derive(int(seed_or_rng))
+    rng = streams.generator(seed_or_rng)
     try:
         if model.count_intensity(region) <= 0.0:
-            return model.fallback
+            return (model.mu.window.lows,) * model.order
     except NotImplementedError:
         pass
     lows = np.array(model.mu.window.lows)
     highs = np.array(model.mu.window.highs)
     k = model.order
-    for _ in range(max_tries):
+    for _ in range(XA_MAX_TRIES):
         pts = tuple(tuple(rng.uniform(lows, highs)) for _ in range(k))
         if model.in_domain(pts) and region.contains(np.array([model.kernel(pts)]))[0]:
             return pts
-    raise BudgetError(f"tuple sampler acceptance below budget after {max_tries} proposals")
+    raise BudgetError(f"tuple sampler acceptance below budget after {XA_MAX_TRIES} proposals")

@@ -2,7 +2,7 @@
 
 Integrals here are at most two-dimensional (shipped models keep it that way).
 The driver subdivides each axis dyadically until the difference between two
-successive refinement levels meets ``rel_tol * |value| + abs_tol``; that
+successive refinement levels meets ``REL_TOL * |value| + ABS_TOL``; that
 difference is returned as the reported error bound.
 """
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
-DEFAULT_REL_TOL = 1e-8
-DEFAULT_ABS_TOL = 1e-12
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
 _GL_ORDER = 16
 
 
@@ -59,8 +59,6 @@ def integrate_box(
     f: Callable[[np.ndarray], np.ndarray],
     lo: Sequence[float],
     hi: Sequence[float],
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
     max_level: int = 9,
 ) -> QuadResult:
     """Integrate ``f`` over the box [lo, hi].
@@ -74,11 +72,11 @@ def integrate_box(
     for level in range(1, max_level + 1):
         cur = _tensor_integral(f, *_panel_nodes(lo, hi, 2**level))
         err = abs(cur - prev)
-        if err <= rel_tol * abs(cur) + abs_tol:
+        if err <= REL_TOL * abs(cur) + ABS_TOL:
             return QuadResult(cur, err)
         prev = cur
     raise QuadratureError(
-        f"quadrature did not reach tol={rel_tol:g}|I|+{abs_tol:g} after {max_level} refinements "
+        f"quadrature did not reach tol={REL_TOL:g}|I|+{ABS_TOL:g} after {max_level} refinements "
         f"(last error estimate {err:.3e})"
     )
 

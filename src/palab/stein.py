@@ -32,8 +32,6 @@ at most 1, so they pass the solver's Lipschitz check like any other input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, ParameterError
@@ -44,25 +42,20 @@ DEFAULT_EPS_TAIL = 1e-13
 _SERIES_STOP = 1e-18
 
 
-@dataclass(frozen=True)
-class SteinSolution:
-    """Solution table of Stein's equation for one (lambda, g) pair."""
-
-    lam: float
-    g_values: np.ndarray        # g on 0..N
-    ghat_values: np.ndarray     # ghat on 0..N+1, ghat[0] = 0
-    poisson_mean_of_g: float
-
-    def residual_max(self) -> float:
-        """max_i |lambda*ghat(i+1) - i*ghat(i) - g(i) + E g| over 0..N."""
-        return float(column_checks(self.lam, self.g_values, self.ghat_values, self.poisson_mean_of_g)[0])
+def _columns(g) -> np.ndarray:
+    """g as an (N+1, B) float table; a 1-D table over 0..N is one column."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[0] == 0:
+        raise ParameterError(f"g must be a table over 0..N of shape (N+1,) or (N+1, B), got shape {g.shape}")
+    return g[:, None] if g.ndim == 1 else g
 
 
-def column_checks(lam: float, g: np.ndarray, ghat: np.ndarray, means):
-    """Per column of ``solve_stein_batch(lam, g)`` (or for one 1-D table): the
-    residual max_i |lambda*ghat(i+1) - i*ghat(i) - g(i) + E g| over 0..N,
-    sup_i |ghat(i)| and sup_i |ghat(i+1) - ghat(i)| over 0..N+1."""
-    i = np.arange(len(g)).reshape(-1, *(1,) * (g.ndim - 1))  # the row index, against every column
+def column_checks(lam: float, g, ghat: np.ndarray, means: np.ndarray):
+    """Per column of ``solve_stein_batch(lam, g)``, for the same g: the residual
+    max_i |lambda*ghat(i+1) - i*ghat(i) - g(i) + E g| over 0..N, sup_i |ghat(i)|
+    and sup_i |ghat(i+1) - ghat(i)| over 0..N+1, each of shape (B,)."""
+    g = _columns(g)
+    i = np.arange(len(g))[:, None]  # the row index, against every column
     residual = np.abs(lam * ghat[1:] - i * ghat[:-1] - (g - means))
     return residual.max(axis=0), np.abs(ghat).max(axis=0), np.abs(np.diff(ghat, axis=0)).max(axis=0)
 
@@ -81,13 +74,11 @@ def check_lipschitz_1d(g: np.ndarray) -> None:
 def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized solve for columns of ``g`` (shape (N+1,) or (N+1, B)).
 
-    Returns (ghat with shape (N+2, B), means with shape (B,)).
+    Returns (ghat with shape (N+2, B), means with shape (B,)).  Precondition:
+    the Poisson tail beyond N contributes at most eps_tail to E[g(P_lambda)]
+    given g's linear growth bound (checked exactly).
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim not in (1, 2) or g.shape[0] == 0:
-        raise ParameterError(f"g must be a table over 0..N of shape (N+1,) or (N+1, B), got shape {g.shape}")
-    if g.ndim == 1:
-        g = g[:, None]
+    g = _columns(g)
     n_max = g.shape[0] - 1
     if lam < 0 or not np.isfinite(lam):
         raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
@@ -127,25 +118,6 @@ def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_T
                 rows, acc, w = rows[go], acc[go], w[go]
             k += 1
     return ghat, means
-
-
-def solve_stein(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -> SteinSolution:
-    """Solve Stein's equation for one 1-Lipschitz table g over 0..N.
-
-    Precondition: the Poisson tail beyond N contributes at most eps_tail to
-    E[g(P_lambda)] given g's linear growth bound (checked exactly).
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1:
-        raise ParameterError(f"g must be a one-dimensional table over 0..N, got shape {g.shape}")
-    ghat, means = solve_stein_batch(lam, g, eps_tail=eps_tail)
-    return SteinSolution(float(lam), g.copy(), ghat[:, 0], float(means[0]))
-
-
-def magic_factor_report(sol: SteinSolution) -> tuple[float, float]:
-    """(sup_i |ghat(i)|, sup_i |ghat(i+1) - ghat(i)|) over the stored range."""
-    _, sup_abs, sup_delta = column_checks(sol.lam, sol.g_values, sol.ghat_values, sol.poisson_mean_of_g)
-    return float(sup_abs), float(sup_delta)
 
 
 def default_range(lam: float, support_need: int) -> int:

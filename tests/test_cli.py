@@ -467,6 +467,19 @@ def test_gnz_check_cli(tmp_path, gibbs_model):
     assert abs(payload["z_score"]) <= 4
 
 
+@pytest.mark.parametrize("kind", ["one", "total_count"])
+@pytest.mark.parametrize("region", ["region_a", "region_b"])
+def test_gnz_check_region_on_a_region_less_kind_exit_1(tmp_path, capsys, kind, region):
+    # only indicator_empty reads regions; elsewhere a region is a config error, not ignored
+    model = write_json(tmp_path / "gibbs.json", {
+        "schema_version": 1, "beta": 2.0, "theta": 0.5, "rho": 0.1, "window": {"lows": [0.0, 0.0], "highs": [1.0, 1.0]},
+        "u": {"kind": kind, region: {"lows": [0.0, 0.0], "highs": [0.5, 1.0]}},
+    })
+    assert run_cli(["gnz-check", "--model", model, "--reps", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+
+
 def test_papangelou_bound_cli(tmp_path, gibbs_model):
     out = tmp_path / "pap.json"
     code = run_cli([

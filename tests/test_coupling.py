@@ -13,7 +13,6 @@ from palab.coupling import (
     mdep_bound,
     q_factor,
     q_terms_from_coupling,
-    sample_mdep_array,
     sample_mdep_counts,
     sample_mdep_labels,
     size_bias_check,
@@ -362,13 +361,6 @@ def test_counts_match_the_labels(family, m, d):
     want = np.stack([(labels == j).sum(axis=1) for j in range(d)], axis=1)
     got = sample_mdep_counts(model, 2000, seed=13)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_sampler_m0_single_draw_shape():
-    model = BernoulliArrayModel(n=6, d=3, p=np.full((6, 3), 0.2), m=0)
-    arr = sample_mdep_array(model, seed=2)
-    assert arr.shape == (6, 3)
-    assert np.all(arr.sum(axis=1) <= 1)
 
 
 @pytest.mark.parametrize("check", [

@@ -21,8 +21,8 @@ from palab.measures import (
     empirical_pmf,
     merge_rows,
     poisson_cut,
+    poisson_law,
     poisson_pmf,
-    poisson_sf,
     poisson_vector_pmf,
     truncate_small_atoms,
 )
@@ -89,16 +89,23 @@ KERNEL_RTOL = 5e-12
 @pytest.mark.parametrize("lam", [0.0, 1e-12, 0.1, 1.3, 7.7, 55.0, 216.0, 370.0])
 def test_poisson_pmf_sf_bitwise_equal_scipy_stats(lam):
     """pmf and sf within KERNEL_RTOL of scipy.special where the reference
-    exceeds 1e-290 and 1e-250, and exactly 0 and 1 at k < 0."""
+    exceeds 1e-290 and 1e-250; the pmf is exactly 0 at k < 0, and
+    ``poisson_law`` gives the same pmf next to its sf."""
     k = np.arange(-1, 401)
+    pmf, sf = poisson_law(lam, 400)
     for got, ref, tiny in [
         (poisson_pmf(k, lam), np.exp(special.xlogy(np.maximum(k, 0), lam) - special.gammaln(k + 1) - lam), 1e-290),
-        (poisson_sf(k, lam), np.where(k < 0, 1.0, special.pdtrc(k, lam)), 1e-250),
+        (sf, special.pdtrc(k[1:], lam), 1e-250),
     ]:
         big = ref > tiny
         assert (np.abs(got[big] - ref[big]) <= KERNEL_RTOL * ref[big]).all()
         assert (got[~big] <= 2 * tiny).all()
-    assert float(poisson_sf(-1, lam)) == 1.0 and float(poisson_pmf(-1, lam)) == 0.0
+    assert float(poisson_pmf(-1, lam)) == 0.0 and pmf.tobytes() == poisson_pmf(k[1:], lam).tobytes()
+
+
+def law_sf(k: int, lam: float) -> float:
+    """P(P > k) read from ``poisson_law``, and 1 for k < 0."""
+    return 1.0 if k < 0 else float(poisson_law(lam, k)[1][k])
 
 
 def isf_seeded_cut(lam, eps):
@@ -123,12 +130,12 @@ def test_poisson_cut_equals_isf_seeded_walk():
             # the cut lies within the kernel's error of eps (no case on this grid)
             if abs(stats.poisson.sf(cut, lam) - eps) > KERNEL_RTOL * eps:
                 assert cut == isf_seeded_cut(float(lam), float(eps)), (lam, eps)
-            assert float(poisson_sf(cut, lam)) <= eps < float(poisson_sf(cut - 1, lam))
+            assert law_sf(cut, lam) <= eps < law_sf(cut - 1, lam)
             zero_cuts += cut == 0
     assert zero_cuts > 25  # every lambda = 0 and the small rates
-    assert poisson_cut(3.0, float(poisson_sf(5, 3.0))) == 5  # a tail equal to eps is within it
+    assert poisson_cut(3.0, law_sf(5, 3.0)) == 5  # a tail equal to eps is within it
     cut = poisson_cut(2.0, 1e-300)  # below about 5e-17, scipy's isf is nan
-    assert float(poisson_sf(cut, 2.0)) <= 1e-300 < float(poisson_sf(cut - 1, 2.0))
+    assert law_sf(cut, 2.0) <= 1e-300 < law_sf(cut - 1, 2.0)
 
 
 def mpmath_box_tail(lambdas, eps):

@@ -15,17 +15,16 @@ from palab.measures import (
     LatticePmf,
     PoissonVectorParams,
     bernoulli_sum_pmf,
+    poisson_law,
     poisson_pmf,
-    poisson_sf,
     poisson_vector_pmf,
 )
 from palab.stein import (
     _SERIES_STOP,
     check_lipschitz_table,
+    column_checks,
     decomposition_check,
     default_range,
-    magic_factor_report,
-    solve_stein,
     solve_stein_batch,
 )
 
@@ -70,7 +69,7 @@ def row_by_row_stein(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         ghat[n_max + 1] = (g[0] - g[n_max]) / (n_max + 1)
         return ghat, g[0].copy()
     pmf = poisson_pmf(np.arange(n_max + 1), lam)
-    means = pmf @ g + float(poisson_sf(n_max, lam)) * g[n_max]
+    means = pmf @ g + poisson_law(lam, n_max)[1][n_max] * g[n_max]
     centered = g - means[None, :]
     mode = min(int(np.floor(lam)), n_max + 1)
     for i in range(mode):
@@ -92,38 +91,39 @@ def row_by_row_stein(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def test_constant_g_gives_zero_solution():
-    sol = solve_stein(1.7, np.full(40, 3.25))
-    assert np.all(sol.ghat_values == 0.0)
-    assert magic_factor_report(sol) == (0.0, 0.0)
-    assert sol.poisson_mean_of_g == pytest.approx(3.25, abs=1e-14)
+    g = np.full(40, 3.25)
+    ghat, means = solve_stein_batch(1.7, g)
+    assert np.all(ghat == 0.0)
+    _, sup_abs, sup_delta = column_checks(1.7, g, ghat, means)
+    assert (sup_abs, sup_delta) == (0.0, 0.0)
+    assert means[0] == pytest.approx(3.25, abs=1e-14)
 
 
 def test_lambda_zero_closed_form():
-    g = np.arange(30, dtype=float)
-    sol = solve_stein(0.0, g)
-    assert sol.ghat_values[0] == 0.0
+    ghat, means = solve_stein_batch(0.0, np.arange(30, dtype=float))
+    assert ghat[0, 0] == 0.0
     # closed form (g(0) - g(i)) / i = -1 on the tabulated range; the final
     # entry ghat(N+1) uses the constant extension of g and is not -1
-    assert np.allclose(sol.ghat_values[1:30], -1.0, atol=1e-14)
-    assert sol.poisson_mean_of_g == 0.0
+    assert np.allclose(ghat[1:30, 0], -1.0, atol=1e-14)
+    assert means[0] == 0.0
 
 
 def test_identity_g_matches_extended_precision_oracle():
     g = np.arange(41, dtype=float)
-    sol = solve_stein(1.0, g)
+    ghat, means = solve_stein_batch(1.0, g)
     oracle = mpmath_stein_oracle(1.0, g)
-    assert np.max(np.abs(sol.ghat_values - oracle)) <= 1e-12
-    assert sol.residual_max() <= 1e-10
+    assert np.max(np.abs(ghat[:, 0] - oracle)) <= 1e-12
+    assert column_checks(1.0, g, ghat, means)[0] <= 1e-10
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.9, 3.7, 9.5])
 def test_random_g_matches_extended_precision_oracle(lam):
     rng = np.random.default_rng(int(lam * 10))
     g = random_lipschitz_1d(rng, 61)
-    sol = solve_stein(lam, g)
+    ghat, means = solve_stein_batch(lam, g)
     oracle = mpmath_stein_oracle(lam, g)
-    assert np.max(np.abs(sol.ghat_values - oracle)) <= 1e-11
-    assert sol.residual_max() <= 1e-10
+    assert np.max(np.abs(ghat[:, 0] - oracle)) <= 1e-11
+    assert column_checks(lam, g, ghat, means)[0] <= 1e-10
 
 
 def test_magic_factors_on_long_range():
@@ -131,11 +131,22 @@ def test_magic_factors_on_long_range():
     for lam in (0.1, 1.0, 10.0):
         for _ in range(10):
             g = random_lipschitz_1d(rng, 301)
-            sol = solve_stein(lam, g)
-            sup_abs, sup_delta = magic_factor_report(sol)
+            residual, sup_abs, sup_delta = column_checks(lam, g, *solve_stein_batch(lam, g))
             assert sup_abs <= 1.0 + 1e-12, (lam, sup_abs)
             assert sup_delta <= 1.0 + 1e-12, (lam, sup_delta)
-            assert sol.residual_max() <= 1e-10
+            assert residual <= 1e-10
+
+
+def test_column_checks_reads_a_1d_table_as_one_column():
+    # the shapes solve_stein_batch takes: a 1-D g is the column g[:, None]
+    lam, g = 1.5, np.minimum(np.arange(default_range(1.5, 0) + 1.0), 5.0)
+    ghat, means = solve_stein_batch(lam, g)
+    checks = column_checks(lam, g, ghat, means)
+    for got, want in zip(checks, column_checks(lam, g[:, None], ghat, means)):
+        assert got.shape == (1,) and got.tobytes() == want.tobytes()
+    assert checks[0][0] <= 1e-12
+    with pytest.raises(ParameterError, match=r"shape \(N\+1,\) or \(N\+1, B\)"):
+        column_checks(lam, g[:, None, None], ghat, means)
 
 
 def test_linearity_of_the_solver():
@@ -152,23 +163,23 @@ def test_linearity_of_the_solver():
         n = max(80, default_range(lam, 0) + 1)
         g1 = random_lipschitz_1d(rng, n)
         g2 = scale * random_lipschitz_1d(rng, n)
-        s1 = solve_stein(lam, g1)
-        s2 = solve_stein(lam, g2)
-        combo = solve_stein(lam, a * g1 + b * g2)
-        err = np.max(np.abs(combo.ghat_values - (a * s1.ghat_values + b * s2.ghat_values)))
+        s1, _ = solve_stein_batch(lam, g1)
+        s2, _ = solve_stein_batch(lam, g2)
+        combo, _ = solve_stein_batch(lam, a * g1 + b * g2)
+        err = np.max(np.abs(combo - (a * s1 + b * s2)))
         assert err <= 1e-10, (lam, a, b, scale, err)
 
 
 def test_non_lipschitz_rejected_and_negative_lambda():
     with pytest.raises(ContractError):
-        solve_stein(1.0, np.array([0.0, 2.0, 0.0]))
+        solve_stein_batch(1.0, np.array([0.0, 2.0, 0.0]))
     with pytest.raises(ParameterError):
-        solve_stein(-0.5, np.zeros(10))
+        solve_stein_batch(-0.5, np.zeros(10))
 
 
 def test_short_table_rejected_for_large_lambda():
     with pytest.raises(ParameterError):
-        solve_stein(50.0, np.zeros(20) + np.arange(20) * 0.5)
+        solve_stein_batch(50.0, np.zeros(20) + np.arange(20) * 0.5)
 
 
 LAMBDAS = st.one_of(
@@ -222,9 +233,9 @@ def test_non_finite_g_rejected(bad):
     with pytest.raises(ContractError, match="non-finite"):
         solve_stein_batch(2.0, g)
     with pytest.raises(ContractError, match="non-finite"):
-        solve_stein(2.0, g[:, 1])
+        solve_stein_batch(2.0, g[:, 1])
     with pytest.raises(ContractError, match="non-finite"):
-        solve_stein(2.0, np.full(60, bad))
+        solve_stein_batch(2.0, np.full(60, bad))
 
 
 @pytest.mark.parametrize("lam", [0.0, 2.0])
@@ -232,12 +243,6 @@ def test_non_finite_g_rejected(bad):
 def test_batch_rejects_malformed_tables(lam, shape):
     with pytest.raises(ParameterError, match=r"shape \(N\+1,\) or \(N\+1, B\)"):
         solve_stein_batch(lam, np.zeros(shape))
-
-
-@pytest.mark.parametrize("shape", [(0,), (60, 2)])
-def test_single_solve_rejects_non_1d_tables(shape):
-    with pytest.raises(ParameterError):
-        solve_stein(2.0, np.zeros(shape))
 
 
 @pytest.mark.parametrize("lam", [0.0, 2.0])

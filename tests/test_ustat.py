@@ -183,10 +183,15 @@ def test_sample_xA_law_matches_restricted_intensity():
 
 
 def test_sample_xA_zero_intensity_fallback():
-    model = IntervalPairModel(rate=1.0, delta=0.05)
-    # midpoints cannot exceed 1; region beyond support carries no intensity
-    weird = Box((0.999999,), (1.0,))
-    assert model.count_intensity(weird) <= 1e-10
+    # the kernels map into [0, 1], so a region beyond it carries no intensity;
+    # the fallback is k points of the window, which the model can read
+    region = Box((1.5,), (2.0,))
+    for model in (IntervalPairModel(rate=1.0, delta=0.05), MonotoneMapModel(2.0, lambda x: x, lambda y: y)):
+        assert model.count_intensity(region) == 0.0
+        pts = sample_xA(model, region, 47)
+        assert pts == ((0.0,),) * model.order
+        assert model.in_domain(pts)
+        assert not region.contains(np.array([model.kernel(pts)]))[0]
 
 
 def test_sample_xA_whole_space_k1_is_base_law():
