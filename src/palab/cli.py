@@ -113,12 +113,13 @@ SCHEMAS = {
     }, ["schema_version", "n", "d", "p", "m"]),
     "gibbs": _strict({
         **_VERSION, **_GIBBS_FIELDS, "target_density": _NONNEGATIVE,
-        # the GNZ test function: only 1_A * 1{nu(B) = 0} has regions
-        "u": {"oneOf": [
-            _strict({"kind": {"enum": ["one", "total_count"]}}, ["kind"]),
-            _strict({"kind": {"const": "indicator_empty"}, "region_a": _WINDOW_SCHEMA, "region_b": _WINDOW_SCHEMA},
-                    ["kind"]),
-        ]},
+        # the GNZ test function: only 1_A * 1{nu(B) = 0} has regions.  A branch
+        # on ``kind`` (not oneOf) makes a stray region the error that is reported
+        "u": {
+            "if": {"properties": {"kind": {"const": "indicator_empty"}}},
+            "then": _strict({"kind": True, "region_a": _WINDOW_SCHEMA, "region_b": _WINDOW_SCHEMA}, ["kind"]),
+            "else": _strict({"kind": {"enum": ["one", "total_count", "indicator_empty"]}}, ["kind"]),
+        },
     }, ["schema_version", *_GIBBS_FIELDS]),
     "ustat": {"oneOf": [
         _strict({**_VERSION, "family": {"const": family}, "rate": _POSITIVE, param: _POSITIVE},

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class UStatModel:
 
     order: int
     mu: IntensityMeasure
+    # for a model without ``count_intensity``: a closed box that holds every
+    # kernel value, so that a region whose interior misses it has no intensity
+    kernel_range: Optional[Box] = None
 
     def in_domain(self, pts: Sequence[float]) -> bool:
         raise NotImplementedError
@@ -123,6 +126,8 @@ class TripletSumModel(UStatModel):
         self.rate = float(rate)
         self.threshold = float(threshold)
         self.mu = IntensityMeasure(Box((0.0,), (1.0,)), float(rate))
+        # the mean of three points of [0, 1] summing to at most s
+        self.kernel_range = Box((0.0,), (min(1.0, self.threshold / 3.0),))
 
     def in_domain(self, pts) -> bool:
         return sum(p[0] for p in pts) <= self.threshold
@@ -228,14 +233,17 @@ def sample_xA(model: UStatModel, region: Box, seed_or_rng) -> tuple:
     """Draw the tuple X^A: propose k i.i.d. mu/mu(X) points restricted to D and
     accept when g lands in the target region (symmetry cancels the 1/k!).
 
-    A region that carries no intensity gives k copies of the window's low corner.
+    A region that carries no intensity gives k copies of the window's low
+    corner.  That is read from ``count_intensity``, or, for a model without
+    one, from its ``kernel_range``.
     """
     rng = streams.generator(seed_or_rng)
     try:
-        if model.count_intensity(region) <= 0.0:
-            return (model.mu.window.lows,) * model.order
+        empty = model.count_intensity(region) <= 0.0
     except NotImplementedError:
-        pass
+        empty = model.kernel_range is not None and not region.overlaps(model.kernel_range)
+    if empty:
+        return (model.mu.window.lows,) * model.order
     lows = np.array(model.mu.window.lows)
     highs = np.array(model.mu.window.highs)
     k = model.order

@@ -1,10 +1,24 @@
 """Exact 1-norm Wasserstein and total-variation distances between lattice pmfs.
 
-The Wasserstein solver is a transportation network simplex on the complete
-bipartite graph of the two stored supports, with cost |x - y|_1.  It starts
+At d >= 2 the solve runs on a reduced pair with the same value, and its
+certificate is checked on the original atoms.  Two exact identities give the
+reduction:
+
+- Per axis, clip both supports onto the common interval [max(lo_P, lo_Q),
+  min(hi_P, hi_Q)] (where the two intervals are disjoint, onto min(hi_P,
+  hi_Q)).  Only one of the two laws has atoms beyond each end, so for every
+  arc |x - y|_1 = |clip x - clip y|_1 + e(x) + e(y), with e the distance to
+  the box: the clipped pair's W1 plus the constant sum a e(x) + sum b e(y).
+- For the 1-norm cost W1 depends on P - Q alone (Kantorovich-Rubinstein
+  duality; Villani, *Optimal Transport*, 2009): mass that both clipped laws
+  put on one cell never moves.  The clipped atoms merge into cells of signed
+  mass a - b; positive cells are the supplies, negative ones the demands.
+
+The reduced pair is solved by a transportation network simplex on the complete
+bipartite graph of its supplies and demands, with cost |x - y|_1.  It starts
 from a least-cost (matrix-minimum) basis, built in one walk over the arcs
-sorted by cost, where masks of the rows and columns with supply left drop
-dead arcs chunk by chunk.  A solve may be given a start: column duals v of an
+sorted by cost, where masks of the rows and columns with supply left drop dead
+arcs chunk by chunk.  A solve may be given a start: column duals v of an
 earlier solve against the same target (``DistanceResult.v``).  The walk then
 visits the arcs by their reduced cost against v and its c-transform, then by
 cost, so the start is built mostly from arcs that were tight before; a start
@@ -19,12 +33,24 @@ are integers, so the simplex multipliers (duals) are exact integers as well:
 the optimality test involves no rounding, and every solve ends with a
 complementary-slackness verification pass over the basic arcs.
 
-At d = 1 no simplex runs: |x - y| on the sorted supports is a Monge cost
-array, so the north-west-corner staircase of the same perturbed supplies is an
-optimal basis (Hoffman, 1963), and its duals follow the staircase from
-u[0] = 0 (``_north_west_corner``).  Its flows give the monotone plan.  The
-d = 1 basis passes the same complementary-slackness verification; ``start``
-is not used there.
+The reduced duals lift to a potential on the original atoms: psi(z) =
+max_i (u_i - |X_i - z|_1) over the supply cells X_i is 1-Lipschitz, and
+phi = psi(clip x) + e(x) on P's atoms, psi(clip y) - e(y) on Q's, so
+phi(x) - phi(y) <= |x - y|_1 on every original arc.  The certificate checks
+exactly that on all original arcs, the reduced basis by complementary
+slackness, and the reduced primal plus the constant against the original
+dual sum a phi(x) - sum b phi(y) (with phi(x_0) = 0), which is the reported
+value.  Wanted flows are lifted too: each cell first matches its own atoms,
+then the reduced arcs are split over the atoms of their cells.
+
+At d = 1 no reduction and no simplex run: |x - y| on the sorted supports is
+a Monge cost array, so the north-west-corner staircase of the same perturbed
+supplies is an optimal basis (Hoffman, 1963), and its duals follow the
+staircase from u[0] = 0 (``_north_west_corner``).  Its flows give the
+monotone plan.  Its certificate needs no m x n array either: arc costs come
+from the staircase's indices, and dual feasibility on all arcs from prefix
+and suffix minima over the sorted supports (``_line_min_reduced_cost``);
+``start`` is not used there.
 
 Truncated inputs are renormalized to unit mass before solving; the
 ``truncation_error`` field accounts for both the missing tail moment and the
@@ -36,13 +62,14 @@ renormalization displacement, so
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
-from .measures import LatticePmf, Point, merge_rows
+from .measures import LatticePmf, Point, _merge_index, merge_rows
 
 # Reduced costs are exact integers; anything below this is a real violation.
 _OPT_TOL = 1e-7
@@ -358,9 +385,10 @@ def _transportation_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
             np.where(is_row, flow, -flow), -neg_u, v)
 
 
-def _north_west_corner(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """The optimal basis of a d = 1 problem on sorted supports, in the form
-    ``_transportation_simplex`` returns: arrays (rows, cols, flow) and duals u, v.
+def _north_west_corner(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """The optimal basis of a d = 1 problem on the sorted supports x and y, in
+    the form ``_transportation_simplex`` returns: arrays (rows, cols, flow) and
+    duals u, v.
 
     |x - y| on sorted supports is a Monge cost array, so the north-west-corner
     rule is optimal (Hoffman, 1963).  Its basis is the staircase from arc (0, 0)
@@ -372,42 +400,152 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     u_i = c_ij - v_j and a column step v_j = c_ij - u_i, exact integer sums.
     Where the perturbed problem is nondegenerate they are its only optimal
     duals, so the simplex ends with the same ones."""
-    m, n = cost.shape
     a_p, b_p = _perturb(a, b)
+    n = len(b)
     steps = np.argsort(np.concatenate([np.cumsum(b_p)[:-1], np.cumsum(a_p)[:-1]]), kind="stable")
     row_step = steps >= n - 1
     rows = np.concatenate([[0], np.cumsum(row_step)])
     cols = np.concatenate([[0], np.cumsum(~row_step)])
     sums = np.concatenate([np.cumsum(b)[:-1], np.cumsum(a)[:-1]])[steps]
     flow = np.diff(sums, prepend=0.0, append=a.sum())
-    arc_cost = cost[rows, cols]
+    arc_cost = np.abs(x[rows] - y[cols])
     rise = np.diff(arc_cost)  # c at a step's arc minus c at the arc before it
     u = np.concatenate([[0.0], np.cumsum(rise[row_step])])
     v = arc_cost[0] + np.concatenate([[0.0], np.cumsum(rise[~row_step])])
     return rows, cols, flow, u, v
 
 
-def _verify_optimal(a, b, cost, rows, cols, flow, u, v) -> float:
-    """Complementary-slackness pass over the basic arcs (rows, cols) and
-    their flows; returns the certified optimal value."""
-    scale = 1.0 + float(np.abs(cost).max(initial=0.0))
-    reduced = cost - u[:, None] - v[None, :]
-    if float(reduced.min(initial=0.0)) < -_OPT_TOL:
+def _line_min_reduced_cost(x: np.ndarray, y: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """min over all arcs of |x_i - y_j| - u_i - v_j on the sorted supports x
+    and y, in O(m + n) without the m x n array.  For the y_j <= x_i it is
+    x_i - u_i plus the prefix minimum of -y_j - v_j, for the y_j > x_i it is
+    -x_i - u_i plus the suffix minimum of y_j - v_j.  Every term is an exact
+    integer, so this is the dense minimum bit for bit."""
+    k = np.searchsorted(y, x, side="right")  # y[:k] <= x_i < y[k:]
+    below = np.concatenate([[np.inf], np.minimum.accumulate(-y - v)])
+    above = np.concatenate([np.minimum.accumulate((y - v)[::-1])[::-1], [np.inf]])
+    return float(min((below[k] + x - u).min(), (above[k] - x - u).min()))
+
+
+def _certify(a, b, arc_cost, rows, cols, flow, u, v, min_reduced: float, scale: float) -> float:
+    """Complementary-slackness pass over the basic arcs (rows, cols), with
+    their costs and flows, of duals u, v whose least reduced cost over all arcs
+    is ``min_reduced``; ``scale`` is 1 + the largest arc cost.  Returns the
+    certified optimal value."""
+    if min_reduced < -_OPT_TOL:
         raise _SimplexFailure("dual infeasible after termination")
     if (flow < -1e-9).any():
         k = int(np.argmax(flow < -1e-9))
         raise _SimplexFailure(f"negative basic flow {flow[k]} on arc {(int(rows[k]), int(cols[k]))}")
-    if (np.abs(reduced[rows, cols]) > _VERIFY_TOL * scale).any():
+    if (np.abs(arc_cost - u[rows] - v[cols]) > _VERIFY_TOL * scale).any():
         raise _SimplexFailure("basic arc with nonzero reduced cost")
     row = np.bincount(rows, flow, len(a))
     col = np.bincount(cols, flow, len(b))
     if np.abs(row - a).max() > 1e-8 or np.abs(col - b).max() > 1e-8:
         raise _SimplexFailure("flow marginals do not match the inputs")
-    primal = float(cost[rows, cols] @ flow)
+    return _gap_checked(float(arc_cost @ flow), a, b, u, v, scale)
+
+
+def _gap_checked(primal: float, a, b, u, v, scale: float) -> float:
+    """The dual value a @ u + b @ v, checked against a primal value."""
     dual = float(a @ u + b @ v)
     if abs(primal - dual) > _VERIFY_TOL * (1.0 + abs(dual)) + 1e-12 * scale:
         raise _SimplexFailure(f"duality gap {primal - dual:.3e}")
     return max(dual, 0.0)
+
+
+def _verify_optimal(a, b, cost, rows, cols, flow, u, v) -> float:
+    """``_certify`` on a dense cost matrix."""
+    reduced = cost - u[:, None] - v[None, :]
+    return _certify(a, b, cost[rows, cols], rows, cols, flow, u, v, float(reduced.min(initial=0.0)),
+                    1.0 + float(np.abs(cost).max(initial=0.0)))
+
+
+def _certify_on_atoms(xs, a, ys, b, u, v, primal: float) -> float:
+    """The certificate of duals u, v on the original atoms, where no basis is
+    at hand: u_i + v_j <= |x_i - y_j|_1 on every arc, and a @ u + b @ v within
+    the gap tolerance of ``primal``.  Returns the certified value."""
+    cost = _l1_cost_matrix(xs, ys)
+    if float((cost - u[:, None] - v[None, :]).min()) < -_OPT_TOL:
+        raise _SimplexFailure("lifted duals infeasible on the original atoms")
+    return _gap_checked(primal, a, b, u, v, 1.0 + float(cost.max()))
+
+
+def _reduced_w1(xs, a, ys, b, start: Optional[np.ndarray], want_flow: bool):
+    """W1 at d >= 2 through the reduced pair (see the module docstring).
+
+    Returns the certified value, the column duals -phi on Q's atoms and, with
+    ``want_flow``, the lifted plan as arrays (rows, cols, flow) on the
+    original atoms.  A ``start`` maps onto a demand cell as rint(v_y) - e(y)
+    of a Q atom y clipped into it."""
+    m = len(a)
+    both = np.concatenate([xs, ys])
+    hi = np.minimum(xs.max(axis=0), ys.max(axis=0))
+    lo = np.minimum(np.maximum(xs.min(axis=0), ys.min(axis=0)), hi)  # disjoint: collapse onto hi
+    clipped = np.clip(both, lo, hi)
+    excess = np.abs(both - clipped).sum(axis=1)
+    cells, cell = _merge_index(clipped)  # the distinct clipped points; each atom's index into them
+    net = np.bincount(cell, np.concatenate([a, -b]), len(cells))
+    src, dst = np.flatnonzero(net > 0.0), np.flatnonzero(net < 0.0)
+    psi, primal = np.zeros(len(cells)), 0.0
+    rows = cols = np.empty(0, dtype=np.intp)
+    flow = np.empty(0)
+    if len(src) and len(dst):  # else everything cancelled: W1 is the constant
+        reach = _l1_cost_matrix(cells[src], cells)
+        cost = reach[:, dst]
+        if start is not None:
+            rep = np.empty(len(cells), dtype=np.intp)
+            rep[cell[m:]] = np.arange(len(b))
+            start = np.rint(start[rep[dst]]) - excess[m + rep[dst]]
+        supply, demand = net[src], -net[dst]
+        rows, cols, flow, u, v = _transportation_simplex(supply, demand, cost, start)
+        _verify_optimal(supply, demand, cost, rows, cols, flow, u, v)
+        primal = float(cost[rows, cols] @ flow)
+        psi = (u[:, None] - reach).max(axis=0)
+    phi = psi[cell]
+    phi[:m] += excess[:m]
+    phi[m:] -= excess[m:]
+    phi -= phi[0]
+    offset = float(a @ excess[:m] + b @ excess[m:])
+    value = _certify_on_atoms(xs, a, ys, b, phi[:m], -phi[m:], primal + offset)
+    plan = None
+    if want_flow:
+        shared = [(c, c, math.inf) for c in range(len(cells))]
+        moved = zip(src[rows].tolist(), dst[cols].tolist(), flow.tolist())
+        plan = _lift_plan(cell[:m], cell[m:], a, b, shared + list(moved))
+    return value, -phi[m:], plan
+
+
+def _lift_plan(cell_p, cell_q, a, b, arcs):
+    """A plan between the original atoms from a plan between cells.
+
+    Each cell queues its atoms of P and of Q in index order with their masses.
+    Each cell arc (source cell, target cell, mass) of ``arcs`` in turn takes
+    its mass from the two cells' queues where they stand, north-west corner;
+    the arcs (c, c, inf) that come first match each cell's own atoms until one
+    side runs out: the mass both laws put on the cell.  An atom arc (x, y)
+    costs |clip x - clip y|_1 + e(x) + e(y) = |x - y|_1, so the plan costs the
+    reduced primal plus the constant.  Returns arrays (rows, cols, flow)."""
+    queues = (defaultdict(deque), defaultdict(deque))
+    for side, cells, mass in ((0, cell_p, a), (1, cell_q, b)):
+        for atom, (c, w) in enumerate(zip(cells.tolist(), mass.tolist())):
+            queues[side][c].append([atom, w])
+    out = []
+    for i, j, mass in arcs:
+        p, q = queues[0][i], queues[1][j]
+        while p and q and mass > 0.0:
+            x, y = p[0], q[0]
+            take = min(x[1], y[1], mass)
+            out.append((x[0], y[0], take))
+            mass -= take
+            x[1] -= take
+            y[1] -= take
+            if x[1] <= 0.0:
+                p.popleft()
+            if y[1] <= 0.0:
+                q.popleft()
+    rows, cols, flow = np.array(out, dtype=float).reshape(-1, 3).T
+    return rows.astype(np.intp), cols.astype(np.intp), flow
 
 
 def _check_pair(P: LatticePmf, Q: LatticePmf) -> None:
@@ -429,24 +567,33 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False,
     ``start``, column duals on Q's stored atoms (``DistanceResult.v`` of an
     earlier solve against the same Q), orders the starting basis of a
     re-solve, e.g. for a bootstrap replicate whose support is a subset of the
-    estimate's.  It changes the pivots, not the optimum: the value is
-    certified by the same check as a cold solve.  At d = 1 the basis is the
-    north-west-corner staircase and ``start`` is only checked.
+    estimate's.  At d >= 2 it is mapped onto the reduced pair's demand cells.
+    It changes the pivots, not the optimum: the value is certified by the same
+    check as a cold solve.  At d = 1 the basis is the north-west-corner
+    staircase and ``start`` is only checked.
+
+    ``DistanceResult.v`` holds -phi on Q's stored atoms, for the potential
+    phi of the certificate (at d = 1, the staircase's column duals).
     """
     _check_pair(P, Q)
     xs, pa = P.support_arrays()
     ys, qb = Q.support_arrays()
     a = pa / pa.sum()
     b = qb / qb.sum()
-    cost = _l1_cost_matrix(xs, ys)
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         # below 2**52 the rounded start and its reduced costs are exact integers
         if start.shape != (len(b),) or not (np.abs(start) < 2.0**52).all():
             raise ParameterError(f"start needs {len(b)} column duals below 2**52 in magnitude, got shape {start.shape}")
-    basis = _north_west_corner(a, b, cost) if P.dim == 1 else _transportation_simplex(a, b, cost, start)
-    rows, cols, flow, u, v = basis
-    value = _verify_optimal(a, b, cost, rows, cols, flow, u, v)
+    if P.dim == 1:
+        x, y = xs[:, 0], ys[:, 0]
+        rows, cols, flow, u, v = _north_west_corner(a, b, x, y)
+        value = _certify(a, b, np.abs(x[rows] - y[cols]), rows, cols, flow, u, v, _line_min_reduced_cost(x, y, u, v),
+                         1.0 + float(max(x[-1] - y[0], y[-1] - x[0])))
+    else:
+        value, v, plan = _reduced_w1(xs, a, ys, b, start, want_flow)
+        if want_flow:
+            rows, cols, flow = plan
     diam = float(max(xs.sum(axis=1).max(), ys.sum(axis=1).max()))
     trunc = P.tail_moment + Q.tail_moment + (P.tail_mass + Q.tail_mass) * diam
     flow_list = None

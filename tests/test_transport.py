@@ -2,7 +2,9 @@
 metric axioms, dual feasibility spot checks, property tests against the d = 1
 CDF formula and the LP, metric properties under shifts, the simplex's
 degenerate starting bases, its row-block pricing shapes, its candidate list,
-Bland's rule and warm-started re-solves."""
+Bland's rule, warm-started re-solves, the d = 1 feasibility check without an
+m x n array, and the reduced pair at d >= 2 against the full pair, with its
+certificate and plan lifted to the original atoms."""
 
 import math
 
@@ -553,8 +555,10 @@ def _cycle_spy(monkeypatch, record):
 @pytest.mark.parametrize("dim, sizes", [(2, (40, 700)), (3, (90, 300)), (4, (35, 650))])
 def test_candidate_list_enters_only_violating_arcs(monkeypatch, dim, sizes):
     # a candidate keeps its row and column but the duals move under it: each
-    # entering arc must still price negative under the current tree's duals
+    # entering arc must still price negative under the current tree's duals.
+    # The simplex is called directly: wasserstein_l1 reduces the pair first.
     P, Q = (random_pmf(np.random.default_rng(60 + dim), dim, k, span=6) for k in sizes)
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
     cost = _l1_cost_matrix(P.points, Q.points)
     m, n = cost.shape
     assert transport._PRICE_ARCS // n < m  # more than one pricing block
@@ -565,7 +569,7 @@ def test_candidate_list_enters_only_violating_arcs(monkeypatch, dim, sizes):
         reduced.append(cost[i_node, j_node - m] - u[i_node] - v[j_node - m])
 
     _cycle_spy(monkeypatch, record)
-    value = wasserstein_l1(P, Q).value
+    value = transport._verify_optimal(a, b, cost, *transport._transportation_simplex(a, b, cost))
     assert len(reduced) > 20
     assert max(reduced) < -transport._OPT_TOL
     assert abs(value - lp_wasserstein(P, Q)) <= 1e-8
@@ -638,3 +642,146 @@ def test_start_of_wrong_length_or_bad_values_is_rejected(bad):
     }[bad]
     with pytest.raises(ParameterError, match="start"):
         wasserstein_l1(sample.law(), target, start=start)
+
+
+# -- the d = 1 certificate without an m x n array ------------------------------
+
+@given(d1_pairs(), st.integers(0, 2**32 - 1))
+def test_line_feasibility_check_equals_dense_check(pair, seed):
+    # the O(m + n) least reduced cost is the dense one bit for bit, also for
+    # duals raised by 1 at one atom, which the staircase's tight arcs reject
+    P, Q = pair
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
+    x, y = P.points[:, 0], Q.points[:, 0]
+    cost = _l1_cost_matrix(P.points, Q.points)
+    _, _, _, u, v = transport._north_west_corner(a, b, x, y)
+    k = int(np.random.default_rng(seed).integers(0, len(u) + len(v)))
+    raised = np.concatenate([u, v]) + (np.arange(len(u) + len(v)) == k)
+    for uu, vv in ((u, v), (raised[: len(u)], raised[len(u):])):
+        line = transport._line_min_reduced_cost(x, y, uu, vv)
+        assert np.float64(line).tobytes() == np.float64((cost - uu[:, None] - vv).min()).tobytes()
+        assert (line >= -transport._OPT_TOL) == (uu is u)
+
+
+# -- the reduced pair at d >= 2 -----------------------------------------------
+
+def _full_pair_value(P, Q):
+    """The simplex and its certificate on the full pair's cost matrix."""
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
+    cost = _l1_cost_matrix(P.points, Q.points)
+    return transport._verify_optimal(a, b, cost, *transport._transportation_simplex(a, b, cost))
+
+
+def _assert_reduced_solve_exact(P, Q, start=None):
+    """Value against the full-pair simplex and the LP, the returned duals and
+    the lifted plan, all on the original atoms."""
+    res = wasserstein_l1(P, Q, want_flow=True, start=start)
+    assert abs(res.value - _full_pair_value(P, Q)) <= 1e-12
+    assert abs(res.value - lp_wasserstein(P, Q)) <= 1e-8
+    (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
+    a, b = a / a.sum(), b / b.sum()
+    cost = _l1_cost_matrix(xs, ys)
+    # v and its c-transform u: u[0] = 0, and they attain the value
+    u = (cost - res.v).min(axis=1)
+    assert u[0] == 0.0
+    assert abs(a @ u + b @ res.v - res.value) <= 1e-12
+    # the plan moves a to b at the value's cost
+    index_p = {x: i for i, x in enumerate(map(tuple, xs.tolist()))}
+    index_q = {y: j for j, y in enumerate(map(tuple, ys.tolist()))}
+    rows = np.array([index_p[x] for x, _, _ in res.flow], dtype=np.intp)
+    cols = np.array([index_q[y] for _, y, _ in res.flow], dtype=np.intp)
+    flow = np.array([f for _, _, f in res.flow])
+    assert (flow > 0.0).all()
+    assert np.abs(np.bincount(rows, flow, len(a)) - a).max() <= 1e-12
+    assert np.abs(np.bincount(cols, flow, len(b)) - b).max() <= 1e-12
+    assert abs(cost[rows, cols] @ flow - res.value) <= 1e-12
+    return res
+
+
+def _cancelling_after_clipping(dim):
+    """P's atoms stick out of Q's box on axis 0 (at 0 and 10), Q's sit on the
+    box's faces (2 and 4) with the same masses: the clipped laws are equal."""
+    rest = [1] * (dim - 1)
+    P = LatticePmf(dim, {(0, *rest): 0.25, (10, *rest[:-1], 3): 0.75})
+    Q = LatticePmf(dim, {(2, *rest): 0.25, (4, *rest[:-1], 3): 0.75})
+    return P, Q
+
+
+def _reduction_cases():
+    for dim in (2, 3, 4):
+        rng = np.random.default_rng(200 + dim)
+        P, Q = random_pmf(rng, dim, 25, span=6), random_pmf(rng, dim, 30, span=6)
+        yield f"disjoint on one axis, d = {dim}", P, shifted(Q, np.eye(dim, dtype=int)[0] * 9)
+        yield f"nested boxes, d = {dim}", shifted(random_pmf(rng, dim, 12, span=3), 4), random_pmf(rng, dim, 40, span=12)
+        yield f"identical laws, d = {dim}", P, P
+        yield f"single atom against many, d = {dim}", dirac(*[3] * dim), Q
+        yield f"many against a single atom, d = {dim}", P, dirac(*range(dim))
+        yield f"single atoms, d = {dim}", dirac(*[0] * dim), dirac(*range(dim))
+        yield f"all cancels after clipping, d = {dim}", *_cancelling_after_clipping(dim)
+
+
+@pytest.mark.parametrize("case", list(_reduction_cases()), ids=lambda c: c[0])
+def test_reduced_solve_on_named_cases(case):
+    name, P, Q = case
+    res = _assert_reduced_solve_exact(P, Q)
+    if name.startswith("identical"):
+        assert res.value == 0.0
+    if name.startswith("all cancels"):  # the offset alone: 0.25 * 2 + 0.75 * 6
+        assert abs(res.value - 5.0) <= 1e-15
+    if name.startswith("single atoms"):
+        assert res.value == sum(range(P.dim))
+    # a re-solve started from these duals, and from unrelated ones
+    _assert_reduced_solve_exact(P, Q, start=res.v)
+    _assert_reduced_solve_exact(P, Q, start=np.random.default_rng(3).integers(-20, 20, len(Q.probs)))
+
+
+@st.composite
+def reducible_pairs(draw):
+    """d = 2..4 pairs whose boxes are random, nested, disjoint on some axes or
+    equal, with shared atoms, identical laws or single atoms, and a start."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 4))
+    P, Q = (random_pmf(rng, dim, draw(st.integers(1, 25)), draw(st.sampled_from([2, 4, 8]))) for _ in range(2))
+    kind = draw(st.sampled_from(["random", "shifted", "shared atoms", "identical"]))
+    if kind == "shifted":
+        Q = shifted(Q, np.array(draw(st.lists(st.integers(0, 12), min_size=dim, max_size=dim))))
+    elif kind == "shared atoms":  # Q's atoms and all of P's, with other masses
+        union = np.unique(np.concatenate([P.points, Q.points]), axis=0)
+        Q = LatticePmf.from_arrays(dim, union, rng.dirichlet(np.ones(len(union))))
+    elif kind == "identical":
+        Q = P
+    if draw(st.booleans()):
+        P, Q = Q, P
+    start = None
+    if draw(st.booleans()):
+        start = wasserstein_l1(random_pmf(rng, dim, 10, span=6), Q).v
+    return P, Q, start
+
+
+@given(reducible_pairs())
+def test_reduced_solve_matches_full_pair_and_lp(case):
+    _assert_reduced_solve_exact(*case)
+
+
+@pytest.mark.parametrize("side", ["P", "Q", "P, dual kept"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lifted_certificate_rejects_potential_raised_at_one_atom(dim, side):
+    rng = np.random.default_rng(210 + dim)
+    P, Q = random_pmf(rng, dim, 20, span=6), random_pmf(rng, dim, 30, span=7)
+    res = wasserstein_l1(P, Q)
+    (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
+    cost = _l1_cost_matrix(xs, ys)
+    u = (cost - res.v).min(axis=1)
+    assert transport._certify_on_atoms(xs, a, ys, b, u, res.v, res.value) == res.value
+    for k in range(len(a) if side.startswith("P") else len(b)):
+        if side == "P":  # phi(x_k) + 1: some arc from x_k is tight, so it prices at -1
+            uu, vv = u + (np.arange(len(a)) == k), res.v
+        elif side == "Q":  # phi(y_k) + 1: still feasible, but the dual falls by b_k
+            uu, vv = u, res.v - (np.arange(len(b)) == k)
+        else:  # phi(x_k) + 1, and the dual's rise taken back at an atom off x_k's tight arc
+            tight = int(np.argmin(cost[k] - res.v))
+            other = (tight + 1) % len(b)
+            uu, vv = u + (np.arange(len(a)) == k), res.v - (np.arange(len(b)) == other) * (a[k] / b[other])
+            assert abs(a @ uu + b @ vv - res.value) <= 1e-15
+        with pytest.raises(transport._SimplexFailure, match="infeasible" if side != "Q" else "duality gap"):
+            transport._certify_on_atoms(xs, a, ys, b, uu, vv, res.value)

@@ -2,6 +2,7 @@
 Mecke identity, conditioned tuple sampler, k = 1 exactness."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ def test_sample_xA_zero_intensity_fallback():
         assert pts == ((0.0,),) * model.order
         assert model.in_domain(pts)
         assert not region.contains(np.array([model.kernel(pts)]))[0]
+
+
+def test_sample_xA_fails_fast_outside_the_triplet_kernel_range():
+    # no intensity formula: the kernel's range [0, min(1, s/3)] shows the
+    # region is empty, where 500000 proposals took 24 s before a BudgetError
+    model = TripletSumModel(rate=2.0, threshold=0.8)
+    for region in (Box((1.5,), (2.0,)), Box((0.8 / 3.0,), (0.5,))):
+        start = time.perf_counter()
+        pts = sample_xA(model, region, 48)
+        assert time.perf_counter() - start < 0.5
+        assert pts == ((0.0,),) * 3
+        assert model.in_domain(pts)
+        assert not region.contains(np.array([model.kernel(pts)]))[0]
+    # a region inside the range still draws
+    pts = sample_xA(model, Box((0.1,), (0.2,)), 49)
+    assert 0.1 <= model.kernel(pts)[0] <= 0.2
 
 
 def test_sample_xA_whole_space_k1_is_base_law():
