@@ -297,6 +297,23 @@ def test_non_finite_model_numbers_are_config_errors(tmp_path, capsys, argv, sche
     assert "config error" in err and "non-finite number" in err
 
 
+@pytest.mark.parametrize("p_text, line", [
+    ('[[0.1], ["0.2"]]', "config error: '0.2' is not of type 'number' at p[1][0]"),
+    ('[[0.1], [true]]', "config error: True is not of type 'number' at p[1][0]"),
+    ('[[0.1], [[0.2]]]', "config error: [0.2] is not of type 'number' at p[1][0]"),
+    ('[[0.1], [0.2, 0.3]]', "bernoulli-bound: FAILED (p must be an n x d matrix: setting an array element"),
+    ('[[0.1], [NaN]]', "config error: non-finite number NaN in JSON input"),
+    ('[[0.1], [1.5]]', "bernoulli-bound: FAILED (entries of p must lie in [0,1])"),
+], ids=["string", "boolean", "nested-list", "ragged-rows", "nan", "out-of-range"])
+def test_bernoulli_p_entries_are_checked(tmp_path, capsys, p_text, line):
+    # entries that are not numbers are config errors; shape and range are
+    # checked when the model is built.  Every case exits 1.
+    model = tmp_path / "bernoulli.json"
+    model.write_text('{"schema_version": 1, "n": 2, "d": 1, "p": %s, "m": 0}' % p_text)
+    assert run_cli(["bernoulli-bound", "--model", str(model)]) == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith(line)
+
+
 def test_wasserstein_non_finite_tail_exits_1(tmp_path, capsys):
     # pmf files are read and checked with the config, like model files
     p_path = tmp_path / "p.json"
@@ -569,14 +586,32 @@ def test_console_entry_point():
     assert "stein-check" in proc.stdout
 
 
+SCIPY_CHECK = """
+import sys, {module}
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+from palab import cli, transport
+from palab.measures import LatticePmf
+P = LatticePmf(2, {{(0, 0): 0.5, (3, 1): 0.5}})
+Q = LatticePmf(2, {{(1, 2): 0.25, (2, 0): 0.75}})
+for select in (transport._grid_axes, lambda src, at: None):  # the grid, then the dense path
+    transport._envelope_grid = select
+    assert transport.wasserstein_l1(P, Q).value == 2.25
+assert cli.main(["wasserstein", "--p", {pmf!r}, "--q", {pmf!r}, "--out", {out!r}]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
 @pytest.mark.parametrize("module", ["palab", "palab.cli"])
-def test_import_leaves_scipy_unloaded(module):
+def test_import_leaves_scipy_unloaded(tmp_path, module):
     # scipy is a test-only reference; importing any of it would add a quarter
-    # of a second or more to every cold start
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # of a second or more to every cold start.  Imports inside functions count
+    # too, so the check also runs W1 at d = 2 on each path and the CLI.
+    pmf = write_json(tmp_path / "p.json", {"dim": 2, "atoms": [{"x": [0, 1], "p": 1.0}], "tail_mass": 0.0,
+                                           "tail_moment": 0.0})
+    code = SCIPY_CHECK.format(module=module, pmf=pmf, out=str(tmp_path / "w.json"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_threads_flag_has_no_effect(tmp_path, gibbs_model):

@@ -2,11 +2,13 @@
 metric axioms, dual feasibility spot checks, property tests against the d = 1
 CDF formula and the LP, metric properties under shifts, the simplex's
 degenerate starting bases, its row-block pricing shapes, its candidate list,
-Bland's rule, warm-started re-solves, the d = 1 feasibility check without an
-m x n array, and the reduced pair at d >= 2 against the full pair, with its
-certificate and plan lifted to the original atoms."""
+Bland's rule, warm-started re-solves, the L1 envelope behind every
+certificate (its grid and dense paths against the dense row minima, and its
+memory on a large pair), and the reduced pair at d >= 2 against the full
+pair, with its certificate and plan lifted to the original atoms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from palab.measures import (
     PoissonVectorParams,
     SampleAtoms,
     bernoulli_sum_pmf,
+    merge_rows,
     poisson_vector_pmf,
     truncate_small_atoms,
 )
@@ -644,12 +647,84 @@ def test_start_of_wrong_length_or_bad_values_is_rejected(bad):
         wasserstein_l1(sample.law(), target, start=start)
 
 
-# -- the d = 1 certificate without an m x n array ------------------------------
+# -- the L1 envelope: certificates and potentials without an m x n array -------
+
+def _envelope_paths():
+    """Each path of ``_l1_envelope`` forced in turn, whatever the size: the
+    grid, then the dense matrix.  Yields the path's name."""
+    for name, select in (("grid", transport._grid_axes), ("dense", lambda src, at: None)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_envelope_grid", select)
+            yield name
+
+
+@st.composite
+def envelope_inputs(draw):
+    """Integer points at d = 1..4, few or many distinct coordinates per axis,
+    distinct source points, target points repeated or not, and integer
+    values up to 2**40, with -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    span = draw(st.sampled_from([0, 2, 6, 40, 2**20]))
+    src, at = (rng.integers(-span, span + 1, size=(draw(st.integers(1, 30)), dim)) for _ in range(2))
+    src = np.unique(src, axis=0)
+    values = rng.integers(-(2**40), 2**40, size=len(src)).astype(float)
+    if draw(st.booleans()):
+        values[: draw(st.integers(1, len(src)))] = -0.0
+    return src, values, at
+
+
+@given(envelope_inputs())
+def test_l1_envelope_grid_equals_dense_row_minima(inputs):
+    src, values, at = inputs
+    cost = _l1_cost_matrix(at, src)
+    want = (cost + values).min(axis=1)
+    for path in _envelope_paths():
+        assert transport._l1_envelope(src, values, at).tobytes() == want.tobytes(), path
+    # the gap check's scale, from the 2**d sign projections and as chosen by size
+    assert transport._sign_diameter(src, at) == transport._l1_diameter(src, at) == cost.max()
+
+
+def test_scale_of_a_pair_at_high_dimension_stays_small_in_memory():
+    # 2000 atoms at d = 16 against one: the sign projections would take a
+    # 2**16 x 2001 table (1 GB), the dense matrix 2000 entries
+    rng = np.random.default_rng(250)
+    points = np.unique(rng.integers(0, 4, size=(2000, 16)), axis=0)
+    P = LatticePmf.from_arrays(16, points, np.full(len(points), 1.0 / len(points)))
+    Q = dirac(*[2] * 16)
+    tracemalloc.start()
+    try:
+        value = wasserstein_l1(P, Q).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert transport._l1_diameter(P.points, Q.points) == _l1_cost_matrix(P.points, Q.points).max()
+    assert abs(value - P.probs @ np.abs(points - 2).sum(axis=1)) <= 1e-12
+
+
+def test_envelope_size_rule():
+    # dense up to 2**15 entries, and above it while the grid would hold more than 1/8 of them
+    rng = np.random.default_rng(220)
+    line = rng.integers(0, 50, size=(200, 1))
+    assert transport._envelope_grid(line[:150], line[:150]) is None  # 22500 entries
+    assert transport._envelope_grid(line, line) is not None  # 40000 entries, at most 50 cells
+    scattered = rng.integers(0, 10**6, size=(200, 2))
+    assert transport._envelope_grid(scattered, scattered) is None  # 40000 entries, 200 x 200 cells
+
+
+def test_d4_pair_with_many_distinct_coordinates_takes_the_dense_path():
+    rng = np.random.default_rng(230)
+    P, Q = random_pmf(rng, 4, 200, span=1000), random_pmf(rng, 4, 190, span=1000)
+    assert len(P.points) * len(Q.points) > transport._DENSE_ENTRIES
+    assert transport._envelope_grid(P.points, Q.points) is None
+    assert abs(wasserstein_l1(P, Q).value - lp_wasserstein(P, Q)) <= 1e-8
+
 
 @given(d1_pairs(), st.integers(0, 2**32 - 1))
 def test_line_feasibility_check_equals_dense_check(pair, seed):
-    # the O(m + n) least reduced cost is the dense one bit for bit, also for
-    # duals raised by 1 at one atom, which the staircase's tight arcs reject
+    # on either path the least reduced cost is the dense one bit for bit, also
+    # for duals raised by 1 at one atom, which the staircase's tight arcs reject
     P, Q = pair
     a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
     x, y = P.points[:, 0], Q.points[:, 0]
@@ -657,10 +732,38 @@ def test_line_feasibility_check_equals_dense_check(pair, seed):
     _, _, _, u, v = transport._north_west_corner(a, b, x, y)
     k = int(np.random.default_rng(seed).integers(0, len(u) + len(v)))
     raised = np.concatenate([u, v]) + (np.arange(len(u) + len(v)) == k)
-    for uu, vv in ((u, v), (raised[: len(u)], raised[len(u):])):
-        line = transport._line_min_reduced_cost(x, y, uu, vv)
-        assert np.float64(line).tobytes() == np.float64((cost - uu[:, None] - vv).min()).tobytes()
-        assert (line >= -transport._OPT_TOL) == (uu is u)
+    for path in _envelope_paths():
+        for uu, vv in ((u, v), (raised[: len(u)], raised[len(u):])):
+            line = transport._least_reduced_cost(P.points, uu, Q.points, vv)
+            assert np.float64(line).tobytes() == np.float64((cost - uu[:, None] - vv).min()).tobytes(), path
+            assert (line >= -transport._OPT_TOL) == (uu is u)
+
+
+def test_certificate_of_a_large_pair_stays_small_in_memory():
+    # Q on an 80 x 100 box, P its law clipped onto [0, 69] x [0, 71] with the
+    # masses of two cells swapped: 5040 x 8000 atoms, whose dense matrix
+    # would take 322 MB.  Masses are multiples of 2**-20 summing to 1, so all
+    # mass cancels exactly but at the swapped cells: W1 is Q's distance to
+    # the box plus the swapped mass's move.
+    grid = np.stack(np.meshgrid(np.arange(80), np.arange(100), indexing="ij"), axis=-1).reshape(-1, 2)
+    mass = np.random.default_rng(240).integers(100, 150, size=len(grid))
+    mass[-1] += 2**20 - mass.sum()
+    Q = LatticePmf.from_arrays(2, grid, mass / 2.0**20)
+    points, probs = merge_rows(np.minimum(Q.points, [69, 71]), Q.probs)
+    swap = [3, 4000]
+    probs[swap] = probs[swap[::-1]]
+    P = LatticePmf.from_arrays(2, points, probs)
+    assert len(P.probs) * len(Q.probs) * 8 > 300e6
+    tracemalloc.start()
+    try:
+        value = wasserstein_l1(P, Q).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    outside = Q.probs @ np.maximum(Q.points - [69, 71], 0).sum(axis=1)
+    moved = abs(probs[swap[0]] - probs[swap[1]]) * np.abs(points[swap[0]] - points[swap[1]]).sum()
+    assert abs(value - (outside + moved)) <= 1e-12
 
 
 # -- the reduced pair at d >= 2 -----------------------------------------------
@@ -772,7 +875,12 @@ def test_lifted_certificate_rejects_potential_raised_at_one_atom(dim, side):
     (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
     cost = _l1_cost_matrix(xs, ys)
     u = (cost - res.v).min(axis=1)
-    assert transport._certify_on_atoms(xs, a, ys, b, u, res.v, res.value) == res.value
+    for path in _envelope_paths():
+        assert transport._certify_on_atoms(xs, a, ys, b, u, res.v, res.value) == res.value
+        _assert_raised_potentials_rejected(xs, a, ys, b, u, res, cost, side)
+
+
+def _assert_raised_potentials_rejected(xs, a, ys, b, u, res, cost, side):
     for k in range(len(a) if side.startswith("P") else len(b)):
         if side == "P":  # phi(x_k) + 1: some arc from x_k is tight, so it prices at -1
             uu, vv = u + (np.arange(len(a)) == k), res.v
