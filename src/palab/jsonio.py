@@ -42,18 +42,22 @@ def _fmt(value: Any) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
-def _finite(parse):
-    def checked(text: str):
-        if not math.isfinite(float(text)):
-            raise ParameterError(f"non-finite number {text[:32]} in JSON input")
-        return parse(text)
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParameterError(f"non-finite number {text[:32]} in JSON input")
+    return value
 
-    return checked
+
+def _finite_int(text: str) -> int:
+    """An integer literal, rejected like a float where it overflows one."""
+    _finite(text)
+    return int(text)
 
 
 def loads(text: str) -> Any:
     """``json.loads``, with a ``ParameterError`` for any non-finite number."""
-    return json.loads(text, parse_float=_finite(float), parse_int=_finite(int), parse_constant=_finite(float))
+    return json.loads(text, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite)
 
 
 def dumps(obj: Any) -> str:

@@ -30,39 +30,43 @@ and re-priced on the next pivots until none violates.  The basis is one
 spanning tree rooted at source atom 0, held as parent, depth and parent-arc
 flow per node (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 11).  Costs
 are integers, so the simplex multipliers (duals) are exact integers as well:
-the optimality test involves no rounding, and every solve ends with a
-complementary-slackness verification pass over the basic arcs.
+the optimality test involves no rounding.
 
 The reduced duals lift to a potential on the original atoms: psi(z) =
 max_i (u_i - |X_i - z|_1) over the supply cells X_i is 1-Lipschitz, and
 phi = psi(clip x) + e(x) on P's atoms, psi(clip y) - e(y) on Q's, so
-phi(x) - phi(y) <= |x - y|_1 on every original arc.  The certificate checks
-exactly that on all original arcs, the reduced basis by complementary
-slackness, and the reduced primal plus the constant against the original
-dual sum a phi(x) - sum b phi(y) (with phi(x_0) = 0), which is the reported
-value.  Wanted flows are lifted too: each cell first matches its own atoms,
-then the reduced arcs are split over the atoms of their cells.
+phi(x) - phi(y) <= |x - y|_1 on every original arc, with phi(x_0) = 0.
+Wanted flows are lifted too: each cell first matches its own atoms, then the
+reduced arcs are split over the atoms of their cells.
 
-The lift and the certificate are each one L1 envelope,
-min_i (|e - s_i|_1 + w_i) at every point e of a set (``_l1_envelope``).  psi is minus the
-envelope of the supply cells with w = -u, and the duals are feasible on all
-arcs iff the envelope of P's atoms with w = -u is at least v on Q's atoms.
-On a large pair whose grid of distinct coordinates is small the envelope is
-an exact L1 distance transform on that grid, and no matrix over the pair is
-formed.  Otherwise it takes the minima of the dense matrix: on small pairs,
-and on large ones with many distinct coordinates, where that matrix is
-still the size of the pair.  The gap check's scale, the largest |x - y|_1,
-comes from the 2**d sign projections max_i s.x_i - min_j s.y_j where their
-table is smaller than the m x n matrix, else from that matrix.
+Every solve ends with one certificate (``_certify``): the plan's flows are
+>= 0 and have its supplies and demands as marginals, the duals satisfy
+u_i + v_j <= |x_i - y_j|_1 on every original arc, and the plan's cost is
+within 1e-9 (1 + |a u + b v|) + 1e-12 (1 + max |x - y|_1) of the dual value
+a u + b v, which is reported.  Any feasible plan costs at least W1 and any
+feasible duals give at most W1 (weak duality).  At d >= 2 the plan is the
+reduced one plus the constant, whose lift is a plan between the original
+atoms of that cost, and the duals are (phi, -phi).
+
+The lift and the feasibility check are each one L1 envelope,
+min_i (|e - s_i|_1 + w_i) at every point e of a set (``_l1_envelope``): psi
+is minus the envelope of the supply cells with w = -u, and the duals are
+feasible on all arcs iff the envelope of P's atoms with w = -u is at least
+v on Q's atoms.  On a large pair whose grid of distinct coordinates is
+small the envelope is an exact L1 distance transform on that grid, and no
+matrix over the pair is formed.  Otherwise it takes the minima of the dense
+matrix: on small pairs, and on large ones with many distinct coordinates,
+where that matrix is still the size of the pair.  max |x - y|_1 comes from
+the 2**d sign projections max_i s.x_i - min_j s.y_j where their table is
+smaller than the m x n matrix.
 
 At d = 1 no reduction and no simplex run: |x - y| on the sorted supports is
 a Monge cost array, so the north-west-corner staircase of the same perturbed
 supplies is an optimal basis (Hoffman, 1963), and its duals follow the
 staircase from u[0] = 0 (``_north_west_corner``).  Its flows give the
-monotone plan.  Its certificate needs no m x n array either: arc costs come
-from the staircase's indices, and dual feasibility on all arcs from the same
-L1 envelope, which on the line is a prefix and a suffix minimum over the
-sorted supports; ``start`` is not used there.
+monotone plan, and the certificate checks the staircase and its duals; on
+the line the L1 envelope is a prefix and a suffix minimum over the sorted
+supports.  ``start`` is not used there.
 
 Truncated inputs are renormalized to unit mass before solving; the
 ``truncation_error`` field accounts for both the missing tail moment and the
@@ -204,28 +208,16 @@ def _sign_vectors(d: int) -> np.ndarray:
 
 
 def _l1_diameter(xs: np.ndarray, ys: np.ndarray) -> float:
-    """max |x_i - y_j|_1 over all pairs, an exact integer: from the sign
-    projections (``_sign_diameter``) where their (2**d, m + n) table is smaller
-    than the m x n matrix, else from that matrix."""
+    """max |x_i - y_j|_1 over all pairs, an exact integer: the largest
+    max_i s.x_i - min_j s.y_j over the 2**d sign vectors s where their
+    (2**d, m + n) table is smaller than the m x n matrix, else the largest
+    entry of that matrix."""
     m, d = xs.shape
     n = len(ys)
     if 2**d * (m + n) <= m * n:
-        return _sign_diameter(xs, ys)
+        signs = _sign_vectors(d)
+        return float(((signs @ xs.T).max(axis=1) - (signs @ ys.T).min(axis=1)).max())
     return float(_l1_cost_matrix(xs, ys).max())
-
-
-def _sign_diameter(xs: np.ndarray, ys: np.ndarray) -> float:
-    """max |x_i - y_j|_1 without the m x n matrix: the largest
-    max_i s.x_i - min_j s.y_j over the 2**d sign vectors s, exact integers."""
-    signs = _sign_vectors(xs.shape[1])
-    return float(((signs @ xs.T).max(axis=1) - (signs @ ys.T).min(axis=1)).max())
-
-
-def _least_reduced_cost(xs, u, ys, v) -> float:
-    """min over all arcs of |x_i - y_j|_1 - u_i - v_j, via ``_l1_envelope``."""
-    reduced = _l1_envelope(xs, -u, ys)
-    reduced -= v
-    return float(reduced.min())
 
 
 def _perturb(a: np.ndarray, b: np.ndarray):
@@ -537,56 +529,34 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarra
     return rows, cols, flow, u, v
 
 
-def _certify(a, b, arc_cost, rows, cols, flow, u, v, min_reduced: float, scale: float) -> float:
-    """Complementary-slackness pass over the basic arcs (rows, cols), with
-    their costs and flows, of duals u, v whose least reduced cost over all arcs
-    is ``min_reduced``; ``scale`` is 1 + the largest arc cost.  Returns the
-    certified optimal value."""
-    if min_reduced < -_OPT_TOL:
-        raise _SimplexFailure("dual infeasible after termination")
+def _certify(xs, a, ys, b, u, v, plan, primal: float) -> float:
+    """The certificate of a W1 solve between atoms xs and ys of masses a and
+    b (see the module docstring): a plan (rows, cols, flow, supply, demand),
+    duals u, v on the atoms and the plan's cost ``primal`` between them.
+    Returns the certified value a @ u + b @ v."""
+    rows, cols, flow, supply, demand = plan
     if (flow < -1e-9).any():
         k = int(np.argmax(flow < -1e-9))
         raise _SimplexFailure(f"negative basic flow {flow[k]} on arc {(int(rows[k]), int(cols[k]))}")
-    if (np.abs(arc_cost - u[rows] - v[cols]) > _VERIFY_TOL * scale).any():
-        raise _SimplexFailure("basic arc with nonzero reduced cost")
-    row = np.bincount(rows, flow, len(a))
-    col = np.bincount(cols, flow, len(b))
-    if np.abs(row - a).max() > 1e-8 or np.abs(col - b).max() > 1e-8:
-        raise _SimplexFailure("flow marginals do not match the inputs")
-    return _gap_checked(float(arc_cost @ flow), a, b, u, v, scale)
-
-
-def _gap_checked(primal: float, a, b, u, v, scale: float) -> float:
-    """The dual value a @ u + b @ v, checked against a primal value."""
+    for index, mass in ((rows, supply), (cols, demand)):
+        if np.abs(np.bincount(index, flow, len(mass)) - mass).max(initial=0.0) > 1e-8:
+            raise _SimplexFailure("flow marginals do not match the inputs")
+    if (_l1_envelope(xs, -u, ys) - v).min() < -_OPT_TOL:
+        raise _SimplexFailure("dual infeasible on the original atoms")
     dual = float(a @ u + b @ v)
-    if abs(primal - dual) > _VERIFY_TOL * (1.0 + abs(dual)) + 1e-12 * scale:
+    if abs(primal - dual) > _VERIFY_TOL * (1.0 + abs(dual)) + 1e-12 * (1.0 + _l1_diameter(xs, ys)):
         raise _SimplexFailure(f"duality gap {primal - dual:.3e}")
     return max(dual, 0.0)
-
-
-def _verify_optimal(a, b, cost, rows, cols, flow, u, v) -> float:
-    """``_certify`` on a dense cost matrix."""
-    reduced = cost - u[:, None] - v[None, :]
-    return _certify(a, b, cost[rows, cols], rows, cols, flow, u, v, float(reduced.min(initial=0.0)),
-                    1.0 + float(np.abs(cost).max(initial=0.0)))
-
-
-def _certify_on_atoms(xs, a, ys, b, u, v, primal: float) -> float:
-    """The certificate of duals u, v on the original atoms, where no basis is
-    at hand: u_i + v_j <= |x_i - y_j|_1 on every arc, and a @ u + b @ v within
-    the gap tolerance of ``primal``.  Returns the certified value."""
-    if _least_reduced_cost(xs, u, ys, v) < -_OPT_TOL:
-        raise _SimplexFailure("lifted duals infeasible on the original atoms")
-    return _gap_checked(primal, a, b, u, v, 1.0 + _l1_diameter(xs, ys))
 
 
 def _reduced_w1(xs, a, ys, b, start: Optional[np.ndarray], want_flow: bool):
     """W1 at d >= 2 through the reduced pair (see the module docstring).
 
-    Returns the certified value, the column duals -phi on Q's atoms and, with
-    ``want_flow``, the lifted plan as arrays (rows, cols, flow) on the
-    original atoms.  A ``start`` maps onto a demand cell as rint(v_y) - e(y)
-    of a Q atom y clipped into it."""
+    Returns what ``_certify`` checks: the duals phi and -phi on P's and Q's
+    atoms, the reduced plan (rows, cols, flow, supply, demand) and its cost
+    plus the constant; and, with ``want_flow``, the lifted plan as arrays
+    (rows, cols, flow) on the original atoms, else None.  A ``start`` maps
+    onto a demand cell as rint(v_y) - e(y) of a Q atom y clipped into it."""
     m = len(a)
     both = np.concatenate([xs, ys])
     hi = np.minimum(xs.max(axis=0), ys.max(axis=0))
@@ -596,6 +566,7 @@ def _reduced_w1(xs, a, ys, b, start: Optional[np.ndarray], want_flow: bool):
     cells, cell = _merge_index(clipped)  # the distinct clipped points; each atom's index into them
     net = np.bincount(cell, np.concatenate([a, -b]), len(cells))
     src, dst = np.flatnonzero(net > 0.0), np.flatnonzero(net < 0.0)
+    supply, demand = net[src], -net[dst]
     psi, primal = np.zeros(len(cells)), 0.0
     rows = cols = np.empty(0, dtype=np.intp)
     flow = np.empty(0)
@@ -605,9 +576,7 @@ def _reduced_w1(xs, a, ys, b, start: Optional[np.ndarray], want_flow: bool):
             rep = np.empty(len(cells), dtype=np.intp)
             rep[cell[m:]] = np.arange(len(b))
             start = np.rint(start[rep[dst]]) - excess[m + rep[dst]]
-        supply, demand = net[src], -net[dst]
-        rows, cols, flow, u, v = _transportation_simplex(supply, demand, cost, start)
-        _verify_optimal(supply, demand, cost, rows, cols, flow, u, v)
+        rows, cols, flow, u, _ = _transportation_simplex(supply, demand, cost, start)
         primal = float(cost[rows, cols] @ flow)
         psi = 0.0 - _l1_envelope(cells[src], -u, cells)  # 0.0 - keeps a zero potential +0.0
     phi = psi[cell]
@@ -615,13 +584,12 @@ def _reduced_w1(xs, a, ys, b, start: Optional[np.ndarray], want_flow: bool):
     phi[m:] -= excess[m:]
     phi -= phi[0]
     offset = float(a @ excess[:m] + b @ excess[m:])
-    value = _certify_on_atoms(xs, a, ys, b, phi[:m], -phi[m:], primal + offset)
-    plan = None
+    lifted = None
     if want_flow:
         shared = [(c, c, math.inf) for c in range(len(cells))]
         moved = zip(src[rows].tolist(), dst[cols].tolist(), flow.tolist())
-        plan = _lift_plan(cell[:m], cell[m:], a, b, shared + list(moved))
-    return value, -phi[m:], plan
+        lifted = _lift_plan(cell[:m], cell[m:], a, b, shared + list(moved))
+    return phi[:m], -phi[m:], (rows, cols, flow, supply, demand), primal + offset, lifted
 
 
 def _lift_plan(cell_p, cell_q, a, b, arcs):
@@ -696,12 +664,12 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False,
     if P.dim == 1:
         x, y = xs[:, 0], ys[:, 0]
         rows, cols, flow, u, v = _north_west_corner(a, b, x, y)
-        value = _certify(a, b, np.abs(x[rows] - y[cols]), rows, cols, flow, u, v, _least_reduced_cost(xs, u, ys, v),
-                         1.0 + float(max(x[-1] - y[0], y[-1] - x[0])))
+        plan, primal = (rows, cols, flow, a, b), float(np.abs(x[rows] - y[cols]) @ flow)
     else:
-        value, v, plan = _reduced_w1(xs, a, ys, b, start, want_flow)
+        u, v, plan, primal, lifted = _reduced_w1(xs, a, ys, b, start, want_flow)
         if want_flow:
-            rows, cols, flow = plan
+            rows, cols, flow = lifted
+    value = _certify(xs, a, ys, b, u, v, plan, primal)
     diam = float(max(xs.sum(axis=1).max(), ys.sum(axis=1).max()))
     trunc = P.tail_moment + Q.tail_moment + (P.tail_mass + Q.tail_mass) * diam
     flow_list = None

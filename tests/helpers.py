@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and random pmf generators.
 
 Everything here is deliberately written against a different route than the
-implementation it checks (dense LP instead of network simplex, plain sums
+implementation it checks (dense LP instead of network simplex, the simplex
+on the full pair instead of the reduced one, plain sums
 instead of the library's accumulation order, the CDF formula instead of a
 transport solve at d = 1, Monte Carlo instead of closed forms, counts on a
 midpoint grid instead of exact disc-coverage areas, the GNZ terms pattern by
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from palab import streams
+from palab import streams, transport
 from palab.measures import LatticePmf, PoissonVectorParams, poisson_cut, poisson_pmf
 from palab.processes import GnzReport, PapangelouBound, TotalCount, coverage_areas, sample_gibbs_batch
 from palab.stein import solve_stein_batch
@@ -61,6 +62,16 @@ def lp_wasserstein(P: LatticePmf, Q: LatticePmf) -> float:
     )
     assert res.status == 0, f"LP oracle failed: {res.message}"
     return float(res.fun) / SUPPLY_SCALE
+
+
+def full_pair_certificate(P: LatticePmf, Q: LatticePmf) -> dict:
+    """The transportation simplex on the dense cost matrix of the whole pair,
+    with no reduction, as the keyword arguments of ``transport._certify``."""
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
+    cost = transport._l1_cost_matrix(P.points, Q.points)
+    rows, cols, flow, u, v = transport._transportation_simplex(a, b, cost)
+    return dict(xs=P.points, a=a, ys=Q.points, b=b, u=u, v=v, plan=(rows, cols, flow, a, b),
+                primal=float(cost[rows, cols] @ flow))
 
 
 def w1_1d(P: LatticePmf, Q: LatticePmf) -> float:

@@ -287,8 +287,9 @@ GIBBS_TEXT = ('{"schema_version": 1, "beta": %s, "theta": 0.5, "rho": 0.1, '
 @pytest.mark.parametrize("argv, schema, text", [
     (["papangelou-bound", "--reps", "4"], "gibbs", GIBBS_TEXT % "Infinity"),
     (["papangelou-bound", "--reps", "4"], "gibbs", GIBBS_TEXT % "1e400"),
+    (["papangelou-bound", "--reps", "4"], "gibbs", GIBBS_TEXT % ("1" + "0" * 400)),
     (["bernoulli-bound"], "bernoulli", '{"schema_version": 1, "n": 2, "d": 1, "p": [[0.1], [NaN]], "m": 0}'),
-], ids=["infinity-literal", "overflowing-literal", "nan-literal"])
+], ids=["infinity-literal", "overflowing-literal", "overflowing-integer-literal", "nan-literal"])
 def test_non_finite_model_numbers_are_config_errors(tmp_path, capsys, argv, schema, text):
     model = tmp_path / f"{schema}.json"
     model.write_text(text)

@@ -35,7 +35,7 @@ from palab.transport import (
     wasserstein_l1,
 )
 
-from helpers import atoms, lp_wasserstein, random_lipschitz_table, random_pmf, w1_1d
+from helpers import atoms, full_pair_certificate, lp_wasserstein, random_lipschitz_table, random_pmf, w1_1d
 
 
 def dirac(*x):
@@ -196,11 +196,9 @@ def test_w1_matches_cdf_formula_at_d1(pair):
 
 def _assert_staircase_is_the_simplex_optimum(P, Q):
     res = wasserstein_l1(P, Q, want_flow=True)
-    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
-    cost = _l1_cost_matrix(P.points, Q.points)
-    rows, cols, flow, u, v = transport._transportation_simplex(a, b, cost)
-    value = transport._verify_optimal(a, b, cost, rows, cols, flow, u, v)
-    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    cert = full_pair_certificate(P, Q)
+    a, b, v = cert["a"], cert["b"], cert["v"]
+    assert np.float64(res.value).tobytes() == np.float64(transport._certify(**cert)).tobytes()
     # The optimal duals are unique where the perturbed problem is
     # nondegenerate.  Where two perturbed cumulative sums lie within rounding
     # of each other (identical laws can do that), the simplex may end on
@@ -463,7 +461,6 @@ def test_bland_rule_takes_first_violating_arc(monkeypatch, dim, sizes):
     # row 0 on every pivot.  The simplex is called directly: wasserstein_l1
     # does not reach it at d = 1.
     P, Q = (random_pmf(np.random.default_rng(48 + dim), dim, k) for k in sizes)
-    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
     cost = _l1_cost_matrix(P.points, Q.points)
     m, n = cost.shape
     assert m * n > BLOCK
@@ -478,7 +475,7 @@ def test_bland_rule_takes_first_violating_arc(monkeypatch, dim, sizes):
 
     monkeypatch.setattr(transport, "_bland_streak_limit", lambda m, n: -1)
     monkeypatch.setattr(transport, "_cycle_path", spy)
-    value = transport._verify_optimal(a, b, cost, *transport._transportation_simplex(a, b, cost))
+    value = transport._certify(**full_pair_certificate(P, Q))
     assert len(entering) > 10
     assert entering == first
     oracle = w1_1d(P, Q) if dim == 1 else lp_wasserstein(P, Q)
@@ -487,41 +484,78 @@ def test_bland_rule_takes_first_violating_arc(monkeypatch, dim, sizes):
 
 # -- certificate checks ------------------------------------------------------
 
-def _certificate():
-    """Inputs, optimal basic arcs with their flows, and duals of a real solve."""
+def _staircase_certificate(P, Q):
+    """The d = 1 staircase of P and Q as the keyword arguments of ``_certify``."""
+    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
+    x, y = P.points[:, 0], Q.points[:, 0]
+    rows, cols, flow, u, v = transport._north_west_corner(a, b, x, y)
+    return dict(xs=P.points, a=a, ys=Q.points, b=b, u=u, v=v, plan=(rows, cols, flow, a, b),
+                primal=float(np.abs(x[rows] - y[cols]) @ flow))
+
+
+def _certificates():
+    """The arguments of ``_certify`` from three real solves, with their
+    values: the d = 1 staircase, the simplex on a full d = 2 pair and a
+    reduced d = 3 solve, whose plan is the reduced pair's."""
+    rng = np.random.default_rng(51)
+    P, Q = random_pmf(rng, 1, 30, span=40), random_pmf(rng, 1, 40, span=40)
+    yield "staircase", wasserstein_l1(P, Q).value, _staircase_certificate(P, Q)
     P = random_pmf(np.random.default_rng(49), 2, 30, span=8)
     Q = random_pmf(np.random.default_rng(50), 2, 40, span=8)
+    yield "full pair", wasserstein_l1(P, Q).value, full_pair_certificate(P, Q)
+    P, Q = random_pmf(rng, 3, 30, span=6), random_pmf(rng, 3, 40, span=7)
     a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
-    cost = _l1_cost_matrix(P.points, Q.points)
-    rows, cols, flow, u, v = transport._transportation_simplex(a, b, cost)
-    assert transport._verify_optimal(a, b, cost, rows, cols, flow, u, v) == wasserstein_l1(P, Q).value
-    return dict(a=a, b=b, cost=cost, rows=rows, cols=cols, flow=flow, u=u, v=v)
+    u, v, plan, primal, _ = transport._reduced_w1(P.points, a, Q.points, b, None, False)
+    assert len(plan[0]) > 1
+    yield "reduced", wasserstein_l1(P, Q).value, dict(xs=P.points, a=a, ys=Q.points, b=b, u=u, v=v, plan=plan,
+                                                      primal=primal)
+
+
+def _with_plan(c, rows, cols, flow):
+    c["plan"] = (rows, cols, flow) + c["plan"][3:]
 
 
 def _raise_one_row_dual(c):
-    c["u"] = c["u"] + (np.arange(len(c["u"])) == c["rows"][0])  # its basic arcs price at -1
+    # at an atom of P with a tight arc, which then prices at -1
+    reduced = _l1_cost_matrix(c["xs"], c["ys"]) - c["u"][:, None] - c["v"]
+    c["u"] = c["u"] + (np.arange(len(c["u"])) == np.argmin(reduced.min(axis=1)))
 
 
 def _negate_one_flow(c):
-    c["flow"] = np.where(np.arange(len(c["flow"])) == 0, -1e-6, c["flow"])
+    rows, cols, flow = c["plan"][:3]
+    _with_plan(c, rows, cols, np.where(np.arange(len(flow)) == 0, -1e-6, flow))
 
 
 def _add_priced_arc(c):
-    # a zero-flow arc of positive reduced cost declared basic
-    reduced = c["cost"] - c["u"][:, None] - c["v"]
-    i, j = np.unravel_index(np.argmax(reduced), reduced.shape)
-    assert reduced[i, j] >= 1.0
-    c["rows"], c["cols"], c["flow"] = np.append(c["rows"], i), np.append(c["cols"], j), np.append(c["flow"], 0.0)
+    # a zero-flow arc outside the plan declared basic: where the plan joins
+    # atoms, the arc of the largest reduced cost.  It moves no mass, so the
+    # certificate holds with the same value.
+    rows, cols, flow, supply, demand = c["plan"]
+    if supply is c["a"]:
+        reduced = _l1_cost_matrix(c["xs"], c["ys"]) - c["u"][:, None] - c["v"]
+        i, j = np.unravel_index(np.argmax(reduced), reduced.shape)
+        assert reduced[i, j] >= 1.0
+    else:
+        i, j = min(set(np.ndindex(len(supply), len(demand))) - set(zip(rows.tolist(), cols.tolist())))
+    _with_plan(c, np.append(rows, i), np.append(cols, j), np.append(flow, 0.0))
 
 
 def _add_mass(c):
-    c["flow"] = c["flow"] + np.where(c["flow"] == c["flow"].max(), 1e-6, 0.0)
+    rows, cols, flow = c["plan"][:3]
+    _with_plan(c, rows, cols, flow + np.where(flow == flow.max(), 1e-6, 0.0))
+
+
+def _move_mass_to_next_column(c):
+    # the largest flow re-pointed: the supplies still match, two demands not
+    rows, cols, flow, _, demand = c["plan"]
+    k = int(np.argmax(flow))
+    _with_plan(c, rows, np.where(np.arange(len(cols)) == k, (cols[k] + 1) % len(demand), cols), flow)
 
 
 def _lower_column_duals(c):
-    # every reduced cost rises by half the per-arc tolerance, and the dual
-    # objective falls by as much: feasible and slack-tight, but with a gap
-    scale = 1.0 + c["cost"].max()
+    # every reduced cost rises by half the tolerance's scale term, and the
+    # dual objective falls by as much: feasible, but with a gap
+    scale = 1.0 + _l1_cost_matrix(c["xs"], c["ys"]).max()
     dual = c["a"] @ c["u"] + c["b"] @ c["v"]
     assert 0.5 * transport._VERIFY_TOL * scale > transport._VERIFY_TOL * (1.0 + dual) + 1e-12 * scale
     c["v"] = c["v"] - 0.5 * transport._VERIFY_TOL * scale
@@ -530,15 +564,20 @@ def _lower_column_duals(c):
 @pytest.mark.parametrize("corrupt, message", [
     (_raise_one_row_dual, "dual infeasible"),
     (_negate_one_flow, "negative basic flow"),
-    (_add_priced_arc, "basic arc with nonzero reduced cost"),
+    (_add_priced_arc, None),
     (_add_mass, "flow marginals do not match"),
+    (_move_mass_to_next_column, "flow marginals do not match"),
     (_lower_column_duals, "duality gap"),
 ], ids=lambda v: getattr(v, "__name__", ""))
 def test_verify_optimal_rejects_corrupted_certificate(corrupt, message):
-    cert = _certificate()
-    corrupt(cert)
-    with pytest.raises(transport._SimplexFailure, match=message):
-        transport._verify_optimal(**cert)
+    for name, value, cert in _certificates():
+        assert transport._certify(**cert) == value, name
+        corrupt(cert)
+        if message is None:
+            assert transport._certify(**cert) == value, name
+        else:
+            with pytest.raises(transport._SimplexFailure, match=message):
+                transport._certify(**cert)
 
 
 # -- candidate-list pricing --------------------------------------------------
@@ -561,7 +600,6 @@ def test_candidate_list_enters_only_violating_arcs(monkeypatch, dim, sizes):
     # entering arc must still price negative under the current tree's duals.
     # The simplex is called directly: wasserstein_l1 reduces the pair first.
     P, Q = (random_pmf(np.random.default_rng(60 + dim), dim, k, span=6) for k in sizes)
-    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
     cost = _l1_cost_matrix(P.points, Q.points)
     m, n = cost.shape
     assert transport._PRICE_ARCS // n < m  # more than one pricing block
@@ -572,7 +610,7 @@ def test_candidate_list_enters_only_violating_arcs(monkeypatch, dim, sizes):
         reduced.append(cost[i_node, j_node - m] - u[i_node] - v[j_node - m])
 
     _cycle_spy(monkeypatch, record)
-    value = transport._verify_optimal(a, b, cost, *transport._transportation_simplex(a, b, cost))
+    value = transport._certify(**full_pair_certificate(P, Q))
     assert len(reduced) > 20
     assert max(reduced) < -transport._OPT_TOL
     assert abs(value - lp_wasserstein(P, Q)) <= 1e-8
@@ -681,8 +719,12 @@ def test_l1_envelope_grid_equals_dense_row_minima(inputs):
     want = (cost + values).min(axis=1)
     for path in _envelope_paths():
         assert transport._l1_envelope(src, values, at).tobytes() == want.tobytes(), path
-    # the gap check's scale, from the 2**d sign projections and as chosen by size
-    assert transport._sign_diameter(src, at) == transport._l1_diameter(src, at) == cost.max()
+    # the gap tolerance's largest cost, as chosen by size, and from the 2**d
+    # sign projections: repeated atoms leave it and make the matrix larger
+    # than the projections' table
+    k = 2 ** (src.shape[1] + 1)
+    tiled = transport._l1_diameter(np.tile(src, (k, 1)), np.tile(at, (k, 1)))
+    assert transport._l1_diameter(src, at) == tiled == cost.max()
 
 
 def test_scale_of_a_pair_at_high_dimension_stays_small_in_memory():
@@ -725,18 +767,21 @@ def test_d4_pair_with_many_distinct_coordinates_takes_the_dense_path():
 def test_line_feasibility_check_equals_dense_check(pair, seed):
     # on either path the least reduced cost is the dense one bit for bit, also
     # for duals raised by 1 at one atom, which the staircase's tight arcs reject
+    # (``_certify`` rejects those, and accepts the staircase's own)
     P, Q = pair
-    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
-    x, y = P.points[:, 0], Q.points[:, 0]
+    cert = _staircase_certificate(P, Q)
+    u, v = cert["u"], cert["v"]
     cost = _l1_cost_matrix(P.points, Q.points)
-    _, _, _, u, v = transport._north_west_corner(a, b, x, y)
     k = int(np.random.default_rng(seed).integers(0, len(u) + len(v)))
     raised = np.concatenate([u, v]) + (np.arange(len(u) + len(v)) == k)
     for path in _envelope_paths():
         for uu, vv in ((u, v), (raised[: len(u)], raised[len(u):])):
-            line = transport._least_reduced_cost(P.points, uu, Q.points, vv)
+            line = (transport._l1_envelope(P.points, -uu, Q.points) - vv).min()
             assert np.float64(line).tobytes() == np.float64((cost - uu[:, None] - vv).min()).tobytes(), path
             assert (line >= -transport._OPT_TOL) == (uu is u)
+        transport._certify(**cert)
+        with pytest.raises(transport._SimplexFailure, match="dual infeasible"):
+            transport._certify(**{**cert, "u": raised[: len(u)], "v": raised[len(u):]})
 
 
 def test_certificate_of_a_large_pair_stays_small_in_memory():
@@ -768,18 +813,11 @@ def test_certificate_of_a_large_pair_stays_small_in_memory():
 
 # -- the reduced pair at d >= 2 -----------------------------------------------
 
-def _full_pair_value(P, Q):
-    """The simplex and its certificate on the full pair's cost matrix."""
-    a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
-    cost = _l1_cost_matrix(P.points, Q.points)
-    return transport._verify_optimal(a, b, cost, *transport._transportation_simplex(a, b, cost))
-
-
 def _assert_reduced_solve_exact(P, Q, start=None):
     """Value against the full-pair simplex and the LP, the returned duals and
     the lifted plan, all on the original atoms."""
     res = wasserstein_l1(P, Q, want_flow=True, start=start)
-    assert abs(res.value - _full_pair_value(P, Q)) <= 1e-12
+    assert abs(res.value - transport._certify(**full_pair_certificate(P, Q))) <= 1e-12
     assert abs(res.value - lp_wasserstein(P, Q)) <= 1e-8
     (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
     a, b = a / a.sum(), b / b.sum()
@@ -872,15 +910,16 @@ def test_lifted_certificate_rejects_potential_raised_at_one_atom(dim, side):
     rng = np.random.default_rng(210 + dim)
     P, Q = random_pmf(rng, dim, 20, span=6), random_pmf(rng, dim, 30, span=7)
     res = wasserstein_l1(P, Q)
-    (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
-    cost = _l1_cost_matrix(xs, ys)
+    cert = full_pair_certificate(P, Q)  # its plan and primal, with the duals of res
+    cost = _l1_cost_matrix(P.points, Q.points)
     u = (cost - res.v).min(axis=1)
     for path in _envelope_paths():
-        assert transport._certify_on_atoms(xs, a, ys, b, u, res.v, res.value) == res.value
-        _assert_raised_potentials_rejected(xs, a, ys, b, u, res, cost, side)
+        assert transport._certify(**{**cert, "u": u, "v": res.v}) == res.value
+        _assert_raised_potentials_rejected(cert, u, res, cost, side)
 
 
-def _assert_raised_potentials_rejected(xs, a, ys, b, u, res, cost, side):
+def _assert_raised_potentials_rejected(cert, u, res, cost, side):
+    a, b = cert["a"], cert["b"]
     for k in range(len(a) if side.startswith("P") else len(b)):
         if side == "P":  # phi(x_k) + 1: some arc from x_k is tight, so it prices at -1
             uu, vv = u + (np.arange(len(a)) == k), res.v
@@ -892,4 +931,4 @@ def _assert_raised_potentials_rejected(xs, a, ys, b, u, res, cost, side):
             uu, vv = u + (np.arange(len(a)) == k), res.v - (np.arange(len(b)) == other) * (a[k] / b[other])
             assert abs(a @ uu + b @ vv - res.value) <= 1e-15
         with pytest.raises(transport._SimplexFailure, match="infeasible" if side != "Q" else "duality gap"):
-            transport._certify_on_atoms(xs, a, ys, b, uu, vv, res.value)
+            transport._certify(**{**cert, "u": uu, "v": vv})
