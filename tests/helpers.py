@@ -5,8 +5,9 @@ implementation it checks (dense LP instead of network simplex, the simplex
 on the full pair instead of the reduced one, plain sums
 instead of the library's accumulation order, the CDF formula instead of a
 transport solve at d = 1, Monte Carlo instead of closed forms, counts on a
-midpoint grid instead of exact disc-coverage areas, the GNZ terms pattern by
-pattern instead of over a batch, every index tuple instead of
+midpoint grid instead of exact disc-coverage areas, a plain-Python sweep
+pattern by pattern instead of the numpy sweep over a batch, the GNZ terms
+pattern by pattern instead of over a batch, every index tuple instead of
 ``itertools.combinations`` for U-statistic atoms, one Stein column per
 (prefix, Poisson-suffix cell) instead of suffix-averaged sections), so
 agreement is meaningful.
@@ -23,7 +24,7 @@ from scipy.optimize import linprog
 
 from palab import streams, transport
 from palab.measures import LatticePmf, PoissonVectorParams, poisson_cut, poisson_pmf
-from palab.processes import GnzReport, PapangelouBound, TotalCount, coverage_areas, sample_gibbs_batch
+from palab.processes import Box, GnzReport, PapangelouBound, TotalCount, sample_gibbs_batch
 from palab.stein import solve_stein_batch
 
 # HiGHS feasibility tolerances are absolute, so the LP is solved with supplies
@@ -198,6 +199,61 @@ def midpoint_coverage(points: np.ndarray, rho: float, lows, highs, cells: int):
     return areas, crossed * cell_area
 
 
+def arc_primitive(t: float, rho: float) -> float:
+    """F(t) = int_0^t sqrt(rho^2 - s^2) ds for one t, clipped to [-rho, rho],
+    with asin(t / rho) as ``math.atan2(t, sqrt(rho^2 - t^2))``."""
+    t = max(-rho, min(rho, t))
+    s = math.sqrt((rho - t) * (rho + t))
+    return 0.5 * (t * s + rho * rho * math.atan2(t, s))
+
+
+def reference_coverage_areas(points, rho: float, box: Box) -> np.ndarray:
+    """``coverage_areas`` as a plain-Python sweep of one pattern: a set of
+    breakpoints, then slab by slab a sorted list of (y, side, integral) chord
+    ends and a running sum per coverage level.  The library's numpy sweep adds
+    the same terms in the same order, so the two agree bit for bit."""
+    (x0, y0), (x1, y1) = box.lows, box.highs
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2).tolist()
+    r2 = rho * rho
+    cuts = {x0, x1}
+    for a, (ax, ay) in enumerate(pts):
+        cuts.update((ax - rho, ax, ax + rho))
+        for t in (y0 - ay, y1 - ay):
+            if abs(t) <= rho:
+                half = math.sqrt((rho - t) * (rho + t))
+                cuts.update((ax - half, ax + half))
+        for bx, by in pts[a + 1:]:
+            dx, dy = bx - ax, by - ay
+            d2 = dx * dx + dy * dy
+            if 0.0 < d2 <= 4.0 * r2 * (1.0 + 1e-9):
+                off = dy * math.sqrt(max(r2 / d2 - 0.25, 0.0))
+                cuts.update((0.5 * (ax + bx) - off, 0.5 * (ax + bx) + off))
+    xs = [x0, *sorted(c for c in cuts if x0 < c < x1), x1]
+    areas = [0.0] * (len(pts) + 1)
+    for lo, hi in zip(xs, xs[1:]):
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        ends = []
+        for cx, cy in pts:
+            t = mid - cx
+            if abs(t) >= rho:
+                continue
+            half = math.sqrt((rho - t) * (rho + t))
+            arc = arc_primitive(hi - cx, rho) - arc_primitive(lo - cx, rho)
+            for y, side, integral in ((cy - half, -1, cy * width - arc), (cy + half, 1, cy * width + arc)):
+                if y <= y0:
+                    integral = y0 * width
+                elif y >= y1:
+                    integral = y1 * width
+                ends.append((y, side, integral))
+        ends.sort()  # stable: lower ends first among ties, the count never drops below 0
+        k, below = 0, y0 * width
+        for _y, side, integral in ends:
+            areas[k] += integral - below
+            k, below = k - side, integral
+        areas[k] += y1 * width - below
+    return np.array(areas)
+
+
 # ---------------------------------------------------------------------------
 # the GNZ check and the Papangelou bound, one pattern at a time
 # ---------------------------------------------------------------------------
@@ -228,14 +284,14 @@ def per_pattern_draws(model, reps: int, seed: int, stream: int):
 
 
 def per_pattern_gnz_check(model, u, reps: int, seed: int) -> GnzReport:
-    """``gnz_check`` draw by draw: left side, weight, coverage areas and
-    intensity levels for each pattern on its own."""
+    """``gnz_check`` draw by draw: left side, weight, coverage areas (the
+    plain-Python sweep) and intensity levels for each pattern on its own."""
     region = model.window if u.region_a is None else u.region_a.intersection(model.window)
     lhs_acc, rhs_acc = np.zeros(reps), np.zeros(reps)
     for s, xi in enumerate(per_pattern_draws(model, reps, seed, 1)):
         lhs_acc[s], h = gnz_terms_per_pattern(u, xi)
         if h and region is not None:
-            areas = coverage_areas(xi.points, model.rho, region)
+            areas = reference_coverage_areas(xi.points, model.rho, region)
             rhs_acc[s] = h * float(model.intensity_levels(len(xi)) @ areas)
     delta = lhs_acc - rhs_acc
     se = float(np.std(delta, ddof=1) / math.sqrt(reps))
@@ -247,7 +303,7 @@ def per_pattern_papangelou_bound(model, f: float, reps: int, seed: int) -> Papan
     """``papangelou_bound`` for the constant target density f, draw by draw."""
     vals = np.zeros(reps)
     for s, xi in enumerate(per_pattern_draws(model, reps, seed, 2)):
-        areas = coverage_areas(xi.points, model.rho, model.window)
+        areas = reference_coverage_areas(xi.points, model.rho, model.window)
         vals[s] = float(np.abs(model.intensity_levels(len(xi)) - f) @ areas)
     se = float(np.std(vals, ddof=1) / math.sqrt(reps))
     return PapangelouBound(estimate=float(np.mean(vals)), std_error=se, reps=reps)

@@ -1,6 +1,7 @@
 """Gibbs sampler, exact coverage areas, GNZ equation and Papangelou bound tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from palab.processes import (
 )
 from palab.processes import gibbs
 
-from helpers import midpoint_coverage, neighbour_counts, per_pattern_gnz_check, per_pattern_papangelou_bound
+from helpers import (
+    arc_primitive,
+    midpoint_coverage,
+    neighbour_counts,
+    per_pattern_gnz_check,
+    per_pattern_papangelou_bound,
+    reference_coverage_areas,
+)
 
 WINDOW = Box((0.0, 0.0), (1.0, 1.0))
 
@@ -365,6 +373,153 @@ def test_coverage_sums_to_box_area_and_matches_midpoint_grid(points, r, corner):
     assert np.abs(areas - grid).max() <= bound + 1e-12
 
 
+@pytest.mark.parametrize("point, rho", [
+    ((math.nan, 0.5), 0.1), ((0.5, math.inf), 0.1), ((-math.inf, 0.5), 0.1),
+    ((0.5, 0.5), -0.1), ((0.5, 0.5), 0.0), ((0.5, 0.5), math.nan), ((0.5, 0.5), math.inf),
+])
+def test_coverage_rejects_non_finite_points_and_bad_rho(point, rho):
+    # a NaN or infinite point used to cover nothing, rho = -0.1 gave [1, 0] and rho = NaN gave [nan, nan]
+    pts = np.array([(0.2, 0.3), point])
+    with pytest.raises(ParameterError, match="finite"):
+        coverage_areas(pts, rho, WINDOW)
+    with pytest.raises(ParameterError, match="finite"):
+        gibbs._coverage_sweep(pts, np.array([0, 1, 2]), rho, WINDOW)
+
+
+def test_arc_primitives_equal_the_scalar_formula():
+    # math.atan2 one value at a time: numpy's vector atan2 differs from it in
+    # the last ulp on a few percent of these arguments on some hosts
+    rho = 0.15
+    t = np.concatenate([np.linspace(-0.2, 0.2, 4001), [-rho, rho, 0.0, -0.0, np.nextafter(rho, 0.0)]])
+    got = gibbs._arc_primitives(t, rho)
+    for v, g in zip(t.tolist(), got.tolist()):
+        want = arc_primitive(v, rho)
+        assert g == want and math.copysign(1.0, g) == math.copysign(1.0, want), v
+
+
+SWEEP_RHOS = (0.0625, 0.125, 0.25)  # with points on a 1/16 grid, 2 rho apart is exact
+
+
+@st.composite
+def coverage_batches(draw):
+    """(rho, box, patterns): 0-7 points each, mixing free points inside and
+    outside the box, points on its edges and corners, repeats of earlier
+    points, partners exactly 2 rho to the right of or above a grid point, and
+    tight clusters around the centre."""
+    rho = draw(st.sampled_from(SWEEP_RHOS) | st.floats(0.01, 0.8))
+    box = draw(st.sampled_from([WINDOW, Box((-0.25, 0.125), (0.75, 0.625))]))
+    (x0, y0), (x1, y1) = box.lows, box.highs
+    grid = st.integers(-4, 20).map(lambda k: k / 16)
+    patterns = []
+    for _ in range(draw(st.integers(1, 9))):
+        pts = []
+        for _ in range(draw(st.integers(0, 7))):
+            kind = draw(st.sampled_from(["free", "edge", "repeat", "apart", "dense"]))
+            if kind == "repeat" and pts:
+                pts.append(draw(st.sampled_from(pts)))
+            elif kind == "apart":
+                x, y = draw(grid), draw(grid)
+                pts.append((x, y))
+                pts.append((x + 2 * rho, y) if draw(st.booleans()) else (x, y + 2 * rho))
+            elif kind == "edge":
+                along = draw(st.sampled_from([x0, x1]) | st.floats(x0, x1))
+                pts.append((along, draw(st.sampled_from([y0, y1]))) if draw(st.booleans())
+                           else (draw(st.sampled_from([x0, x1])), draw(st.floats(y0, y1))))
+            elif kind == "dense":
+                pts.append((0.5 + draw(st.floats(-0.01, 0.01)), 0.5 + draw(st.floats(-0.01, 0.01))))
+            else:
+                pts.append((draw(st.floats(-0.5, 1.5)), draw(st.floats(-0.5, 1.5))))
+        patterns.append(pts[:7])
+    draw(st.randoms()).shuffle(patterns)
+    return rho, box, patterns
+
+
+def _sweep(patterns, rho, box):
+    batch = PatternBatch.from_patterns([PointPattern(np.array(p, dtype=float).reshape(-1, 2)) for p in patterns])
+    points = batch.points.reshape(-1, 2)
+    return gibbs._coverage_sweep(points, batch.offsets, rho, box), batch.offsets + np.arange(len(batch) + 1)
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@given(coverage_batches(), st.integers(0, 9))
+def test_batch_sweep_equals_each_pattern_swept_alone(case, cut):
+    rho, box, patterns = case
+    areas, bounds = _sweep(patterns, rho, box)
+    assert len(areas) == bounds[-1]
+    for pts, lo, hi in zip(patterns, bounds, bounds[1:]):
+        alone = coverage_areas(np.array(pts, dtype=float).reshape(-1, 2), rho, box)
+        assert len(alone) == len(pts) + 1 and _bitwise_equal(areas[lo:hi], alone)
+        assert _bitwise_equal(alone, reference_coverage_areas(pts, rho, box))
+        assert abs(alone.sum() - box.volume()) <= 1e-12
+    # the batch split in two and swept in two parts
+    cut = min(cut, len(patterns))
+    parts = [_sweep(part, rho, box)[0] for part in (patterns[:cut], patterns[cut:])]
+    assert _bitwise_equal(areas, np.concatenate(parts))
+
+
+def _record_sweeps(monkeypatch) -> list:
+    """Patch ``_coverage_sweep`` to record the pattern sizes of each call."""
+    swept, real = [], gibbs._coverage_sweep
+    monkeypatch.setattr(gibbs, "_coverage_sweep", lambda points, offsets, *rest: (
+        swept.append(np.diff(offsets)), real(points, offsets, *rest))[1])
+    return swept
+
+
+def _reference_level_sums(model, batch, draws):
+    out = np.zeros(len(batch))
+    for i in draws.tolist():
+        xi = batch.pattern(i)
+        out[i] = float(model.intensity_levels(len(xi)) @ reference_coverage_areas(xi.points, model.rho, WINDOW))
+    return out
+
+
+def test_sweep_blocks_hold_the_budget_and_equal_the_reference(monkeypatch):
+    # the level sums do not depend on how the draws are cut into sweep blocks:
+    # one draw per block, blocks of at most 2000 entries, and the whole batch
+    model = GibbsModel(beta=4.0, theta=0.8, rho=0.15, window=WINDOW)
+    batch = gibbs.sample_gibbs_batch(model, streams.derive(41), 300)
+    draws = np.arange(0, 300, 2)
+    want = _reference_level_sums(model, batch, draws)
+    assert (want[1::2] == 0.0).all() and (want[::2] > 0.0).all()
+    swept, blocks = _record_sweeps(monkeypatch), {}
+    for elems in (1, 2000, 1 << 30):
+        monkeypatch.setattr(gibbs, "_SWEEP_ELEMS", elems)
+        swept.clear()
+        assert _bitwise_equal(gibbs._level_sums(model, batch, WINDOW, lambda c: c, draws), want), elems
+        assert np.array_equal(np.concatenate(swept), np.diff(batch.offsets)[draws])
+        for n in swept:
+            assert len(n) == 1 or ((n + 1) * (n * n + 6 * n + 2)).sum() <= elems
+        blocks[elems] = len(swept)
+    assert blocks[1] == len(draws) and 1 < blocks[2000] < len(draws) and blocks[1 << 30] == 1
+
+
+def test_dense_model_sweep_needs_the_scratch_of_its_largest_draw(monkeypatch):
+    # beta = 60, theta = 0: ~60 points and ~600 breakpoints per draw, each draw
+    # over the sweep budget alone, so the draws are swept one at a time and the
+    # scratch of the whole check is that of its largest draw
+    model = GibbsModel(beta=60.0, theta=0.0, rho=0.1, window=WINDOW)
+    batch = gibbs.sample_gibbs_batch(model, streams.derive(43), 16)
+    draws = np.arange(len(batch))
+
+    def traced(draws):
+        tracemalloc.start()
+        try:
+            return gibbs._level_sums(model, batch, WINDOW, lambda c: c, draws), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    got, peak = traced(draws)
+    _, largest = traced(np.array([np.argmax(np.diff(batch.offsets))]))
+    assert peak < 1.5 * largest
+    assert _bitwise_equal(got, _reference_level_sums(model, batch, draws))
+    swept = _record_sweeps(monkeypatch)
+    gibbs._level_sums(model, batch, WINDOW, lambda c: c, draws)
+    assert [len(n) for n in swept] == [1] * len(batch)
+
+
 def test_gnz_u_constant_theta_zero():
     model = GibbsModel(beta=2.0, theta=0.0, rho=0.1, window=WINDOW)
     report = gnz_check(model, IndicatorTimesEmpty(), reps=4000, seed=5)
@@ -412,6 +567,8 @@ def test_gibbs_integrals_need_a_planar_window():
         papangelou_bound(line, IntensityMeasure(line.window, 2.0), reps=10, seed=0)
     with pytest.raises(ParameterError, match="2-D"):
         coverage_areas(np.zeros((1, 3)), 0.1, Box((0.0,) * 3, (1.0,) * 3))
+    with pytest.raises(ParameterError, match="2-D"):
+        coverage_areas(np.zeros((1, 2)), 0.1, Box((0.0,) * 3, (1.0,) * 3))
 
 
 def test_gnz_left_side_matches_per_point_definition():
@@ -470,7 +627,10 @@ GNZ_ORACLE_US = [
 @pytest.mark.parametrize("theta", [0.0, 0.8])
 def test_gnz_check_and_bound_equal_the_per_pattern_loop(theta, reps):
     # the 32-stream layout: 2 and 31 repetitions take one draw from each of 2 and
-    # 31 streams; 33 and 600 spread over all 32 streams in chunks of unequal size
+    # 31 streams; 33 and 600 spread over all 32 streams in chunks of unequal size,
+    # joined into one batch before the sweep
+    sizes = streams.chunk_sizes(reps, 32)
+    assert len(sizes) == min(reps, 32) and (len(set(sizes)) > 1) == (reps in (33, 600))
     model = GibbsModel(beta=2.0, theta=theta, rho=0.15, window=WINDOW)
     for seed in (3, 4):
         for u in GNZ_ORACLE_US:
@@ -478,6 +638,27 @@ def test_gnz_check_and_bound_equal_the_per_pattern_loop(theta, reps):
         for f in (0.0, 1.2, 2.0):
             got = papangelou_bound(model, IntensityMeasure(WINDOW, f), reps, seed)
             assert got == per_pattern_papangelou_bound(model, f, reps, seed)
+
+
+class CountWithoutWeight(gibbs.GnzTestFunction):
+    """Left side n, weight h = 0 on every draw."""
+
+    def terms(self, batch):
+        return np.diff(batch.offsets).astype(float), np.zeros(len(batch))
+
+
+def test_gnz_check_sweeps_no_draw_of_weight_zero(monkeypatch):
+    model = GibbsModel(beta=2.0, theta=0.8, rho=0.15, window=WINDOW)
+    swept = []
+    real = gibbs._coverage_sweep
+    monkeypatch.setattr(gibbs, "_coverage_sweep", lambda points, offsets, *rest: (
+        swept.append(len(offsets) - 1), real(points, offsets, *rest))[1])
+    report = gnz_check(model, CountWithoutWeight(), reps=33, seed=5)
+    assert swept == [] and report.rhs == 0.0 and not math.copysign(1.0, report.rhs) < 0
+    counts = np.diff(gibbs._check_batch(model, 33, 5, 1).offsets)
+    assert report.lhs == float(np.mean(counts.astype(float)))
+    gnz_check(model, TotalCount(), reps=33, seed=5)
+    assert 0 < sum(swept) < 33  # the weight n is 0 on the empty draws, which are not swept
 
 
 def test_papangelou_bound_zero_for_poisson_target():
