@@ -6,16 +6,16 @@ For a 1-Lipschitz g on 0..N the solution ghat with ghat(0) = 0 satisfies
 
 Run literally, the forward recursion multiplies any perturbation of the mean
 by i/lambda per step, i.e. factorially over the range; in double precision it
-destroys the solution a few steps past lambda.  We therefore evaluate the same
-solution through two algebraically equivalent, well-conditioned forms:
+destroys the solution a few steps past lambda.  Each direction is therefore
+run only where it contracts, the classical rule for three-term recurrences
+(Gautschi, SIAM Review 9, 1967).  With c = g - E g:
 
-  * forward recursion for i at most floor(lambda) (there i/lambda <= 1, a
-    contraction), and
-  * the tail series ghat(i+1) = -sum_{k>=1} (g(i+k) - E g) * w_k with
-    w_1 = 1/(i+1) and w_{k+1} = w_k * lambda/(i+k+1), which uses no Poisson
-    probabilities and cannot underflow.  It is summed for all tail rows at
-    once, one k per step, each row stopping on its own criterion after the
-    same floating-point operations a row-by-row loop would apply.
+  * forward, ghat(i+1) = (i ghat(i) + c(i)) / lambda for i up to floor(lambda),
+    where the factor i/lambda is at most 1, and
+  * backward, ghat(i) = (lambda ghat(i+1) - c(i)) / i for i from N down to
+    floor(lambda) + 1 (factor lambda/i < 1), from the constant extension's
+    ghat(N+1) = -c(N) sum_{k>=1} w_k, w_1 = 1/(N+1), w_{k+1} = w_k lambda/(N+k+1):
+    one scalar series per lambda, with no Poisson probabilities to underflow.
 
 Beyond the table g is extended as the constant g(N) (any 1-Lipschitz extension
 is admissible; the precondition below makes the choice irrelevant up to
@@ -32,6 +32,8 @@ at most 1, so they pass the solver's Lipschitz check like any other input.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ContractError, ParameterError
@@ -39,7 +41,6 @@ from .measures import LatticePmf, PoissonVectorParams, poisson_cut_law, poisson_
 
 LIPSCHITZ_TOL = 1e-12
 DEFAULT_EPS_TAIL = 1e-13
-_SERIES_STOP = 1e-18
 
 
 def _columns(g) -> np.ndarray:
@@ -74,9 +75,12 @@ def check_lipschitz_1d(g: np.ndarray) -> None:
 def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized solve for columns of ``g`` (shape (N+1,) or (N+1, B)).
 
-    Returns (ghat with shape (N+2, B), means with shape (B,)).  Precondition:
-    the Poisson tail beyond N contributes at most eps_tail to E[g(P_lambda)]
-    given g's linear growth bound (checked exactly).
+    Returns (ghat with shape (N+2, B), means with shape (B,)): forward
+    recursion up to floor(lambda), then backward recursion, a contraction by
+    lambda/i (Gautschi 1967), from the constant extension's value at N+1; each
+    step is one row operation over all B columns.  Precondition: the Poisson
+    tail beyond N contributes at most eps_tail to E[g(P_lambda)] given g's
+    linear growth bound (checked exactly).
     """
     g = _columns(g)
     n_max = g.shape[0] - 1
@@ -101,22 +105,17 @@ def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_T
         mode = min(int(np.floor(lam)), n_max + 1)
         for i in range(mode):
             ghat[i + 1] = (i * ghat[i] + centered[i]) / lam
-        big = float(np.max(np.abs(centered), initial=0.0))
-        # tail rows still summing, with their partial sums and next weights
-        rows = np.arange(mode, n_max + 1)
-        acc = np.zeros((rows.size, g.shape[1]))
-        w = 1.0 / (rows + 1)
-        k = 1
-        while rows.size:
-            acc += centered[np.minimum(rows + k, n_max)] * w[:, None]
-            q = lam / (rows + k + 1)
-            stop = (big * w * q / (1.0 - q) < _SERIES_STOP) | (k > 10_000)
-            w *= q
-            if stop.any():
-                ghat[rows[stop] + 1] = -acc[stop]
-                go = ~stop
-                rows, acc, w = rows[go], acc[go], w[go]
-            k += 1
+        if mode <= n_max:
+            # ghat(N+1) = -c(N) sum_k w_k; as lam/j falls, the terms after w_k sum to at most w_{k+1}/(1 - lam/j)
+            total, w = 0.0, 1.0 / (n_max + 1)
+            for j in itertools.count(n_max + 2):
+                total += w
+                w *= lam / j
+                if total + w / (1.0 - lam / j) == total:
+                    break
+            ghat[n_max + 1] = -centered[n_max] * total
+            for i in range(n_max, mode, -1):
+                ghat[i] = (lam * ghat[i + 1] - centered[i]) / i
     return ghat, means
 
 

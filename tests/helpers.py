@@ -9,7 +9,8 @@ midpoint grid instead of exact disc-coverage areas, a plain-Python sweep
 pattern by pattern instead of the numpy sweep over a batch, the GNZ terms
 pattern by pattern instead of over a batch, every index tuple instead of
 ``itertools.combinations`` for U-statistic atoms, one Stein column per
-(prefix, Poisson-suffix cell) instead of suffix-averaged sections), so
+(prefix, Poisson-suffix cell) instead of suffix-averaged sections, the Stein
+tail series summed row by row instead of the backward recursion), so
 agreement is meaningful.
 """
 
@@ -23,7 +24,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from palab import streams, transport
-from palab.measures import LatticePmf, PoissonVectorParams, poisson_cut, poisson_pmf
+from palab.measures import LatticePmf, PoissonVectorParams, poisson_cut, poisson_law, poisson_pmf
 from palab.processes import Box, GnzReport, PapangelouBound, TotalCount, sample_gibbs_batch
 from palab.stein import solve_stein_batch
 
@@ -140,6 +141,42 @@ def random_lipschitz_1d(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random 1-Lipschitz function on 0..n-1 via bounded increments."""
     steps = rng.uniform(-1.0, 1.0, size=n - 1)
     return np.concatenate([[rng.uniform(-1, 1)], steps]).cumsum()
+
+
+def row_by_row_stein(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``stein.solve_stein_batch`` for valid (N+1, B) tables by another route
+    past floor(lambda): each tail row i sums its own series
+    ghat(i+1) = -sum_{k>=1} c(min(i+k, N)) w_k, w_1 = 1/(i+1),
+    w_{k+1} = w_k lambda/(i+k+1), with c = g - E g on the constant extension,
+    a scalar loop over k per row that stops once the geometric bound on the
+    rest falls below 1e-18 times max |c|."""
+    n_max = g.shape[0] - 1
+    ghat = np.zeros((n_max + 2, g.shape[1]))
+    if lam == 0.0:
+        idx = np.arange(1, n_max + 1)
+        ghat[1 : n_max + 1] = (g[0][None, :] - g[1:]) / idx[:, None]
+        ghat[n_max + 1] = (g[0] - g[n_max]) / (n_max + 1)
+        return ghat, g[0].copy()
+    pmf = poisson_pmf(np.arange(n_max + 1), lam)
+    means = pmf @ g + poisson_law(lam, n_max)[1][n_max] * g[n_max]
+    centered = g - means[None, :]
+    mode = min(int(np.floor(lam)), n_max + 1)
+    for i in range(mode):
+        ghat[i + 1] = (i * ghat[i] + centered[i]) / lam
+    big = float(np.max(np.abs(centered)))
+    for i in range(mode, n_max + 1):
+        acc = np.zeros(g.shape[1])
+        w = 1.0 / (i + 1)
+        k = 1
+        while True:
+            acc += centered[min(i + k, n_max)] * w
+            q = lam / (i + k + 1)
+            if big * w * q / (1.0 - q) < 1e-18 or k > 10_000:
+                break
+            w *= q
+            k += 1
+        ghat[i + 1] = -acc
+    return ghat, means
 
 
 def decomposition_residual_by_cells(X: LatticePmf, params: PoissonVectorParams, g: np.ndarray,

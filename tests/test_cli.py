@@ -127,17 +127,17 @@ def test_stein_check_output_pinned(tmp_path):
     assert run_cli([*STEIN_SMALL, "--out", str(csv_out), "--format", "csv"]) == 0
     assert json_out.read_text() == (
         '{"lambda_grid":[0.5,4.0,3],"n_g":2,"range":40,"residual_tol":1e-10,"schema_version":1,'
-        '"sup_tol":1.0000000000010001,"verdict":"PASS","worst_residual":2.6645352591003757e-15,'
+        '"sup_tol":1.0000000000010001,"verdict":"PASS","worst_residual":3.1086244689504383e-15,'
         '"worst_sup":0.5847935633965009}\n'
     )
     assert csv_out.read_text() == (
         "lambda,g_id,sup_abs,sup_delta,residual\n"
-        "0.5,0,0.30215972619905623,0.1729300837048838,1.3322676295501878e-15\n"
-        "0.5,1,0.5847935633965009,0.54410051799021431,1.3322676295501878e-15\n"
-        "2.25,0,0.35683148520244556,0.13191343237638839,8.8817841970012523e-16\n"
-        "2.25,1,0.55989940625257273,0.5137954792428604,1.7763568394002505e-15\n"
-        "4,0,0.39504052664373845,0.14257327709269144,2.6645352591003757e-15\n"
-        "4,1,0.56594816032977036,0.50574884104737095,1.3322676295501878e-15\n"
+        "0.5,0,0.30215972619905623,0.1729300837048838,2.2204460492503131e-16\n"
+        "0.5,1,0.5847935633965009,0.54410051799021431,8.8817841970012523e-16\n"
+        "2.25,0,0.35683148520244562,0.13191343237638842,6.9388939039072284e-16\n"
+        "2.25,1,0.55989940625257273,0.5137954792428604,1.5543122344752192e-15\n"
+        "4,0,0.3950405266437384,0.14257327709269152,3.1086244689504383e-15\n"
+        "4,1,0.56594816032977036,0.50574884104737095,8.8817841970012523e-16\n"
     )
 
 
@@ -713,10 +713,10 @@ OUTPUT_PINNED = {
     "stein-check-csv": (["stein-check", "--lambda-grid", "1:3:2", "--g", "random:2", "--range", "40", "--seed", "7",
                          "--format", "csv"], 0, (
         "lambda,g_id,sup_abs,sup_delta,residual\n"
-        "1,0,0.54201189358651913,0.49381843401682457,1.7763568394002505e-15\n"
-        "1,1,0.4602893764985444,0.4602893764985444,4.4408920985006262e-16\n"
+        "1,0,0.54201189358651891,0.49381843401682457,6.6613381477509392e-16\n"
+        "1,1,0.4602893764985444,0.4602893764985444,2.2204460492503131e-16\n"
         "3,0,0.53712832650494891,0.41102121950319032,2.2204460492503131e-15\n"
-        "3,1,0.21424931392641733,0.21424931392641733,1.3322676295501878e-15\n")),
+        "3,1,0.21424931392641733,0.21424931392641733,8.8817841970012523e-16\n")),
 }
 FLOW_PINNED = 'x,y,mass\n"0 1","0 2",0.5\n"1 1","1 0",0.25\n"2 0","1 0",0.25\n'
 

@@ -1,6 +1,6 @@
 """Stein-equation tests: closed forms, extended-precision recursion oracle,
-the row-by-row tail loop as a bitwise oracle, magic factors, linearity, and
-the telescoping decomposition."""
+the row-by-row tail series as a reference for the backward recursion, magic
+factors, linearity, and the telescoping decomposition."""
 
 import math
 
@@ -15,12 +15,9 @@ from palab.measures import (
     LatticePmf,
     PoissonVectorParams,
     bernoulli_sum_pmf,
-    poisson_law,
-    poisson_pmf,
     poisson_vector_pmf,
 )
 from palab.stein import (
-    _SERIES_STOP,
     check_lipschitz_table,
     column_checks,
     decomposition_check,
@@ -28,7 +25,7 @@ from palab.stein import (
     solve_stein_batch,
 )
 
-from helpers import decomposition_residual_by_cells, random_lipschitz_1d, random_lipschitz_table
+from helpers import decomposition_residual_by_cells, random_lipschitz_1d, random_lipschitz_table, row_by_row_stein
 
 
 def mpmath_stein_oracle(lam: float, g: np.ndarray, dps: int | None = None) -> np.ndarray:
@@ -36,12 +33,12 @@ def mpmath_stein_oracle(lam: float, g: np.ndarray, dps: int | None = None) -> np
 
     The mean uses the same constant-extension convention as the solver, with
     enough tail terms to be exact at the working precision.  The recursion
-    amplifies rounding by about i!/lam^i, so the precision is chosen to beat
-    that factor with 60 digits to spare.
+    amplifies rounding by about i!/lam^i up to its last row i = N+1, so the
+    precision is chosen to beat that factor with 60 digits to spare.
     """
     n_top = len(g) - 1
     if dps is None:
-        amplification = math.lgamma(n_top + 1) / math.log(10) + n_top * max(0.0, -math.log10(lam))
+        amplification = math.lgamma(n_top + 2) / math.log(10) + (n_top + 1) * max(0.0, -math.log10(lam))
         dps = 60 + int(amplification)
     with mpmath.workdps(dps):
         lam_mp = mpmath.mpf(lam)
@@ -55,39 +52,6 @@ def mpmath_stein_oracle(lam: float, g: np.ndarray, dps: int | None = None) -> np
         for i in range(n + 1):
             ghat.append((i * ghat[i] + mpmath.mpf(float(g[i])) - mean) / lam_mp)
         return np.array([float(v) for v in ghat])
-
-
-def row_by_row_stein(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The solver with its tail series summed one row i at a time, a scalar
-    loop over k per row (test oracle: the batched solver performs the same
-    floating-point operations per row and must match it bitwise)."""
-    n_max = g.shape[0] - 1
-    ghat = np.zeros((n_max + 2, g.shape[1]))
-    if lam == 0.0:
-        idx = np.arange(1, n_max + 1)
-        ghat[1 : n_max + 1] = (g[0][None, :] - g[1:]) / idx[:, None]
-        ghat[n_max + 1] = (g[0] - g[n_max]) / (n_max + 1)
-        return ghat, g[0].copy()
-    pmf = poisson_pmf(np.arange(n_max + 1), lam)
-    means = pmf @ g + poisson_law(lam, n_max)[1][n_max] * g[n_max]
-    centered = g - means[None, :]
-    mode = min(int(np.floor(lam)), n_max + 1)
-    for i in range(mode):
-        ghat[i + 1] = (i * ghat[i] + centered[i]) / lam
-    big = float(np.max(np.abs(centered)))
-    for i in range(mode, n_max + 1):
-        acc = np.zeros(g.shape[1])
-        w = 1.0 / (i + 1)
-        k = 1
-        while True:
-            acc += centered[min(i + k, n_max)] * w
-            q = lam / (i + k + 1)
-            if big * w * q / (1.0 - q) < _SERIES_STOP or k > 10_000:
-                break
-            w *= q
-            k += 1
-        ghat[i + 1] = -acc
-    return ghat, means
 
 
 def test_constant_g_gives_zero_solution():
@@ -154,8 +118,7 @@ def test_linearity_of_the_solver():
         (2.3, 0.6, -0.4, 1.0),
         (0.0, 0.6, -0.4, 1.0),
         (216.0, 0.6, -0.4, 1.0),
-        # weights summing below 1 over columns of very different scale: each
-        # solve stops its tail series at a different k
+        # weights summing below 1 over columns of very different scale
         (2.3, 0.7, 0.2, 1e-6),
     ]
     for lam, a, b, scale in cases:
@@ -203,7 +166,9 @@ LAMBDAS = st.one_of(
 @example(lam=216.0, b=64, short=True, extra=0, seed=9)
 @example(lam=400.0, b=64, short=False, extra=0, seed=10)
 @example(lam=400.0, b=1, short=True, extra=0, seed=11)
-def test_batched_tail_matches_row_by_row_loop_bitwise(lam, b, short, extra, seed):
+def test_backward_recursion_matches_row_by_row_series(lam, b, short, extra, seed):
+    # the backward recursion and the per-row tail series are two routes to one
+    # solution: equal to rounding, and the means are the same sum
     rng = np.random.default_rng(seed)
     if short:
         # N = 0 or N < floor(lambda), where the tail is empty; only an
@@ -215,7 +180,7 @@ def test_batched_tail_matches_row_by_row_loop_bitwise(lam, b, short, extra, seed
     ghat, means = solve_stein_batch(lam, g, eps_tail=eps_tail)
     ghat_ref, means_ref = row_by_row_stein(lam, g)
     assert ghat.shape == (n + 2, b)
-    assert ghat.tobytes() == ghat_ref.tobytes()
+    assert np.all(np.abs(ghat - ghat_ref) <= 1e-14 * np.maximum(1.0, np.abs(ghat_ref)))
     assert means.tobytes() == means_ref.tobytes()
 
 
@@ -250,6 +215,43 @@ def test_zero_column_batch(lam):
     ghat, means = solve_stein_batch(lam, np.zeros((61, 0)))
     assert ghat.shape == (62, 0)
     assert means.shape == (0,)
+
+
+# (lambda, N, eps_tail) at the split of the recursion at floor(lambda)
+SPLIT_CASES = {
+    # the backward loop is empty: only ghat(N+1) comes from the scalar series
+    "N-is-floor": (5.5, 5, math.inf),
+    # forward recursion only, no series
+    "N-below-floor": (7.3, 4, math.inf),
+    # the first backward row is lambda + 1
+    "integer-lambda": (6.0, default_range(6.0, 0), 1e-13),
+    # every row backward, the series stops after one term
+    "lambda-1e-300": (1e-300, 10, 1e-13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_recursion_split_edge_cases(name):
+    lam, n, eps_tail = SPLIT_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    g = np.stack([random_lipschitz_1d(rng, n + 1) for _ in range(3)], axis=1)
+    ghat, means = solve_stein_batch(lam, g, eps_tail=eps_tail)
+    for j in range(3):
+        assert np.max(np.abs(ghat[:, j] - mpmath_stein_oracle(lam, g[:, j]))) <= 1e-11
+    assert column_checks(lam, g, ghat, means)[0].max() <= 1e-10
+    empty, empty_means = solve_stein_batch(lam, g[:, :0], eps_tail=eps_tail)
+    assert empty.shape == (n + 2, 0) and empty_means.shape == (0,)
+
+
+def test_lambda_zero_branch_is_the_closed_form_bitwise():
+    # the mpmath oracle divides by lambda; at 0 the solution is (g(0) - g(i))/i
+    rng = np.random.default_rng(0)
+    g = np.stack([random_lipschitz_1d(rng, 51) for _ in range(3)], axis=1)
+    ghat, means = solve_stein_batch(0.0, g)
+    ghat_ref, means_ref = row_by_row_stein(0.0, g)
+    assert ghat.tobytes() == ghat_ref.tobytes() and means.tobytes() == means_ref.tobytes()
+    assert ghat[1:51].tobytes() == ((g[0] - g[1:]) / np.arange(1, 51)[:, None]).tobytes()
+    assert column_checks(0.0, g, ghat, means)[0].max() <= 1e-10
 
 
 # -- decomposition (telescoping) ----------------------------------------------
