@@ -391,14 +391,13 @@ def _cmd_wasserstein(args, pmfs):
 
 _INERT = "accepted for old scripts; no effect"
 _MODEL_FLAG = ("--model", {"required": True, "help": "JSON model file"})
-_COMMON_FLAGS = (
-    ("--seed", {"type": int, "default": 0}),
-    ("--reps", {"type": int, "default": 10_000}),
-    ("--out", {"default": None}),
-    ("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "json"}),
-    ("--threads", {"type": int, "default": None, "help": _INERT}),
-)
+_COMMON_FLAGS = (("--out", {"default": None}), ("--threads", {"type": int, "default": None, "help": _INERT}))
+# each command takes the ones it reads
+_SEED_FLAG = ("--seed", {"type": int, "default": 0})
+_REPS_FLAG = ("--reps", {"type": int, "default": 10_000})
+_FORMAT_FLAG = ("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "json"})
 _GRID_FLAG = ("--grid", {"type": int, "default": None, "help": _INERT})
+_SAMPLED_FLAGS = (_SEED_FLAG, _REPS_FLAG)
 
 _COMMANDS = {
     "stein-check": _Command(
@@ -406,11 +405,13 @@ _COMMANDS = {
         fields={"lambda_grid": _NUMS, "n_g": _INT, "range": _INT, "worst_sup": _NUM, "worst_residual": _NUM,
                 "sup_tol": _NUM, "residual_tol": _NUM},
         flags=(
+            _SEED_FLAG, _FORMAT_FLAG,
             ("--lambda-grid", {"default": "0.1:10:25", "help": "lo:hi:count"}),
             ("--g", {"default": "random:200", "help": "random:<count>"}),
             ("--range", {"type": int, "default": 300, "dest": "grange"}),
             ("--sup-tol", {"type": float, "default": 1.0 + 1e-12}),
-            ("--residual-tol", {"type": float, "default": 1e-10}),
+            ("--residual-tol", {"type": float, "default": 1e-10,
+                                "help": "absolute bound on the equation residual, which grows with lambda and --range"}),
         ),
     ),
     "bernoulli-bound": _Command(
@@ -420,7 +421,7 @@ _COMMANDS = {
     ),
     "bernoulli-verify": _Command(
         _cmd_bernoulli_verify, "exact (m = 0) or sampled W1 to the Poisson law against the bound",
-        model="bernoulli",
+        model="bernoulli", flags=_SAMPLED_FLAGS,
         fields={"bound": _NUM, "corollary_bound": _NUM, "mode": {"enum": ["exact", "empirical"]},
                 "distance": _NUM, "std_error": _NUM, "truncation_error": _NUM},
     ),
@@ -429,18 +430,19 @@ _COMMANDS = {
         fields={"family": {"type": "string"}, "R": _NUM, "R_error_bound": _NUM, "bound": _NUM, "order": _INT},
     ),
     "papangelou-bound": _Command(
-        _cmd_papangelou_bound, "conditional-intensity bound of a Gibbs model", model="gibbs", flags=(_GRID_FLAG,),
+        _cmd_papangelou_bound, "conditional-intensity bound of a Gibbs model", model="gibbs",
+        flags=(*_SAMPLED_FLAGS, _GRID_FLAG),
         fields={"estimate": _NUM, "std_error": _NUM, "quad_bound": _NUM, "reps": _INT},
     ),
     "gnz-check": _Command(
         _cmd_gnz_check, "GNZ identity check of the Gibbs sampler", model="gibbs",
-        flags=(_GRID_FLAG, ("--z-threshold", {"type": float, "default": 4.0})),
+        flags=(*_SAMPLED_FLAGS, _GRID_FLAG, ("--z-threshold", {"type": float, "default": 4.0})),
         fields={"lhs": _NUM, "rhs": _NUM, "z_score": _NUM, "std_error": _NUM, "quad_bound": _NUM,
                 "z_threshold": _NUM, "reps": _INT},
     ),
     "dpi-estimate": _Command(
         _cmd_dpi_estimate, "partition lower bound on the process distance", model="dpi",
-        flags=(("--n-boot", {"type": int, "default": DEFAULT_N_BOOT}),),
+        flags=(*_SAMPLED_FLAGS, _FORMAT_FLAG, ("--n-boot", {"type": int, "default": DEFAULT_N_BOOT})),
         fields={"estimate": _NUM, "std_error": _NUM, "ci_low": _NUM, "ci_high": _NUM, "per_partition": _NUMS,
                 "truncation_error": _NUM},
     ),
@@ -477,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        for flag, kwargs in ((_MODEL_FLAG,) if cmd.model else ()) + _COMMON_FLAGS + cmd.flags:
+        for flag, kwargs in ((_MODEL_FLAG,) if cmd.model else ()) + cmd.flags + _COMMON_FLAGS:
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -486,7 +488,7 @@ _parser = functools.cache(_build_parser)  # one parser per process: parse_args k
 
 
 def _write_outputs(args, payload: dict, rows) -> None:
-    if args.fmt == "csv" and rows is not None:
+    if rows is not None and args.fmt == "csv":
         text = "\n".join(",".join(r) for r in rows) + "\n"
     else:
         text = jsonio.dumps(payload)

@@ -33,7 +33,7 @@ from .errors import CapacityError, ParameterError
 # rejected outright rather than silently renormalized.
 NORMALIZATION_DEFECT_LIMIT = 1e-9
 
-# Default cap on the number of atoms a constructor may materialize.
+# Cap on the number of atoms a constructor may materialize.
 DEFAULT_ATOM_BUDGET = 4_000_000
 
 # Relative margin on the product-Poisson tail accounts: covers the kernel's own error (~2e-12)
@@ -218,11 +218,7 @@ class PoissonVectorParams:
         return len(self.lambdas)
 
 
-def poisson_vector_pmf(
-    params: PoissonVectorParams,
-    eps: float,
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
-) -> LatticePmf:
+def poisson_vector_pmf(params: PoissonVectorParams, eps: float) -> LatticePmf:
     """Product-Poisson pmf truncated to a box [0,N_1] x ... x [0,N_d].
 
     Each cut N_i is the smallest N with P(P_i > N) <= eps / d, so the total
@@ -230,13 +226,15 @@ def poisson_vector_pmf(
     and ``tail_moment`` uses the exact identity E[P 1{P > N}] = lambda *
     P(P >= N) plus independence across coordinates; both read the tails at the
     cuts and are inflated by ``TAIL_MARGIN``, so they are rigorous upper bounds.
+    A box of more than ``DEFAULT_ATOM_BUDGET`` atoms raises ``CapacityError``.
     """
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"eps must be in (0,1), got {eps}")
     lam, d = params.lambdas, params.dim
     axes = [poisson_cut_law(lv, eps / d) for lv in lam]
-    if math.prod(len(pmf) for pmf, _ in axes) > atom_budget:
-        raise CapacityError(f"truncation box {[len(pmf) for pmf, _ in axes]} exceeds atom budget {atom_budget}")
+    if math.prod(len(pmf) for pmf, _ in axes) > DEFAULT_ATOM_BUDGET:
+        raise CapacityError(
+            f"truncation box {[len(pmf) for pmf, _ in axes]} exceeds atom budget {DEFAULT_ATOM_BUDGET}")
     table = axes[0][0]
     for pmf, _ in axes[1:]:
         table = np.multiply.outer(table, pmf)
@@ -271,20 +269,21 @@ def bernoulli_rows(p, shape: tuple[int, int] | None = None) -> np.ndarray:
     return p
 
 
-def bernoulli_sum_pmf(p: np.ndarray, atom_budget: int = DEFAULT_ATOM_BUDGET) -> LatticePmf:
+def bernoulli_sum_pmf(p: np.ndarray) -> LatticePmf:
     """Exact pmf of a sum of independent Bernoulli vectors.
 
     Row r of ``p`` gives P(Y^(r) = e_j) = p[r, j]; with probability
     1 - sum_j p[r, j] the summand is the zero vector.  The sum's pmf is built
     by sequential convolution over the (d+1)-outcome rows; tail_mass = 0.
+    A table of more than ``DEFAULT_ATOM_BUDGET`` cells raises ``CapacityError``.
     """
     p = bernoulli_rows(p)
     n, d = p.shape
     row_sums = p.sum(axis=1)
     shape = (n + 1,) * d
     size = (n + 1) ** d
-    if size > atom_budget:
-        raise CapacityError(f"dense DP table of size {(n + 1)}^{d} exceeds atom budget {atom_budget}")
+    if size > DEFAULT_ATOM_BUDGET:
+        raise CapacityError(f"dense DP table of size {(n + 1)}^{d} exceeds atom budget {DEFAULT_ATOM_BUDGET}")
     table = np.zeros(shape)
     table[(0,) * d] = 1.0
     for r in range(n):

@@ -110,8 +110,7 @@ def _close_pairs(points: np.ndarray, offsets: np.ndarray, rho: float) -> np.ndar
     return out
 
 
-def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int,
-                       max_tries: int = DEFAULT_MAX_TRIES) -> PatternBatch:
+def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int) -> PatternBatch:
     """``size`` exact i.i.d. draws by rejection, as one batch: propose from
     Poisson(beta * Lebesgue) and accept with probability exp(-theta * w) <= 1,
     w the number of close pairs.
@@ -123,7 +122,7 @@ def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int,
     proposal order.  A chunk aims at the draws still missing at the
     acceptance rate seen so far, with at most ``_PAIR_ELEMS`` expected
     close-pair tests, and never runs past the budget: ``BudgetError`` once
-    ``max_tries`` proposals in a row are rejected.
+    ``DEFAULT_MAX_TRIES`` proposals in a row are rejected.
     """
     lam = model.beta * model.window.volume()
     cap = max(1, int(_PAIR_ELEMS / (1.0 + 0.5 * lam * lam)))  # E n(n - 1)/2 = lam^2/2
@@ -131,7 +130,7 @@ def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int,
     kept = proposed = accepted = rejected_run = 0
     while kept < size:
         need = size - kept
-        k = min(cap, max_tries - rejected_run, -(-need * (proposed + 1) // (accepted + 1)))
+        k = min(cap, DEFAULT_MAX_TRIES - rejected_run, -(-need * (proposed + 1) // (accepted + 1)))
         counts = rng.poisson(lam, k)
         offsets = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -142,9 +141,9 @@ def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int,
         accepted += len(hits)
         if len(hits) == 0:
             rejected_run += k
-            if rejected_run >= max_tries:
+            if rejected_run >= DEFAULT_MAX_TRIES:
                 raise BudgetError(
-                    f"Gibbs rejection sampler exceeded {max_tries} proposals "
+                    f"Gibbs rejection sampler exceeded {DEFAULT_MAX_TRIES} proposals "
                     "(acceptance below budget; reduce theta or the window)"
                 )
             continue
@@ -158,10 +157,10 @@ def sample_gibbs_batch(model: GibbsModel, rng: np.random.Generator, size: int,
     return PatternBatch(np.concatenate(points), offsets)
 
 
-def sample_gibbs(model: GibbsModel, seed_or_rng, max_tries: int = DEFAULT_MAX_TRIES) -> PointPattern:
+def sample_gibbs(model: GibbsModel, seed_or_rng) -> PointPattern:
     """One exact draw: the size-1 case of ``sample_gibbs_batch``."""
     rng = streams.generator(seed_or_rng)
-    return sample_gibbs_batch(model, rng, 1, max_tries).pattern(0)
+    return sample_gibbs_batch(model, rng, 1).pattern(0)
 
 
 # ---------------------------------------------------------------------------

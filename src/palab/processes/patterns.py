@@ -61,17 +61,21 @@ class Box:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Which rows of an ``(n, w)`` array lie in the closed box; no points
-        (an empty pattern's ``(0, 0)`` array too) give an empty mask."""
+        (an empty pattern's ``(0, 0)`` array too) give an empty mask, and
+        points of another width raise ``ParameterError``."""
         pts = np.atleast_2d(pts)
         ok = np.ones(len(pts), dtype=bool)
         if len(pts) == 0:
             return ok
+        _check_width(pts.shape[1], self.dim)
         for k, (l, h) in enumerate(zip(self.lows, self.highs)):
             ok &= (pts[:, k] >= l) & (pts[:, k] <= h)
         return ok
 
     def overlaps(self, other: "Box") -> bool:
-        """True when the interiors intersect."""
+        """True when the interiors intersect; boxes of two dimensions raise
+        ``ParameterError``."""
+        _check_width(other.dim, self.dim)
         for (l1, h1), (l2, h2) in zip(
             zip(self.lows, self.highs), zip(other.lows, other.highs)
         ):
@@ -84,6 +88,11 @@ class Box:
         if not self.overlaps(other):
             return None
         return Box(tuple(map(max, self.lows, other.lows)), tuple(map(min, self.highs, other.highs)))
+
+
+def _check_width(width: int, dim: int) -> None:
+    if width != dim:
+        raise ParameterError(f"dimension mismatch: a box in R^{dim} against R^{width}")
 
 
 @dataclass(frozen=True)
@@ -247,12 +256,14 @@ class PatternBatch:
 
 def _membership(points: Union[np.ndarray, tuple], partition: PartitionSpec) -> np.ndarray:
     """``(N, d)`` table: point n lies in set j.  Boxes are closed (``>=`` and
-    ``<=`` on every axis); label sets need labels and boxes located points."""
+    ``<=`` on every axis); label sets need labels and boxes located points of
+    their dimension."""
     labels = isinstance(partition.sets[0], LabelSet)
     if labels != isinstance(points, tuple):
         raise ParameterError("label sets need a label pattern, and boxes a located one")
     if labels:
         return np.array([[p in s.members for s in partition.sets] for p in points], dtype=bool)
+    _check_width(points.shape[1], partition._lows.shape[1])
     pts = points[:, None, :]
     return ((pts >= partition._lows) & (pts <= partition._highs)).all(axis=2)
 
@@ -280,14 +291,14 @@ class IntensityMeasure:
 
     ``density`` is a constant, a label->weight mapping, or a callable on
     (n, w) arrays; callables must come with a finite upper bound
-    ``density_max`` (rejection sampling needs it).  ``total`` is checked
-    against quadrature to 1e-8 at construction.
+    ``density_max`` (rejection sampling needs it).  ``total``, the mass of
+    the window, is computed at construction (by quadrature for a callable).
     """
 
     window: Window
     density: Union[float, dict, Callable[[np.ndarray], np.ndarray]]
     density_max: float = 0.0
-    total: float = field(default=None)  # type: ignore[assignment]
+    total: float = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.window, LabelSpace):
@@ -315,12 +326,7 @@ class IntensityMeasure:
             tot = quad.value
             if tot < -1e-12:
                 raise ParameterError("density integrates to a negative value")
-        if self.total is None:
-            object.__setattr__(self, "total", float(tot))
-        elif not abs(self.total - tot) <= 1e-8 * (1.0 + abs(tot)):
-            raise ParameterError(
-                f"declared total {self.total} differs from integral {tot} beyond 1e-8"
-            )
+        object.__setattr__(self, "total", float(tot))
 
     def measure_of(self, region: SetSpec) -> float:
         """Mass of a sub-box or label subset."""

@@ -176,20 +176,17 @@ class MonotoneMapModel(UStatModel):
         return self.rate * max(0.0, hi - lo)
 
 
-def build_ustat_process(
-    points: PointPattern,
-    model: UStatModel,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> PointPattern:
+def build_ustat_process(points: PointPattern, model: UStatModel) -> PointPattern:
     """One atom per unordered k-tuple of distinct input points inside D
     (equivalently delta_{g} with weight 1/k! over ordered tuples); fewer
-    than k points give the shared ``(0, 0)`` empty pattern."""
+    than k points give the shared ``(0, 0)`` empty pattern.  More than
+    ``DEFAULT_TUPLE_BUDGET`` ordered tuples raise ``BudgetError``."""
     n = len(points)
     k = model.order
     if n < k:
         return empty_pattern(0)
-    if n**k > tuple_budget:
-        raise BudgetError(f"{n}^{k} ordered tuples exceed the budget {tuple_budget}")
+    if n**k > DEFAULT_TUPLE_BUDGET:
+        raise BudgetError(f"{n}^{k} ordered tuples exceed the budget {DEFAULT_TUPLE_BUDGET}")
     out = []
     for combo in itertools.combinations(points.points.tolist(), k):
         if model.in_domain(combo):

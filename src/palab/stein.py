@@ -19,8 +19,8 @@ run only where it contracts, the classical rule for three-term recurrences
 
 Beyond the table g is extended as the constant g(N) (any 1-Lipschitz extension
 is admissible; the precondition below makes the choice irrelevant up to
-eps_tail).  E[g(P_lambda)] is evaluated for that extended g exactly up to
-rounding, so the magic-factor bounds survive at full range.
+``DEFAULT_EPS_TAIL``).  E[g(P_lambda)] is evaluated for that extended g
+exactly up to rounding, so the magic-factor bounds survive at full range.
 
 The solution map g -> ghat is linear (Barbour, Holst & Janson, Poisson
 Approximation, 1992).  The telescoping check ``decomposition_check`` uses this:
@@ -41,6 +41,8 @@ from .measures import LatticePmf, PoissonVectorParams, poisson_cut_law, poisson_
 
 LIPSCHITZ_TOL = 1e-12
 DEFAULT_EPS_TAIL = 1e-13
+# Poisson box of ``decomposition_check``: the mass it may leave outside
+DEFAULT_EPS_BOX = 1e-12
 
 
 def _columns(g) -> np.ndarray:
@@ -72,15 +74,15 @@ def check_lipschitz_1d(g: np.ndarray) -> None:
         raise ContractError(f"g declared 1-Lipschitz but max increment is {float(worst[bad[0]])}")
 
 
-def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_TAIL) -> tuple[np.ndarray, np.ndarray]:
+def solve_stein_batch(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized solve for columns of ``g`` (shape (N+1,) or (N+1, B)).
 
     Returns (ghat with shape (N+2, B), means with shape (B,)): forward
     recursion up to floor(lambda), then backward recursion, a contraction by
     lambda/i (Gautschi 1967), from the constant extension's value at N+1; each
     step is one row operation over all B columns.  Precondition: the Poisson
-    tail beyond N contributes at most eps_tail to E[g(P_lambda)] given g's
-    linear growth bound (checked exactly).
+    tail beyond N contributes at most ``DEFAULT_EPS_TAIL`` to E[g(P_lambda)]
+    given g's linear growth bound (checked exactly).
     """
     g = _columns(g)
     n_max = g.shape[0] - 1
@@ -90,9 +92,9 @@ def solve_stein_batch(lam: float, g: np.ndarray, eps_tail: float = DEFAULT_EPS_T
     pmf, sf = poisson_law(lam, n_max)
     # |E g_true(P) - E g_ext(P)| over 1-Lipschitz extensions of a table ending
     # at n is at most sum_{k>n} (k-n) pmf(k) = lam*P(P>=n) - n*P(P>n)
-    if lam * (sf[n_max] + pmf[n_max]) - n_max * sf[n_max] > eps_tail:
+    if lam * (sf[n_max] + pmf[n_max]) - n_max * sf[n_max] > DEFAULT_EPS_TAIL:
         raise ParameterError(
-            f"g table over 0..{n_max} too short to certify E[g(P_{lam:g})] within {eps_tail:g}"
+            f"g table over 0..{n_max} too short to certify E[g(P_{lam:g})] within {DEFAULT_EPS_TAIL:g}"
         )
     means = pmf @ g + sf[n_max] * g[n_max]
     ghat = np.zeros((n_max + 2, g.shape[1]))
@@ -131,13 +133,7 @@ def check_lipschitz_table(g: np.ndarray) -> None:
         check_lipschitz_1d(np.moveaxis(g, axis, 0))
 
 
-def decomposition_check(
-    X: LatticePmf,
-    params: PoissonVectorParams,
-    g: np.ndarray,
-    eps_box: float = 1e-12,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> float:
+def decomposition_check(X: LatticePmf, params: PoissonVectorParams, g: np.ndarray) -> float:
     """Residual of the telescoping decomposition
 
         E[g(P) - g(X)] = sum_i E[ X_i ghat_i(X_i) - lambda_i ghat_i(X_i + 1) ]
@@ -149,25 +145,23 @@ def decomposition_check(
     h_d = g, h_{i-1} = h_i averaged over P_i on the Poisson box (the last step
     gives E g(P)), and coordinate i needs one Stein column per distinct prefix
     X_{1:i-1}, the section of h_i there.  The Poisson box cuts axis i at the
-    smallest N with P(P_i > N) <= eps_box / d.  A g that is not finite and
-    1-Lipschitz raises ``ContractError``; an empty stored support of X, a
-    negative or infinite eps_box, or a g axis too short for the support of X
-    plus 1, the solver range or the Poisson box, raises ``ParameterError``.
+    smallest N with P(P_i > N) <= ``DEFAULT_EPS_BOX`` / d.  A g that is not
+    finite and 1-Lipschitz raises ``ContractError``; an empty stored support
+    of X, or a g axis too short for the support of X plus 1, the solver range
+    or the Poisson box, raises ``ParameterError``.
     Contract: residual <= 1e-8 plus the truncation contribution of the box.
     """
     d = X.dim
     g = np.asarray(g, dtype=float)
     if params.dim != d or g.ndim != d:
         raise ParameterError("X, params and g must share the dimension d")
-    if not 0.0 <= eps_box < float("inf"):
-        raise ParameterError(f"eps_box must be finite and >= 0, got {eps_box}")
     check_lipschitz_table(g)
     xs, px = X.support_arrays()
     if not len(px):
         raise ParameterError("X has an empty stored support")
     px = px / px.sum()
     sup_max = xs.max(axis=0)
-    axes = []
+    axes, eps = [], DEFAULT_EPS_BOX / d
     for i, lam in enumerate(params.lambdas):
         if sup_max[i] + 2 > g.shape[i]:
             raise ParameterError(
@@ -178,11 +172,11 @@ def decomposition_check(
             raise ParameterError(
                 f"g table axis {i} too small: solver range needs {need + 1} entries, found {g.shape[i]}"
             )
-        ax = poisson_cut_law(lam, eps_box / d)[0]
+        ax = poisson_cut_law(lam, eps)[0]
         if len(ax) > g.shape[i]:
             raise ParameterError(
                 f"g table axis of length {g.shape[i]} too small to cover Poisson({lam:g}) "
-                f"tail accuracy {eps_box / d:g} (needs {len(ax)})"
+                f"tail accuracy {eps:g} (needs {len(ax)})"
             )
         axes.append(ax)
 
@@ -198,7 +192,7 @@ def decomposition_check(
     rhs = 0.0
     for i, lam in enumerate(params.lambdas):
         starts = np.r_[True, (xs[1:, :i] != xs[:-1, :i]).any(axis=1)]
-        ghat, _ = solve_stein_batch(lam, h[i + 1][tuple(xs[starts, :i].T)].T, eps_tail=eps_tail)
+        ghat, _ = solve_stein_batch(lam, h[i + 1][tuple(xs[starts, :i].T)].T)
         col, x = np.cumsum(starts) - 1, xs[:, i]
         rhs += float(px @ (x * ghat[x, col] - lam * ghat[x + 1, col]))
     return abs(lhs - rhs)

@@ -132,23 +132,8 @@ def _l1_cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _grid_axes(src: np.ndarray, at: np.ndarray):
     """Per axis, the distinct coordinates of the points of ``src`` and ``at``
-    and each point's index into them (``src``'s first).  This is
-    ``np.unique(coords, return_inverse=True)`` per axis without its call
-    overhead, which took 19 us more of a 0.14 ms d = 1 solve of 601 x 179
-    atoms (2 vCPU)."""
-    axes = []
-    for coords in np.concatenate([src, at]).T:
-        order = coords.argsort(kind="stable")
-        coords = coords[order]
-        rise = np.zeros(len(coords), dtype=bool)
-        np.not_equal(coords[1:], coords[:-1], out=rise[1:])
-        rank = rise.cumsum()  # of each sorted coordinate among the distinct ones
-        distinct = np.empty(rank[-1] + 1, dtype=coords.dtype)
-        distinct[rank] = coords
-        index = np.empty_like(rank)
-        index[order] = rank
-        axes.append((distinct, index))
-    return axes
+    and each point's index into them (``src``'s first)."""
+    return [np.unique(coords, return_inverse=True) for coords in np.concatenate([src, at]).T]
 
 
 def _envelope_grid(src: np.ndarray, at: np.ndarray):

@@ -2,6 +2,7 @@
 and the documented pipelines end to end."""
 
 import argparse
+import inspect
 import json
 import math
 import subprocess
@@ -11,6 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+import palab
+import palab.processes
 from palab import cli
 from palab.cli import OUTPUT_SCHEMAS, SCHEMAS, main
 
@@ -500,6 +503,36 @@ def test_gnz_check_region_on_a_region_less_kind_exit_1(tmp_path, capsys, kind, r
     assert err.splitlines()[0] == f"config error: Additional properties are not allowed ('{region}' was unexpected)"
 
 
+SQUARE = {"lows": [0.0, 0.0], "highs": [1.0, 1.0]}
+SEGMENT = {"lows": [0.0], "highs": [0.5]}
+GIBBS_SOURCE = {"type": "gibbs", "beta": 2.0, "theta": 0.5, "rho": 0.1, "window": SQUARE}
+
+
+@pytest.mark.parametrize("xi, eta, partition", [
+    # one partition of a segment and a square
+    ({"type": "poisson", "rate": 2.0, "window": SQUARE}, {"type": "poisson", "rate": 2.0, "window": SQUARE},
+     [{"box": SEGMENT}, {"box": {"lows": [0.5, 0.0], "highs": [1.0, 1.0]}}]),
+    # a segment on the square: counted from sampled points, and as an exact measure
+    ({"type": "poisson", "rate": 2.0, "window": SQUARE, "exact": False}, GIBBS_SOURCE, [{"box": SEGMENT}]),
+    ({"type": "poisson", "rate": 2.0, "window": SQUARE}, {"type": "poisson", "rate": 1.0, "window": SQUARE},
+     [{"box": SEGMENT}]),
+], ids=["mixed-partition", "sampled-counts", "exact-measure"])
+def test_dpi_box_of_another_dimension_exit_1(tmp_path, capsys, xi, eta, partition):
+    model = write_json(tmp_path / "dpi.json", {"schema_version": 1, "xi": xi, "eta": eta, "partitions": [partition]})
+    assert run_cli(["dpi-estimate", "--model", model, "--reps", "50", "--n-boot", "2"]) == 1
+    assert "dimension mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", ["region_a", "region_b"])
+def test_gnz_check_region_of_another_dimension_exit_1(tmp_path, capsys, region):
+    model = write_json(tmp_path / "gibbs.json", {
+        "schema_version": 1, "beta": 2.0, "theta": 0.5, "rho": 0.1, "window": SQUARE,
+        "u": {"kind": "indicator_empty", region: SEGMENT},
+    })
+    assert run_cli(["gnz-check", "--model", model, "--reps", "50"]) == 1
+    assert "dimension mismatch" in capsys.readouterr().err
+
+
 def test_papangelou_bound_cli(tmp_path, gibbs_model):
     out = tmp_path / "pap.json"
     code = run_cli([
@@ -738,30 +771,52 @@ def _opt(flag, dest, default=None, required=False, type=None, choices=None):
     return ([flag], dest, default, required, type, choices)
 
 
-_COMMON_OPTS = [
-    _opt("--seed", "seed", 0, type="int"), _opt("--reps", "reps", 10_000, type="int"), _opt("--out", "out"),
-    _opt("--format", "fmt", "json", choices=("json", "csv")), _opt("--threads", "threads", type="int"),
-]
+_COMMON_OPTS = [_opt("--out", "out"), _opt("--threads", "threads", type="int")]
+_SEED_OPT = _opt("--seed", "seed", 0, type="int")
+_REPS_OPT = _opt("--reps", "reps", 10_000, type="int")
+_FORMAT_OPT = _opt("--format", "fmt", "json", choices=("json", "csv"))
 _MODEL_OPT = _opt("--model", "model", required=True)
 _GRID_OPT = _opt("--grid", "grid", type="int")
 # subcommand -> its options in order: (option strings, dest, default, required, type, choices)
 PARSER_SURFACE = {
     "stein-check": [
-        *_COMMON_OPTS, _opt("--lambda-grid", "lambda_grid", "0.1:10:25"), _opt("--g", "g", "random:200"),
+        _SEED_OPT, _FORMAT_OPT, _opt("--lambda-grid", "lambda_grid", "0.1:10:25"), _opt("--g", "g", "random:200"),
         _opt("--range", "grange", 300, type="int"), _opt("--sup-tol", "sup_tol", 1.0 + 1e-12, type="float"),
-        _opt("--residual-tol", "residual_tol", 1e-10, type="float"),
+        _opt("--residual-tol", "residual_tol", 1e-10, type="float"), *_COMMON_OPTS,
     ],
     "bernoulli-bound": [_MODEL_OPT, *_COMMON_OPTS],
-    "bernoulli-verify": [_MODEL_OPT, *_COMMON_OPTS],
+    "bernoulli-verify": [_MODEL_OPT, _SEED_OPT, _REPS_OPT, *_COMMON_OPTS],
     "ustat-bound": [_MODEL_OPT, *_COMMON_OPTS],
-    "papangelou-bound": [_MODEL_OPT, *_COMMON_OPTS, _GRID_OPT],
-    "gnz-check": [_MODEL_OPT, *_COMMON_OPTS, _GRID_OPT, _opt("--z-threshold", "z_threshold", 4.0, type="float")],
-    "dpi-estimate": [_MODEL_OPT, *_COMMON_OPTS, _opt("--n-boot", "n_boot", 32, type="int")],
+    "papangelou-bound": [_MODEL_OPT, _SEED_OPT, _REPS_OPT, _GRID_OPT, *_COMMON_OPTS],
+    "gnz-check": [
+        _MODEL_OPT, _SEED_OPT, _REPS_OPT, _GRID_OPT, _opt("--z-threshold", "z_threshold", 4.0, type="float"),
+        *_COMMON_OPTS,
+    ],
+    "dpi-estimate": [_MODEL_OPT, _SEED_OPT, _REPS_OPT, _FORMAT_OPT, _opt("--n-boot", "n_boot", 32, type="int"),
+                     *_COMMON_OPTS],
     "wasserstein": [
-        *_COMMON_OPTS, _opt("--p", "p_path", required=True), _opt("--q", "q_path", required=True),
-        _opt("--flow-csv", "flow_csv"),
+        _opt("--p", "p_path", required=True), _opt("--q", "q_path", required=True), _opt("--flow-csv", "flow_csv"),
+        *_COMMON_OPTS,
     ],
 }
+
+
+# the (subcommand, flag) pairs a command does not read
+UNREAD_FLAGS = [
+    ("stein-check", "--reps"), ("bernoulli-bound", "--seed"), ("bernoulli-bound", "--reps"),
+    ("bernoulli-bound", "--format"), ("bernoulli-verify", "--format"), ("ustat-bound", "--seed"),
+    ("ustat-bound", "--reps"), ("ustat-bound", "--format"), ("papangelou-bound", "--format"),
+    ("gnz-check", "--format"), ("wasserstein", "--seed"), ("wasserstein", "--reps"), ("wasserstein", "--format"),
+]
+
+
+@pytest.mark.parametrize("name, flag", UNREAD_FLAGS, ids=[f"{n}{f}" for n, f in UNREAD_FLAGS])
+def test_unread_flag_is_a_usage_error(capsys, name, flag):
+    required = {"wasserstein": ["--p", "p.json", "--q", "q.json"], "stein-check": []}.get(name, ["--model", "m.json"])
+    with pytest.raises(SystemExit) as exc:
+        main([name, *required, flag, "csv" if flag == "--format" else "1"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_parser_surface_pinned():
@@ -772,3 +827,64 @@ def test_parser_surface_pinned():
         got = [(a.option_strings, a.dest, a.default, a.required, getattr(a.type, "__name__", None), a.choices)
                for a in p._actions if not isinstance(a, argparse._HelpAction)]
         assert got == PARSER_SURFACE[name], name
+
+
+# the public library callables -> their parameters (names, kinds by the
+# ``/`` and ``*`` markers, defaults), as ``PARSER_SURFACE`` pins the CLI
+LIBRARY_SURFACE = {
+    "LatticePmf": "(dim, atoms, tail_mass=0.0, tail_moment=0.0)",
+    "PoissonVectorParams": "(lambdas)",
+    "bernoulli_sum_pmf": "(p)",
+    "empirical_pmf": "(rows)",
+    "poisson_vector_pmf": "(params, eps)",
+    "truncate_small_atoms": "(pmf, drop_mass)",
+    "DistanceResult": "(value, truncation_error, flow=None, v=None)",
+    "total_variation": "(P, Q)",
+    "wasserstein_l1": "(P, Q, want_flow=False, start=None)",
+    "Box": "(lows, highs)",
+    "CountLawFromMeasure": "(measure_fn, eps=1e-10, prune_mass=0.0)",
+    "DiracCountLaw": "(pattern)",
+    "DpiEstimate": "(value, std_error, ci_low, ci_high, per_partition, truncation_error)",
+    "GibbsModel": "(beta, theta, rho, window)",
+    "GnzReport": "(lhs, rhs, z_score, std_error, reps)",
+    "IndicatorTimesEmpty": "(region_a=None, region_b=None)",
+    "IntensityMeasure": "(window, density, density_max=0.0)",
+    "IntervalPairModel": "(rate, delta)",
+    "LabelSet": "(members)",
+    "LabelSpace": "(labels)",
+    "MonotoneMapModel": "(rate, g, g_inverse)",
+    "PapangelouBound": "(estimate, std_error, reps)",
+    "PartitionSpec": "(sets)",
+    "PatternBatch": "(points, offsets)",
+    "PoissonCountLaw": "(intensity, eps=1e-10, prune_mass=0.0)",
+    "PointPattern": "(points)",
+    "PrefixTerm": "(lam, q_abs_sum, z_abs_means)",
+    "RResult": "(value, error_bound)",
+    "TotalCount": "()",
+    "TripletSumModel": "(rate, threshold)",
+    "UStatModel": "()",
+    "build_ustat_process": "(points, model)",
+    "count_vector": "(pattern, partition)",
+    "coverage_areas": "(points, rho, box)",
+    "dpi_lower_bound": "(xi, eta, partitions, reps=10000, seed=0, n_boot=32)",
+    "gnz_check": "(model, u, reps, seed)",
+    "papangelou_bound": "(model, target, reps, seed)",
+    "sample_gibbs": "(model, seed_or_rng)",
+    "sample_gibbs_batch": "(model, rng, size)",
+    "sample_poisson_batch": "(intensity, rng, size)",
+    "sample_poisson_process": "(intensity, seed_or_rng)",
+    "sample_xA": "(model, region, seed_or_rng)",
+    "tuple_process_bound": "(terms)",
+    "ustat_R": "(model)",
+    "ustat_bound": "(model)",
+}
+
+
+def test_library_surface_pinned():
+    got = {}
+    for module in (palab, palab.processes):
+        for name in module.__all__:
+            sig = inspect.signature(getattr(module, name))
+            params = [p.replace(annotation=inspect.Parameter.empty) for p in sig.parameters.values()]
+            got[name] = str(sig.replace(parameters=params, return_annotation=inspect.Signature.empty))
+    assert got == LIBRARY_SURFACE

@@ -78,10 +78,11 @@ def test_model_rejects_non_finite_parameters(field, value):
         GibbsModel(window=WINDOW, **params)
 
 
-def test_sampler_budget_error():
+def test_sampler_budget_error(monkeypatch):
     model = GibbsModel(beta=60.0, theta=50.0, rho=1.0, window=WINDOW)
+    monkeypatch.setattr(gibbs, "DEFAULT_MAX_TRIES", 50)
     with pytest.raises(BudgetError):
-        sample_gibbs(model, streams.derive(1), max_tries=50)
+        sample_gibbs(model, streams.derive(1))
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +179,17 @@ def test_batch_keeps_the_first_acceptances_in_proposal_order():
     assert [p.points.tolist() for p in batch] == [p.tolist() for p in accepted[:size]]
 
 
-def test_batch_budget_counts_rejections_in_a_row_across_chunks():
+def test_batch_budget_counts_rejections_in_a_row_across_chunks(monkeypatch):
     # replay each run: BudgetError exactly when max_tries rejections in a row
     # come before the size-th acceptance, with nothing drawn after them
     model = GibbsModel(beta=6.0, theta=1.0, rho=0.3, window=WINDOW)
     size, max_tries = 30, 12
+    monkeypatch.setattr(gibbs, "DEFAULT_MAX_TRIES", max_tries)
     outcomes = set()
     for seed in range(12):
         spy = RecordingRng(seed)
         try:
-            sample_gibbs_batch(model, spy, size, max_tries=max_tries)
+            sample_gibbs_batch(model, spy, size)
             raised = False
         except BudgetError:
             raised = True
@@ -215,15 +217,17 @@ def test_batch_budget_counts_rejections_in_a_row_across_chunks():
     assert outcomes == {True, False}
 
 
-def test_batch_budget_error_stays_within_the_pair_budget():
+def test_batch_budget_error_stays_within_the_pair_budget(monkeypatch):
     model = GibbsModel(beta=60.0, theta=50.0, rho=1.0, window=WINDOW)
     spy = RecordingRng(1)
+    monkeypatch.setattr(gibbs, "DEFAULT_MAX_TRIES", 50)
     with pytest.raises(BudgetError):
-        sample_gibbs_batch(model, spy, 5, max_tries=50)
+        sample_gibbs_batch(model, spy, 5)
     assert sum(spy.chunks) == 50
     spy = RecordingRng(2)
+    monkeypatch.setattr(gibbs, "DEFAULT_MAX_TRIES", 400)
     with pytest.raises(BudgetError):
-        sample_gibbs_batch(model, spy, 5, max_tries=400)
+        sample_gibbs_batch(model, spy, 5)
     assert sum(spy.chunks) == 400
     assert max(spy.chunks) * (1 + 0.5 * 60.0**2) <= gibbs._PAIR_ELEMS
 
@@ -557,6 +561,14 @@ def test_gnz_region_is_clipped_to_the_window():
     assert wider == inside
     outside = gnz_check(model, IndicatorTimesEmpty(Box((2.0, 0.0), (3.0, 1.0)), b), reps=300, seed=3)
     assert (outside.lhs, outside.rhs) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("region", ["region_a", "region_b"])
+def test_gnz_region_of_another_dimension_is_rejected(region):
+    # a segment on the square is not read as the slab over it
+    model = GibbsModel(beta=2.0, theta=0.5, rho=0.1, window=WINDOW)
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        gnz_check(model, IndicatorTimesEmpty(**{region: Box((0.0,), (0.5,))}), reps=50, seed=3)
 
 
 def test_gibbs_integrals_need_a_planar_window():

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from palab import measures
 from palab.errors import CapacityError, ParameterError
 from palab.measures import (
     LatticePmf,
@@ -70,15 +71,16 @@ def test_poisson_tail_moment_dominates_tail_mass():
     assert pmf.tail_moment >= pmf.tail_mass
 
 
-def test_poisson_errors():
+def test_poisson_errors(monkeypatch):
     with pytest.raises(ParameterError):
         PoissonVectorParams((-1.0,))
     with pytest.raises(ParameterError):
         PoissonVectorParams(())
     with pytest.raises(ParameterError):
         poisson_vector_pmf(PoissonVectorParams((1.0,)), 0.0)
+    monkeypatch.setattr(measures, "DEFAULT_ATOM_BUDGET", 1000)
     with pytest.raises(CapacityError):
-        poisson_vector_pmf(PoissonVectorParams((50.0,) * 4), 1e-12, atom_budget=1000)
+        poisson_vector_pmf(PoissonVectorParams((50.0,) * 4), 1e-12)
 
 
 # -- the Poisson kernel: scipy.special is the reference -----------------------

@@ -53,8 +53,6 @@ def test_intensity_rejects_non_finite_density(window, density):
 def test_intensity_rejects_non_finite_density_bound_and_total():
     with pytest.raises(ParameterError, match="finite"):
         IntensityMeasure(UNIT_SQUARE, lambda x: np.ones(len(x)), density_max=math.inf)
-    with pytest.raises(ParameterError, match="differs"):
-        IntensityMeasure(UNIT_SQUARE, 2.0, total=math.nan)
 
 
 def test_zero_intensity_gives_empty_pattern():
@@ -151,8 +149,6 @@ def test_counting_with_multiplicities():
 
 def test_intensity_total_validation():
     with pytest.raises(ParameterError):
-        IntensityMeasure(UNIT_SQUARE, 2.0, total=1.0)
-    with pytest.raises(ParameterError):
         IntensityMeasure(UNIT_SQUARE, lambda x: np.ones(len(x)), density_max=0.0)
 
 
@@ -161,6 +157,34 @@ def test_measure_of_subregions():
     assert im.measure_of(Box((0.0, 0.0), (0.5, 0.5))) == pytest.approx(0.5)
     im2 = IntensityMeasure(LabelSpace(("a", "b", "c")), {"a": 1.0, "b": 2.0, "c": 0.5})
     assert im2.measure_of(LabelSet({"a", "c"})) == pytest.approx(1.5)
+
+
+SEGMENT = Box((0.0,), (0.5,))
+
+
+def test_partition_of_boxes_of_two_dimensions_is_rejected():
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        PartitionSpec([SEGMENT, Box((0.5, 0.0), (1.0, 1.0))])
+
+
+def test_counting_points_of_another_dimension_is_rejected():
+    part = PartitionSpec([SEGMENT])
+    batch = PatternBatch(np.array([[0.25, 0.75], [0.75, 0.25]]), [0, 1, 2])
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        batch.count_rows(part)
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        count_vector(batch.pattern(0), part)
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        UNIT_SQUARE.contains(np.array([[0.25]]))
+    # no points count 0 in any boxes
+    assert PatternBatch(np.empty((0, 2)), [0, 0]).count_rows(part).tolist() == [[0]]
+    assert count_vector(PointPattern(np.empty((0, 2))), part) == (0,)
+
+
+def test_measure_of_a_box_of_another_dimension_is_rejected():
+    # a segment on the square is not the slab over it
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        IntensityMeasure(UNIT_SQUARE, 2.0).measure_of(SEGMENT)
 
 
 # -- count_vector against a per-point, per-set reference --------------------

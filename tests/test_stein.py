@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from palab import stein
 from palab.errors import ContractError, ParameterError
 from palab.measures import (
     LatticePmf,
@@ -177,7 +178,9 @@ def test_backward_recursion_matches_row_by_row_series(lam, b, short, extra, seed
     else:
         n, eps_tail = default_range(lam, 0) + extra, 1e-13
     g = np.stack([random_lipschitz_1d(rng, n + 1) for _ in range(b)], axis=1)
-    ghat, means = solve_stein_batch(lam, g, eps_tail=eps_tail)
+    with pytest.MonkeyPatch.context() as mp:  # no function-scoped fixture under @given
+        mp.setattr(stein, "DEFAULT_EPS_TAIL", eps_tail)
+        ghat, means = solve_stein_batch(lam, g)
     ghat_ref, means_ref = row_by_row_stein(lam, g)
     assert ghat.shape == (n + 2, b)
     assert np.all(np.abs(ghat - ghat_ref) <= 1e-14 * np.maximum(1.0, np.abs(ghat_ref)))
@@ -231,15 +234,16 @@ SPLIT_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
-def test_recursion_split_edge_cases(name):
+def test_recursion_split_edge_cases(name, monkeypatch):
     lam, n, eps_tail = SPLIT_CASES[name]
+    monkeypatch.setattr(stein, "DEFAULT_EPS_TAIL", eps_tail)
     rng = np.random.default_rng(sum(map(ord, name)))
     g = np.stack([random_lipschitz_1d(rng, n + 1) for _ in range(3)], axis=1)
-    ghat, means = solve_stein_batch(lam, g, eps_tail=eps_tail)
+    ghat, means = solve_stein_batch(lam, g)
     for j in range(3):
         assert np.max(np.abs(ghat[:, j] - mpmath_stein_oracle(lam, g[:, j]))) <= 1e-11
     assert column_checks(lam, g, ghat, means)[0].max() <= 1e-10
-    empty, empty_means = solve_stein_batch(lam, g[:, :0], eps_tail=eps_tail)
+    empty, empty_means = solve_stein_batch(lam, g[:, :0])
     assert empty.shape == (n + 2, 0) and empty_means.shape == (0,)
 
 
@@ -336,15 +340,16 @@ def _oracle_case(name):
 
 @pytest.mark.parametrize("eps_box", [1e-12, 1e-4])
 @pytest.mark.parametrize("name", ["d1", "d2", "d3", "d2-zero-rate", "d3-zero-rate", "single-atom", "d2-min", "d3-min"])
-def test_decomposition_matches_per_cell_oracle(name, eps_box):
+def test_decomposition_matches_per_cell_oracle(name, eps_box, monkeypatch):
     # eps_box = 1e-4 leaves a truncation residual between 1e-6 and 1e-3 that
     # both routes must reproduce, not just two rounding-level numbers
     X, params, g = _oracle_case(name)
-    assert decomposition_check(X, params, g, eps_box=eps_box) == pytest.approx(
+    monkeypatch.setattr(stein, "DEFAULT_EPS_BOX", eps_box)
+    assert decomposition_check(X, params, g) == pytest.approx(
         decomposition_residual_by_cells(X, params, g, eps_box=eps_box), rel=0, abs=1e-12)
 
 
-def test_decomposition_rejects_short_table():
+def test_decomposition_rejects_short_table(monkeypatch):
     X = bernoulli_sum_pmf(np.array([[0.3]]))
     params = PoissonVectorParams((0.3,))
     with pytest.raises(ParameterError):
@@ -352,8 +357,9 @@ def test_decomposition_rejects_short_table():
     # long enough for the solver range, too short for the Poisson box at eps_box
     g = np.zeros(default_range(0.3, 2) + 1)
     assert decomposition_check(X, params, g) <= 1e-9
+    monkeypatch.setattr(stein, "DEFAULT_EPS_BOX", 1e-300)
     with pytest.raises(ParameterError, match="tail accuracy"):
-        decomposition_check(X, params, g, eps_box=1e-300)
+        decomposition_check(X, params, g)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -377,13 +383,3 @@ def test_decomposition_rejects_non_finite_g(bad):
     g[-1] = bad
     with pytest.raises(ContractError, match="non-finite"):
         decomposition_check(X, PoissonVectorParams((0.3,)), g)
-
-
-@pytest.mark.parametrize("eps_box", [-1e-3, -1e-300, float("nan"), float("inf"), float("-inf")])
-def test_decomposition_rejects_bad_eps_box(eps_box):
-    X = bernoulli_sum_pmf(np.array([[0.3]]))
-    g = np.zeros(default_range(0.3, 2) + 1)
-    with pytest.raises(ParameterError, match="eps_box"):
-        decomposition_check(X, PoissonVectorParams((0.3,)), g, eps_box=eps_box)
-    # 0 is allowed: the cut falls where the Poisson tail underflows
-    assert decomposition_check(X, PoissonVectorParams((0.3,)), np.zeros(200), eps_box=0.0) <= 1e-9

@@ -10,6 +10,7 @@ from scipy import stats
 
 from palab import streams
 from palab.errors import BudgetError, ParameterError
+from palab.processes import ustat
 from palab.processes import (
     Box,
     IntervalPairModel,
@@ -81,11 +82,12 @@ def test_build_matches_per_tuple_oracle(model, n):
         assert out.tobytes() == want.tobytes()
 
 
-def test_build_budget_error():
+def test_build_budget_error(monkeypatch):
     model = TripletSumModel(rate=1.0, threshold=3.0)
     pts = PointPattern([(0.5,)] * 20)
+    monkeypatch.setattr(ustat, "DEFAULT_TUPLE_BUDGET", 100)
     with pytest.raises(BudgetError):
-        build_ustat_process(pts, model, tuple_budget=100)
+        build_ustat_process(pts, model)
 
 
 def test_mecke_mean_count_matches_intensity():
