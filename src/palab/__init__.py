@@ -17,7 +17,7 @@ from .measures import (
     poisson_vector_pmf,
     truncate_small_atoms,
 )
-from .transport import DistanceResult, total_variation, wasserstein_l1
+from .transport import DistanceResult, ReweightedW1, total_variation, wasserstein_l1
 
 __all__ = [
     "LatticePmf",
@@ -27,6 +27,7 @@ __all__ = [
     "poisson_vector_pmf",
     "truncate_small_atoms",
     "DistanceResult",
+    "ReweightedW1",
     "total_variation",
     "wasserstein_l1",
 ]

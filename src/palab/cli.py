@@ -61,8 +61,8 @@ from .processes import (
     ustat_bound,
 )
 from .processes.dpi import DEFAULT_N_BOOT
-from .stein import column_checks, solve_stein_batch
-from .transport import wasserstein_l1
+from .stein import _solve_stein, check_lipschitz_1d, column_checks
+from .transport import ReweightedW1, wasserstein_l1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -276,8 +276,9 @@ def _cmd_stein_check(args, sweep):
     g_cols = np.empty((top + 1, n_g))
     for g_id in range(n_g):  # a start in [-1, 1], then top steps in [-1, 1]
         g_cols[:, g_id] = np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(-1.0, 1.0, size=top)]).cumsum()
+    check_lipschitz_1d(g_cols)  # once for the sweep
     for lam in np.linspace(lo, hi, n_lam):
-        ghat, means = solve_stein_batch(float(lam), g_cols)
+        ghat, means = _solve_stein(float(lam), g_cols)
         residual, sup_abs, sup_delta = column_checks(lam, g_cols, ghat, means)
         if rows is not None:
             rows += [(f"{lam:.17g}", str(g_id), f"{sup_abs[g_id]:.17g}",
@@ -313,11 +314,12 @@ def _cmd_bernoulli_verify(args, m):
         mode, se, slack = "exact", 0.0, 1e-8
     else:
         sample = SampleAtoms(sample_mdep_counts(model, args.reps, args.seed))
-        res = wasserstein_l1(sample.law(), target)
+        w1 = ReweightedW1(sample.law(), target)
+        res = w1.estimate
         boots = np.zeros(BERNOULLI_N_BOOT)
         for b in range(BERNOULLI_N_BOOT):
             take = streams.derive(args.seed, 30, b).integers(0, args.reps, size=args.reps)
-            boots[b] = wasserstein_l1(sample.law(take), target, start=res.v).value
+            boots[b] = w1.replicate(sample.counts(take)).value
         se = float(boots.std(ddof=1))
         mode, slack = "empirical", 3.0 * se
     fields = {

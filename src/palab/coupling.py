@@ -231,23 +231,6 @@ class BernoulliArrayModel:
         if worst > MARGINAL_TOL:
             raise ContractError(f"window sampler marginals deviate from p by {worst:.3e}")
 
-    def pair_expectation(self, k: int, r: int, i: int, j: int) -> float:
-        """Exact E[1{Y^(k) = e_i} 1{Y^(r) = e_j}] (0-based indices all
-        around), valid for k != r."""
-        t = self.thresholds
-        a1, b1 = t[k, i], t[k, i + 1]
-        a2, b2 = t[r, j], t[r, j + 1]
-        gap = abs(k - r)
-        if self.family == "independent" or gap > self.m:
-            return float(self.p[k, i] * self.p[r, j])
-        alpha = gap
-        beta = self.m + 1 - gap
-
-        def surv2(s: float, u: float) -> float:
-            return (1.0 - s) ** alpha * (1.0 - u) ** alpha * (1.0 - max(s, u)) ** beta
-
-        return float(surv2(a1, a2) - surv2(b1, a2) - surv2(a1, b2) + surv2(b1, b2))
-
 
 def _window_stats(model: BernoulliArrayModel, reps: int, seed: int) -> np.ndarray:
     """(reps, n) window statistics of n + m uniforms per repetition:
@@ -287,38 +270,68 @@ def sample_mdep_counts(model: BernoulliArrayModel, reps: int, seed: int) -> np.n
 
 def q_factor(model: BernoulliArrayModel, k: int) -> float:
     """Q(k) = max over 1 <= |k-r| <= m and i, j of E[1{Y^(k)=e_i} 1{Y^(r)=e_j}]
-    (1-based k), exact from the closed forms.  Empty index set (m = 0) gives 0."""
+    (1-based k), exact from the closed forms.  Empty index set (m = 0) gives 0.
+
+    Independent family: p_{k,i} p_{r,j}.  ``sliding_min``: the windows share
+    beta = m + 1 - |k - r| uniforms, so with the joint survival function
+    S(s, u) = (1 - s)^alpha (1 - u)^alpha (1 - max(s, u))^beta, alpha = |k - r|,
+    it is S(a1, a2) - S(b1, a2) - S(a1, b2) + S(b1, b2) over the cut points
+    [a1, b1] of (k, i) and [a2, b2] of (r, j); each power is taken once per
+    row pair and cut point, on Python floats (libm ``pow``)."""
     if not 1 <= k <= model.n:
         raise ParameterError(f"k must be in 1..{model.n}")
-    k0 = k - 1
+    k0, m, d = k - 1, model.m, model.d
+    lo = max(0, k0 - m)
+    rows = (model.p if model.family == "independent" else model.thresholds)[lo : k0 + m + 1].tolist()
+    own = rows[k0 - lo]
     best = 0.0
-    for r in range(max(0, k0 - model.m), min(model.n, k0 + model.m + 1)):
-        if r != k0:
-            for i in range(model.d):
-                for j in range(model.d):
-                    best = max(best, model.pair_expectation(k0, r, i, j))
+    for r, other in enumerate(rows, lo):
+        if r == k0:
+            continue
+        if model.family == "independent":
+            for x in own:
+                for y in other:
+                    best = max(best, x * y)
+            continue
+        alpha = abs(k0 - r)
+        beta = m + 1 - alpha
+        own_a, other_a = [(1.0 - t) ** alpha for t in own], [(1.0 - t) ** alpha for t in other]
+        own_b, other_b = [(1.0 - t) ** beta for t in own], [(1.0 - t) ** beta for t in other]
+
+        def surv2(x: int, y: int) -> float:  # S at cut points own[x], other[y]
+            return own_a[x] * other_a[y] * (other_b[y] if other[y] > own[x] else own_b[x])
+
+        for i in range(d):
+            for j in range(d):
+                best = max(best, surv2(i, j) - surv2(i + 1, j) - surv2(i, j + 1) + surv2(i + 1, j + 1))
     return best
 
 
 def _mdep_first_term(p: np.ndarray, m: int) -> float:
     """First summand group of the m-dependent bound with the documented
-    summation order: k outer, i inner, r innermost; exactly rounded sum over k."""
+    summation order: k outer, i inner, r innermost; exactly rounded sum over k.
+
+    Vectorized over k: each window sum is one running array, to which the
+    column p[:, i] shifted by r - k is added for r - k = -m..m in turn; where
+    the window is cut at 0 or n - 1 the add is skipped, an exact + 0.0.  The
+    sum over j < i runs on through one array in (j, r) order."""
     n, d = p.shape
-    per_k = []
-    for k in range(n):
-        lo, hi = max(0, k - m), min(n - 1, k + m)
-        acc = 0.0
-        for i in range(d):
-            s_same = 0.0
-            for r in range(lo, hi + 1):
-                s_same += p[r, i]
-            s_below = 0.0
-            for j in range(i):
-                for r in range(lo, hi + 1):
-                    s_below += p[r, j]
-            acc += (s_same + 2.0 * s_below) * p[k, i]
-        per_k.append(acc)
-    return float(math.fsum(per_k))
+    cols = [p[:, i] for i in range(d)]
+
+    def window_add(acc, col):
+        reach = min(m, n - 1)  # a window holds at most the n rows
+        for s in range(-reach, reach + 1):  # acc[k] += col[k + s] where 0 <= k + s < n
+            lo, hi = max(0, -s), min(n, n - s)
+            acc[lo:hi] += col[lo + s : hi + s]
+        return acc
+
+    acc = np.zeros(n)
+    s_below = np.zeros(n)
+    for i in range(d):
+        s_same = window_add(np.zeros(n), cols[i])
+        acc += (s_same + 2.0 * s_below) * cols[i]
+        window_add(s_below, cols[i])
+    return float(math.fsum(acc.tolist()))
 
 
 def corollary_bound(p: np.ndarray) -> float:

@@ -347,12 +347,16 @@ class SampleAtoms:
             raise ParameterError(f"rows must form a non-empty (n, d) array, got shape {rows.shape}")
         self.points, self.index = _merge_index(_point_array(rows, rows.shape[1]))
 
+    def counts(self, take=None) -> np.ndarray:
+        """How often each atom occurs in ``rows[take]`` (in all rows when
+        ``take`` is None): the weights of ``ReweightedW1.replicate``."""
+        return np.bincount(self.index if take is None else self.index[take], minlength=len(self.points))
+
     def law(self, take=None) -> LatticePmf:
         """Empirical law of ``rows[take]`` (of all rows when ``take`` is None)."""
-        index = self.index if take is None else self.index[take]
-        counts = np.bincount(index, minlength=len(self.points))
+        counts = self.counts(take)
         hit = counts > 0
-        return LatticePmf.from_arrays(self.points.shape[1], self.points[hit], counts[hit] * (1.0 / len(index)))
+        return LatticePmf.from_arrays(self.points.shape[1], self.points[hit], counts[hit] * (1.0 / counts.sum()))
 
 
 def truncate_small_atoms(pmf: LatticePmf, drop_mass: float) -> LatticePmf:

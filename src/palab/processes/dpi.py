@@ -21,7 +21,7 @@ import numpy as np
 from .. import streams
 from ..errors import ParameterError
 from ..measures import LatticePmf, PoissonVectorParams, SampleAtoms, poisson_vector_pmf, truncate_small_atoms
-from ..transport import wasserstein_l1
+from ..transport import ReweightedW1, wasserstein_l1
 from .patterns import IntensityMeasure, PartitionSpec, PatternBatch, PointPattern, count_vector
 
 DEFAULT_N_BOOT = 32
@@ -108,10 +108,9 @@ def dpi_lower_bound(
     replicates.  A sampled source needs ``reps >= 2`` and ``n_boot >= 2``.
 
     With a sampled ``xi`` and an exact ``eta``, every replicate of a
-    partition is solved against the estimate's target, and its support is a
-    subset of the estimate's: the replicate solves start from the estimate's
-    column duals (``wasserstein_l1``'s ``start``).  Other pairings, where a
-    replicate's target changes, solve cold.  Starts change pivots, not values.
+    partition reweights the estimate's atoms against the same target, so the
+    partition's solves share one ``ReweightedW1``.  Other pairings, where a
+    replicate's target changes, solve each replicate on its own.
     """
     partitions = list(partitions)
     if not partitions:
@@ -127,24 +126,29 @@ def dpi_lower_bound(
     # exact count laws are deterministic: build them once, not per replicate
     xi_laws = [xi.count_pmf(part) for part in partitions] if xi_exact else [s.law() for s in xi_atoms]
     eta_laws = [eta.count_pmf(part) for part in partitions] if eta_exact else [s.law() for s in eta_atoms]
-
-    def solve(xi_laws_b, eta_laws_b, starts):
-        return [wasserstein_l1(p, q, start=v) for p, q, v in zip(xi_laws_b, eta_laws_b, starts)]
-
-    results = solve(xi_laws, eta_laws, [None] * len(partitions))
+    reweighted = None
+    if eta_exact and not xi_exact:
+        reweighted = [ReweightedW1(p, q) for p, q in zip(xi_laws, eta_laws)]
+        results = [w1.estimate for w1 in reweighted]
+    else:
+        results = [wasserstein_l1(p, q) for p, q in zip(xi_laws, eta_laws)]
     per_partition = tuple(res.value for res in results)
     value = max(per_partition)
     trunc = max(res.truncation_error for res in results)
     if xi_exact and eta_exact:
         return DpiEstimate(value, 0.0, value, value, per_partition, trunc)
-    starts = [res.v if eta_exact else None for res in results]
 
     boots = []
     for b in range(n_boot):
         rng_b = streams.derive(seed, 20, b)
-        xi_b = xi_laws if xi_exact else [s.law(rng_b.integers(0, reps, size=reps)) for s in xi_atoms]
-        eta_b = eta_laws if eta_exact else [s.law(rng_b.integers(0, reps, size=reps)) for s in eta_atoms]
-        boots.append(max(res.value for res in solve(xi_b, eta_b, starts)))
+        if reweighted is not None:
+            takes = [rng_b.integers(0, reps, size=reps) for _ in xi_atoms]
+            res_b = [w1.replicate(s.counts(take)) for w1, s, take in zip(reweighted, xi_atoms, takes)]
+        else:
+            xi_b = xi_laws if xi_exact else [s.law(rng_b.integers(0, reps, size=reps)) for s in xi_atoms]
+            eta_b = [s.law(rng_b.integers(0, reps, size=reps)) for s in eta_atoms]
+            res_b = [wasserstein_l1(p, q) for p, q in zip(xi_b, eta_b)]
+        boots.append(max(res.value for res in res_b))
     boots = np.array(boots)
     se = float(boots.std(ddof=1))
     lo, hi = np.percentile(boots, [2.5, 97.5])

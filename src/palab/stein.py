@@ -58,9 +58,18 @@ def column_checks(lam: float, g, ghat: np.ndarray, means: np.ndarray):
     max_i |lambda*ghat(i+1) - i*ghat(i) - g(i) + E g| over 0..N, sup_i |ghat(i)|
     and sup_i |ghat(i+1) - ghat(i)| over 0..N+1, each of shape (B,)."""
     g = _columns(g)
-    i = np.arange(len(g))[:, None]  # the row index, against every column
-    residual = np.abs(lam * ghat[1:] - i * ghat[:-1] - (g - means))
-    return residual.max(axis=0), np.abs(ghat).max(axis=0), np.abs(np.diff(ghat, axis=0)).max(axis=0)
+    r = lam * ghat[1:]
+    r -= np.arange(len(g))[:, None] * ghat[:-1]  # the row index, against every column
+    r -= g - means
+    return _sup_abs(r), _sup_abs(ghat), _sup_abs(np.diff(ghat, axis=0))
+
+
+def _sup_abs(x: np.ndarray) -> np.ndarray:
+    """max |x| per column, as max(max x, -min x) without an |x| array; the
+    + 0.0 turns a zero maximum into +0.0, as |x| gives it."""
+    sup = np.maximum(x.max(axis=0), -x.min(axis=0))
+    sup += 0.0
+    return sup
 
 
 def check_lipschitz_1d(g: np.ndarray) -> None:
@@ -85,10 +94,16 @@ def solve_stein_batch(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     given g's linear growth bound (checked exactly).
     """
     g = _columns(g)
+    check_lipschitz_1d(g)
+    return _solve_stein(lam, g)
+
+
+def _solve_stein(lam: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_stein_batch`` on an (N+1, B) table g whose Lipschitz check
+    the caller has made: a sweep over lambda checks its g once."""
     n_max = g.shape[0] - 1
     if lam < 0 or not np.isfinite(lam):
         raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
-    check_lipschitz_1d(g)
     pmf, sf = poisson_law(lam, n_max)
     # |E g_true(P) - E g_ext(P)| over 1-Lipschitz extensions of a table ending
     # at n is at most sum_{k>n} (k-n) pmf(k) = lam*P(P>=n) - n*P(P>n)

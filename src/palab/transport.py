@@ -18,11 +18,11 @@ The reduced pair is solved by a transportation network simplex on the complete
 bipartite graph of its supplies and demands, with cost |x - y|_1.  It starts
 from a least-cost (matrix-minimum) basis, built in one walk over the arcs
 sorted by cost, where masks of the rows and columns with supply left drop dead
-arcs chunk by chunk.  A solve may be given a start: column duals v of an
-earlier solve against the same target (``DistanceResult.v``).  The walk then
-visits the arcs by their reduced cost against v and its c-transform, then by
-cost, so the start is built mostly from arcs that were tight before; a start
-only orders the starting basis.  The simplex improves the basis by block
+arcs chunk by chunk.  A bootstrap replicate (below) starts from the
+estimate's column duals v instead: the walk then visits the arcs by their
+reduced cost against v and its c-transform, then by cost, so the start is
+built mostly from arcs that were tight before; a start only orders the
+starting basis.  The simplex improves the basis by block
 pricing with a candidate list: each numpy step prices whole rows of the cost
 matrix, about ``_PRICE_ARCS`` arcs, the most negative reduced cost of the
 first violating block enters, and that block's other violating arcs are kept
@@ -66,7 +66,15 @@ supplies is an optimal basis (Hoffman, 1963), and its duals follow the
 staircase from u[0] = 0 (``_north_west_corner``).  Its flows give the
 monotone plan, and the certificate checks the staircase and its duals; on
 the line the L1 envelope is a prefix and a suffix minimum over the sorted
-supports.  ``start`` is not used there.
+supports.  No start is used there.
+
+Many reweightings of one atom set against one target, such as the bootstrap
+replicates of an empirical law, share one ``ReweightedW1``, which builds what
+does not depend on the weights once, the clip box and the cells included.
+The estimate's box stays exact for every replicate: beyond each end of it
+only one of P and Q has atoms, a sub-support of P keeps that, so
+|x - y|_1 = |clip x - clip y|_1 + e(x) + e(y) still holds on every arc.
+``wasserstein_l1`` is its one-solve case, so both run one reduction.
 
 Truncated inputs are renormalized to unit mass before solving; the
 ``truncation_error`` field accounts for both the missing tail moment and the
@@ -109,9 +117,8 @@ _GRID_SHARE = 8
 @dataclass(frozen=True)
 class DistanceResult:
     """A computed distance plus a rigorous truncation error interval; a W1
-    solve also keeps its optimal column duals ``v`` on Q's stored atoms (in
-    ``support_arrays`` order, with the first row dual 0), the ``start`` of a
-    re-solve against the same Q."""
+    solve also keeps its certificate's duals ``v`` on Q's stored atoms (in
+    ``support_arrays`` order, with the first row dual 0)."""
 
     value: float
     truncation_error: float
@@ -147,9 +154,17 @@ def _envelope_grid(src: np.ndarray, at: np.ndarray):
     return axes if _GRID_SHARE * math.prod(len(c) for c, _ in axes) <= entries else None
 
 
-def _l1_envelope(src: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+def _envelope_basis(src: np.ndarray, at: np.ndarray):
+    """What ``_l1_envelope`` of ``src`` at ``at`` runs on: the grid
+    (``_envelope_grid``), or else the dense |src| x |at| matrix."""
+    grid = _envelope_grid(src, at)
+    return _l1_cost_matrix(src, at) if grid is None else grid
+
+
+def _l1_envelope(src: np.ndarray, values: np.ndarray, at: np.ndarray, basis=None) -> np.ndarray:
     """min_i (|e - src_i|_1 + values_i) at each point e of ``at``, for
-    distinct points ``src``.
+    distinct points ``src``; ``basis`` is ``_envelope_basis(src, at)`` where
+    the caller keeps it.
 
     Small pairs take the column minima of the dense |src| x |at| matrix.
     Large ones (``_envelope_grid``) take the separable L1 distance transform
@@ -162,9 +177,11 @@ def _l1_envelope(src: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndar
     0..k only, so after the last one over all of ``src``.  With integer
     inputs below 2**53 every sum is exact, so each minimum is bitwise the
     dense one; as there, a zero is +0.0, since each pass ends on a sum with c."""
-    axes = _envelope_grid(src, at)
-    if axes is None:
-        return (_l1_cost_matrix(src, at) + values[:, None]).min(axis=0)
+    if basis is None:
+        basis = _envelope_basis(src, at)
+    if isinstance(basis, np.ndarray):
+        return (basis + values[:, None]).min(axis=0)
+    axes = basis
     shape = tuple(len(c) for c, _ in axes)
     cell = axes[0][1]
     for c, index in axes[1:]:
@@ -229,8 +246,10 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray, start: Option
     order is then walked again, adding zero-flow arcs that join two distinct
     components, until the tree spans.
 
-    Remaining supplies are Python floats; live-row and live-column masks,
-    cleared as nodes run out, drop dead arcs from each chunk of the order.
+    Remaining supplies are Python floats, and an allocation takes the smaller
+    of the two and clears only the node or nodes it exhausts; live-row and
+    live-column masks, cleared as nodes run out, drop dead arcs from each chunk
+    of the order.
     """
     m, n = cost.shape
     need = m + n - 1
@@ -247,39 +266,49 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray, start: Option
     # the same stable order as float64, several times faster
     order = np.argsort(key.astype(np.min_scalar_type(int(key.max()))), axis=None, kind="stable")
     flows: dict[tuple[int, int], float] = {}
-    for i, j in _sorted_arcs(order, n, lambda rows, cols: live_a[rows] & live_b[cols]):
-        ra, rb = rem_a[i], rem_b[j]
-        if ra <= 0.0 or rb <= 0.0:
-            continue
-        take = min(ra, rb)
-        flows[(i, j)] = take
-        rem_a[i] = ra = ra - take
-        rem_b[j] = rb = rb - take
-        if len(flows) == need:
-            return flows
-        live_a[i], live_b[j] = ra > 0.0, rb > 0.0
+    for rows, cols in _sorted_arcs(order, n, lambda rows, cols: live_a[rows] & live_b[cols]):
+        for i, j in zip(rows, cols):
+            ra, rb = rem_a[i], rem_b[j]
+            if ra <= 0.0 or rb <= 0.0:
+                continue
+            if ra < rb:  # the row runs out
+                flows[(i, j)] = ra
+                rem_a[i], rem_b[j] = 0.0, rb - ra
+                live_a[i] = False
+            elif rb < ra:  # the column runs out
+                flows[(i, j)] = rb
+                rem_a[i], rem_b[j] = ra - rb, 0.0
+                live_b[j] = False
+            else:  # both run out
+                flows[(i, j)] = ra
+                rem_a[i] = rem_b[j] = 0.0
+                live_a[i] = live_b[j] = False
+            if len(flows) == need:
+                return flows
     label = np.arange(m + n)  # component of each node, rows first
     for i, j in flows:
         label[label == label[m + j]] = label[i]
-    for i, j in _sorted_arcs(order, n, lambda rows, cols: label[rows] != label[m + cols]):
-        li, lj = label[i], label[m + j]
-        if li != lj:
-            label[label == lj] = li
-            flows[(i, j)] = 0.0
-            if len(flows) == need:
-                break
+    for rows, cols in _sorted_arcs(order, n, lambda rows, cols: label[rows] != label[m + cols]):
+        for i, j in zip(rows, cols):
+            li, lj = label[i], label[m + j]
+            if li != lj:
+                label[label == lj] = li
+                flows[(i, j)] = 0.0
+                if len(flows) == need:
+                    return flows
     return flows
 
 
 def _sorted_arcs(order: np.ndarray, n: int, keep):
-    """Arcs (i, j) of the flat cost ``order``, in ``_START_CHUNK`` chunks;
-    ``keep(rows, cols)`` masks each chunk when it is reached, so it sees the
-    state left by the arcs before it and only candidates reach Python."""
+    """The arcs of the flat cost ``order`` in ``_START_CHUNK`` chunks, each
+    as two lists (rows, cols); ``keep(rows, cols)`` masks a chunk when it is
+    reached, so it sees the state left by the chunks before it and only
+    candidates reach Python."""
     lo, size = 0, _START_CHUNK[0]
     while lo < len(order):
         rows, cols = np.divmod(order[lo : lo + size], n)
         live = keep(rows, cols)
-        yield from zip(rows[live].tolist(), cols[live].tolist())
+        yield rows[live].tolist(), cols[live].tolist()
         lo, size = lo + size, min(2 * size, _START_CHUNK[1])
 
 
@@ -514,11 +543,12 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarra
     return rows, cols, flow, u, v
 
 
-def _certify(xs, a, ys, b, u, v, plan, primal: float) -> float:
+def _certify(xs, a, ys, b, u, v, plan, primal: float, basis=None) -> float:
     """The certificate of a W1 solve between atoms xs and ys of masses a and
     b (see the module docstring): a plan (rows, cols, flow, supply, demand),
-    duals u, v on the atoms and the plan's cost ``primal`` between them.
-    Returns the certified value a @ u + b @ v."""
+    duals u, v on the atoms and the plan's cost ``primal`` between them;
+    ``basis`` is the feasibility envelope's (``_l1_envelope``).  Returns the
+    certified value a @ u + b @ v."""
     rows, cols, flow, supply, demand = plan
     if (flow < -1e-9).any():
         k = int(np.argmax(flow < -1e-9))
@@ -526,55 +556,12 @@ def _certify(xs, a, ys, b, u, v, plan, primal: float) -> float:
     for index, mass in ((rows, supply), (cols, demand)):
         if np.abs(np.bincount(index, flow, len(mass)) - mass).max(initial=0.0) > 1e-8:
             raise _SimplexFailure("flow marginals do not match the inputs")
-    if (_l1_envelope(xs, -u, ys) - v).min() < -_OPT_TOL:
+    if (_l1_envelope(xs, -u, ys, basis) - v).min() < -_OPT_TOL:
         raise _SimplexFailure("dual infeasible on the original atoms")
     dual = float(a @ u + b @ v)
     if abs(primal - dual) > _VERIFY_TOL * (1.0 + abs(dual)) + 1e-12 * (1.0 + _l1_diameter(xs, ys)):
         raise _SimplexFailure(f"duality gap {primal - dual:.3e}")
     return max(dual, 0.0)
-
-
-def _reduced_w1(xs, a, ys, b, start: Optional[np.ndarray], want_flow: bool):
-    """W1 at d >= 2 through the reduced pair (see the module docstring).
-
-    Returns what ``_certify`` checks: the duals phi and -phi on P's and Q's
-    atoms, the reduced plan (rows, cols, flow, supply, demand) and its cost
-    plus the constant; and, with ``want_flow``, the lifted plan as arrays
-    (rows, cols, flow) on the original atoms, else None.  A ``start`` maps
-    onto a demand cell as rint(v_y) - e(y) of a Q atom y clipped into it."""
-    m = len(a)
-    both = np.concatenate([xs, ys])
-    hi = np.minimum(xs.max(axis=0), ys.max(axis=0))
-    lo = np.minimum(np.maximum(xs.min(axis=0), ys.min(axis=0)), hi)  # disjoint: collapse onto hi
-    clipped = np.clip(both, lo, hi)
-    excess = np.abs(both - clipped).sum(axis=1)
-    cells, cell = _merge_index(clipped)  # the distinct clipped points; each atom's index into them
-    net = np.bincount(cell, np.concatenate([a, -b]), len(cells))
-    src, dst = np.flatnonzero(net > 0.0), np.flatnonzero(net < 0.0)
-    supply, demand = net[src], -net[dst]
-    psi, primal = np.zeros(len(cells)), 0.0
-    rows = cols = np.empty(0, dtype=np.intp)
-    flow = np.empty(0)
-    if len(src) and len(dst):  # else everything cancelled: W1 is the constant
-        cost = _l1_cost_matrix(cells[src], cells[dst])
-        if start is not None:
-            rep = np.empty(len(cells), dtype=np.intp)
-            rep[cell[m:]] = np.arange(len(b))
-            start = np.rint(start[rep[dst]]) - excess[m + rep[dst]]
-        rows, cols, flow, u, _ = _transportation_simplex(supply, demand, cost, start)
-        primal = float(cost[rows, cols] @ flow)
-        psi = 0.0 - _l1_envelope(cells[src], -u, cells)  # 0.0 - keeps a zero potential +0.0
-    phi = psi[cell]
-    phi[:m] += excess[:m]
-    phi[m:] -= excess[m:]
-    phi -= phi[0]
-    offset = float(a @ excess[:m] + b @ excess[m:])
-    lifted = None
-    if want_flow:
-        shared = [(c, c, math.inf) for c in range(len(cells))]
-        moved = zip(src[rows].tolist(), dst[cols].tolist(), flow.tolist())
-        lifted = _lift_plan(cell[:m], cell[m:], a, b, shared + list(moved))
-    return phi[:m], -phi[m:], (rows, cols, flow, supply, demand), primal + offset, lifted
 
 
 def _lift_plan(cell_p, cell_q, a, b, arcs):
@@ -616,8 +603,146 @@ def _check_pair(P: LatticePmf, Q: LatticePmf) -> None:
         raise ParameterError("empty support")
 
 
-def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False,
-                   start: Optional[np.ndarray] = None) -> DistanceResult:
+class ReweightedW1:
+    """Exact W1 from many reweightings of P's stored atoms to one target Q.
+
+    ``estimate`` is ``wasserstein_l1(P, Q)``.  ``replicate(counts)`` is the
+    certified W1 from the law with masses ``counts / counts.sum()`` on P's
+    atoms (a bootstrap replicate; atoms of count 0 drop out, and the law has
+    no tail) to Q, with its masses rounded as ``SampleAtoms.law`` and then
+    ``wasserstein_l1`` round them.  On every replicate of the test suite and
+    the benchmark it equals ``wasserstein_l1`` on that law bit for bit, also
+    where the law's own clip box is smaller than the estimate's.
+
+    Built once: Q's normalized masses; at d >= 2 the clip box, each atom's
+    excess, the cells and each atom's cell; the certificate's dense matrix
+    where its envelope takes that path; at the first replicate, the L1 cost
+    rows of the cells holding an atom of P (every supply cell does) and the
+    estimate's column duals, each replicate simplex's start.
+    """
+
+    def __init__(self, P: LatticePmf, Q: LatticePmf):
+        _check_pair(P, Q)
+        self._P, self._Q = P, Q
+        self._b = Q.probs / Q.probs.sum()
+        self._norm_q = Q.points.sum(axis=1).max()
+        self._basis = None  # the certificate's envelope basis, built at the first certificate
+        self._hoisted = None  # cost rows, each cell's row, start: built at the first replicate
+        if P.dim > 1:
+            xs, ys = P.points, Q.points
+            both = np.concatenate([xs, ys])
+            hi = np.minimum(xs.max(axis=0), ys.max(axis=0))
+            lo = np.minimum(np.maximum(xs.min(axis=0), ys.min(axis=0)), hi)  # disjoint: collapse onto hi
+            clipped = np.clip(both, lo, hi)
+            self._excess = np.abs(both - clipped).sum(axis=1)
+            self._cells, self._cell = _merge_index(clipped)  # distinct clipped points; each atom's index
+
+    @functools.cached_property
+    def estimate(self) -> DistanceResult:
+        """``wasserstein_l1(P, Q)``."""
+        return self._solve(None, self._P.probs)
+
+    def replicate(self, counts) -> DistanceResult:
+        """W1 from the law with masses ``counts / counts.sum()`` on P's stored
+        atoms (``support_arrays`` order) to Q."""
+        counts = np.asarray(counts)
+        valid = counts.shape == self._P.probs.shape and (np.isfinite(counts) & (counts >= 0)).all()
+        if not (valid and counts.any()):
+            raise ParameterError(f"counts need {len(self._P.probs)} finite entries >= 0, not all 0")
+        live = np.flatnonzero(counts)
+        # the two roundings of SampleAtoms.law, then wasserstein_l1's
+        return self._solve(live, counts[live] * (1.0 / counts.sum()))
+
+    def _solve(self, live, w, want_flow: bool = False, start=None) -> DistanceResult:
+        """W1 from P's atoms ``live`` (all of them, with P's tail account, when
+        None) of masses proportional to ``w`` to Q.  ``start``: column duals on
+        the cells (``_cell_start``) for the simplex's first basis, d >= 2; on
+        replicates the estimate's."""
+        P, Q, b = self._P, self._Q, self._b
+        xs, ys = (P.points if live is None else P.points[live]), Q.points
+        a = w / w.sum()
+        if P.dim == 1:
+            x, y = xs[:, 0], ys[:, 0]
+            rows, cols, flow, u, v = _north_west_corner(a, b, x, y)
+            plan, primal = (rows, cols, flow, a, b), float(np.abs(x[rows] - y[cols]) @ flow)
+        else:
+            u, v, plan, primal, lifted = self._reduced(live, a, want_flow, start)
+            if want_flow:
+                rows, cols, flow = lifted
+        if self._basis is None:
+            self._basis = _envelope_basis(P.points, ys)
+        basis = self._basis if live is None else self._basis[live] if isinstance(self._basis, np.ndarray) else None
+        value = _certify(xs, a, ys, b, u, v, plan, primal, basis)
+        diam = float(max(xs.sum(axis=1).max(), self._norm_q))
+        tail_moment, tail_mass = (P.tail_moment, P.tail_mass) if live is None else (0.0, 0.0)
+        trunc = tail_moment + Q.tail_moment + (tail_mass + Q.tail_mass) * diam
+        flow_list = None
+        if want_flow:
+            arcs = np.lexsort((cols, rows))
+            arcs = arcs[flow[arcs] > 0.0]
+            flow_list = [
+                (tuple(xs[i].tolist()), tuple(ys[j].tolist()), f)
+                for i, j, f in zip(rows[arcs].tolist(), cols[arcs].tolist(), flow[arcs].tolist())
+            ]
+        return DistanceResult(value=value, truncation_error=trunc, flow=flow_list, v=v)
+
+    def _cell_start(self, v: np.ndarray) -> np.ndarray:
+        """Column duals v on Q's atoms as a start on the cells: rint(v_y) -
+        e(y) of the last Q atom y clipped into each cell, 0 where none is."""
+        m = len(self._P.probs)
+        start = np.zeros(len(self._cells))
+        start[self._cell[m:]] = np.rint(v) - self._excess[m:]
+        return start
+
+    def _reduced(self, live, a, want_flow: bool, start):
+        """W1 at d >= 2 through the reduced pair (see the module docstring).
+
+        Returns what ``_certify`` checks: the duals phi and -phi on the live
+        atoms of P and on Q's atoms, the reduced plan (rows, cols, flow,
+        supply, demand) and its cost plus the constant; and, with
+        ``want_flow``, the lifted plan as arrays (rows, cols, flow) on those
+        atoms, else None.  Replicates take their costs from the hoisted rows
+        and start from the estimate's duals."""
+        b, cells, cell, excess = self._b, self._cells, self._cell, self._excess
+        m = len(self._P.probs)
+        if live is not None:
+            if self._hoisted is None:
+                own = np.unique(cell[:m])
+                row = np.zeros(len(cells), dtype=np.intp)
+                row[own] = np.arange(len(own))
+                self._hoisted = _l1_cost_matrix(cells[own], cells), row, self._cell_start(self.estimate.v)
+            keep = np.concatenate([live, np.arange(m, len(cell))])
+            cell, excess, m = cell[keep], excess[keep], len(live)
+        net = np.bincount(cell, np.concatenate([a, -b]), len(cells))
+        src, dst = np.flatnonzero(net > 0.0), np.flatnonzero(net < 0.0)
+        supply, demand = net[src], -net[dst]
+        psi, primal = np.zeros(len(cells)), 0.0
+        rows = cols = np.empty(0, dtype=np.intp)
+        flow = np.empty(0)
+        if len(src) and len(dst):  # else everything cancelled: W1 is the constant
+            if live is None:
+                cost = _l1_cost_matrix(cells[src], cells[dst])
+            else:
+                cost_rows, row, start = self._hoisted
+                cost = cost_rows[np.ix_(row[src], dst)]
+            start = None if start is None else start[dst]
+            rows, cols, flow, u, _ = _transportation_simplex(supply, demand, cost, start)
+            primal = float(cost[rows, cols] @ flow)
+            psi = 0.0 - _l1_envelope(cells[src], -u, cells)  # 0.0 - keeps a zero potential +0.0
+        phi = psi[cell]
+        phi[:m] += excess[:m]
+        phi[m:] -= excess[m:]
+        phi -= phi[0]
+        offset = float(a @ excess[:m] + b @ excess[m:])
+        lifted = None
+        if want_flow:
+            shared = [(c, c, math.inf) for c in range(len(cells))]
+            moved = zip(src[rows].tolist(), dst[cols].tolist(), flow.tolist())
+            lifted = _lift_plan(cell[:m], cell[m:], a, b, shared + list(moved))
+        return phi[:m], -phi[m:], (rows, cols, flow, supply, demand), primal + offset, lifted
+
+
+def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False) -> DistanceResult:
     """Exact W_1 distance (1-norm ground metric) between the stored supports.
 
     Stored atoms are renormalized to unit mass; the reported
@@ -625,47 +750,11 @@ def wasserstein_l1(P: LatticePmf, Q: LatticePmf, want_flow: bool = False,
     tail_moment(P) + tail_moment(Q) + (tail_mass(P) + tail_mass(Q)) * diam,
     with diam the largest |x|_1 over both stored supports.
 
-    ``start``, column duals on Q's stored atoms (``DistanceResult.v`` of an
-    earlier solve against the same Q), orders the starting basis of a
-    re-solve, e.g. for a bootstrap replicate whose support is a subset of the
-    estimate's.  At d >= 2 it is mapped onto the reduced pair's demand cells.
-    It changes the pivots, not the optimum: the value is certified by the same
-    check as a cold solve.  At d = 1 the basis is the north-west-corner
-    staircase and ``start`` is only checked.
-
-    ``DistanceResult.v`` holds -phi on Q's stored atoms, for the potential
-    phi of the certificate (at d = 1, the staircase's column duals).
+    ``DistanceResult.v`` holds the certificate's duals on Q's stored atoms,
+    -phi for its potential phi (at d = 1, the staircase's column duals).
+    Many reweightings of P's atoms against one Q: ``ReweightedW1``.
     """
-    _check_pair(P, Q)
-    xs, pa = P.support_arrays()
-    ys, qb = Q.support_arrays()
-    a = pa / pa.sum()
-    b = qb / qb.sum()
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        # below 2**52 the rounded start and its reduced costs are exact integers
-        if start.shape != (len(b),) or not (np.abs(start) < 2.0**52).all():
-            raise ParameterError(f"start needs {len(b)} column duals below 2**52 in magnitude, got shape {start.shape}")
-    if P.dim == 1:
-        x, y = xs[:, 0], ys[:, 0]
-        rows, cols, flow, u, v = _north_west_corner(a, b, x, y)
-        plan, primal = (rows, cols, flow, a, b), float(np.abs(x[rows] - y[cols]) @ flow)
-    else:
-        u, v, plan, primal, lifted = _reduced_w1(xs, a, ys, b, start, want_flow)
-        if want_flow:
-            rows, cols, flow = lifted
-    value = _certify(xs, a, ys, b, u, v, plan, primal)
-    diam = float(max(xs.sum(axis=1).max(), ys.sum(axis=1).max()))
-    trunc = P.tail_moment + Q.tail_moment + (P.tail_mass + Q.tail_mass) * diam
-    flow_list = None
-    if want_flow:
-        arcs = np.lexsort((cols, rows))
-        arcs = arcs[flow[arcs] > 0.0]
-        flow_list = [
-            (tuple(xs[i].tolist()), tuple(ys[j].tolist()), f)
-            for i, j, f in zip(rows[arcs].tolist(), cols[arcs].tolist(), flow[arcs].tolist())
-        ]
-    return DistanceResult(value=value, truncation_error=trunc, flow=flow_list, v=v)
+    return ReweightedW1(P, Q)._solve(None, P.probs, want_flow)
 
 
 def total_variation(P: LatticePmf, Q: LatticePmf) -> DistanceResult:

@@ -10,8 +10,10 @@ pattern by pattern instead of the numpy sweep over a batch, the GNZ terms
 pattern by pattern instead of over a batch, every index tuple instead of
 ``itertools.combinations`` for U-statistic atoms, one Stein column per
 (prefix, Poisson-suffix cell) instead of suffix-averaged sections, the Stein
-tail series summed row by row instead of the backward recursion), so
-agreement is meaningful.
+tail series summed row by row instead of the backward recursion, the
+m-dependent bound's window sums and Q factors in plain loops over numpy
+scalars instead of shifted-array adds and Python floats), so agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -344,3 +346,48 @@ def per_pattern_papangelou_bound(model, f: float, reps: int, seed: int) -> Papan
         vals[s] = float(np.abs(model.intensity_levels(len(xi)) - f) @ areas)
     se = float(np.std(vals, ddof=1) / math.sqrt(reps))
     return PapangelouBound(estimate=float(np.mean(vals)), std_error=se, reps=reps)
+
+
+def mdep_first_term_by_loops(p: np.ndarray, m: int) -> float:
+    """The first summand group of the m-dependent bound, one scalar add at a
+    time in the documented order (k outer, i inner, r innermost; the sum over
+    j < i runs on through (j, r)), then an exactly rounded sum over k."""
+    n, d = p.shape
+    per_k = []
+    for k in range(n):
+        lo, hi = max(0, k - m), min(n - 1, k + m)
+        acc = 0.0
+        for i in range(d):
+            s_same = 0.0
+            for r in range(lo, hi + 1):
+                s_same += p[r, i]
+            s_below = 0.0
+            for j in range(i):
+                for r in range(lo, hi + 1):
+                    s_below += p[r, j]
+            acc += (s_same + 2.0 * s_below) * p[k, i]
+        per_k.append(acc)
+    return float(math.fsum(per_k))
+
+
+def q_factor_by_loops(model, k: int) -> float:
+    """Q(k) from the closed forms evaluated on numpy scalars, one
+    (r, i, j) at a time (1-based k)."""
+    t, k0, best = model.thresholds, k - 1, 0.0
+    for r in range(max(0, k0 - model.m), min(model.n, k0 + model.m + 1)):
+        if r == k0:
+            continue
+        for i in range(model.d):
+            for j in range(model.d):
+                if model.family == "independent":
+                    pair = float(model.p[k0, i] * model.p[r, j])
+                else:
+                    alpha, beta = abs(k0 - r), model.m + 1 - abs(k0 - r)
+
+                    def surv2(s, u):
+                        return (1.0 - s) ** alpha * (1.0 - u) ** alpha * (1.0 - max(s, u)) ** beta
+
+                    a1, b1, a2, b2 = t[k0, i], t[k0, i + 1], t[r, j], t[r, j + 1]
+                    pair = float(surv2(a1, a2) - surv2(b1, a2) - surv2(a1, b2) + surv2(b1, b2))
+                best = max(best, pair)
+    return best

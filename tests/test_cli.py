@@ -839,8 +839,9 @@ LIBRARY_SURFACE = {
     "poisson_vector_pmf": "(params, eps)",
     "truncate_small_atoms": "(pmf, drop_mass)",
     "DistanceResult": "(value, truncation_error, flow=None, v=None)",
+    "ReweightedW1": "(P, Q)",
     "total_variation": "(P, Q)",
-    "wasserstein_l1": "(P, Q, want_flow=False, start=None)",
+    "wasserstein_l1": "(P, Q, want_flow=False)",
     "Box": "(lows, highs)",
     "CountLawFromMeasure": "(measure_fn, eps=1e-10, prune_mass=0.0)",
     "DiracCountLaw": "(pattern)",

@@ -23,7 +23,7 @@ from palab.errors import ContractError, ParameterError
 from palab.measures import LatticePmf, PoissonVectorParams, bernoulli_sum_pmf, poisson_vector_pmf
 from palab.transport import wasserstein_l1
 
-from helpers import atoms
+from helpers import atoms, mdep_first_term_by_loops, q_factor_by_loops
 
 
 def bernoulli_pmf(p: float) -> LatticePmf:
@@ -249,6 +249,22 @@ def test_mdep_bound_vs_second_writer_oracle():
     qs = sum(q_factor(model, k) for k in range(1, n + 1))
     expect = first + 2 * d * (d + 1) * m * qs
     assert mdep_bound(model) == pytest.approx(expect, rel=1e-12)
+
+
+def test_mdep_bound_and_q_factors_equal_the_loops_bitwise():
+    # a frozen grid of models, n 1-59, d 1-3, m 1-3, both families: the
+    # shifted-array window sums and the Q factors on Python floats against
+    # the same forms on numpy scalars, one add at a time
+    rng = np.random.default_rng(59)
+    for case in range(80):
+        n, d, m = int(rng.integers(1, 60)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        p = rng.random((n, d)) * rng.uniform(0.01, 1.0 / d)
+        model = BernoulliArrayModel(n=n, d=d, p=p, m=m, family=("sliding_min", "independent")[case % 2])
+        qs = [q_factor(model, k) for k in range(1, n + 1)]
+        assert qs == [q_factor_by_loops(model, k) for k in range(1, n + 1)]
+        first = mdep_first_term_by_loops(model.p, m)
+        assert mdep_bound(model) == first + 2.0 * d * (d + 1) * m * math.fsum(qs)
+        assert corollary_bound(p) == mdep_first_term_by_loops(model.p, 0)
 
 
 # -- Q factors and the shipped window sampler --------------------------------------

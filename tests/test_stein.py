@@ -114,6 +114,21 @@ def test_column_checks_reads_a_1d_table_as_one_column():
         column_checks(lam, g[:, None, None], ghat, means)
 
 
+def test_column_checks_equal_the_absolute_value_forms_bitwise():
+    # each check against max |x| over an |x| array, on random 1-Lipschitz
+    # columns and a constant one (whose solution holds zeros of both signs)
+    rng = np.random.default_rng(61)
+    for lam in (0.0, 0.7, 3.0, 25.0):
+        n = default_range(lam, 0) + 1
+        g = np.column_stack([rng.uniform(-1.0, 1.0, size=(n, 6)).cumsum(axis=0), np.full(n, 0.5)])
+        ghat, means = solve_stein_batch(lam, g)
+        i = np.arange(n)[:, None]
+        want = (np.abs(lam * ghat[1:] - i * ghat[:-1] - (g - means)).max(axis=0),
+                np.abs(ghat).max(axis=0), np.abs(np.diff(ghat, axis=0)).max(axis=0))
+        for got, expect in zip(column_checks(lam, g, ghat, means), want):
+            assert got.tobytes() == expect.tobytes(), lam
+
+
 def test_linearity_of_the_solver():
     cases = [
         (2.3, 0.6, -0.4, 1.0),

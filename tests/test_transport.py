@@ -2,10 +2,11 @@
 metric axioms, dual feasibility spot checks, property tests against the d = 1
 CDF formula and the LP, metric properties under shifts, the simplex's
 degenerate starting bases, its row-block pricing shapes, its candidate list,
-Bland's rule, warm-started re-solves, the L1 envelope behind every
-certificate (its grid and dense paths against the dense row minima, and its
-memory on a large pair), and the reduced pair at d >= 2 against the full
-pair, with its certificate and plan lifted to the original atoms."""
+Bland's rule, bootstrap replicates of one estimate against one target, the
+L1 envelope behind every certificate (its grid and dense paths against the
+dense row minima, and its memory on a large pair), and the reduced pair at
+d >= 2 against the full pair, with its certificate and plan lifted to the
+original atoms."""
 
 import math
 import tracemalloc
@@ -31,6 +32,7 @@ from palab.transport import (
     _l1_cost_matrix,
     _perturb,
     _tree_structure,
+    ReweightedW1,
     total_variation,
     wasserstein_l1,
 )
@@ -505,7 +507,7 @@ def _certificates():
     yield "full pair", wasserstein_l1(P, Q).value, full_pair_certificate(P, Q)
     P, Q = random_pmf(rng, 3, 30, span=6), random_pmf(rng, 3, 40, span=7)
     a, b = P.probs / P.probs.sum(), Q.probs / Q.probs.sum()
-    u, v, plan, primal, _ = transport._reduced_w1(P.points, a, Q.points, b, None, False)
+    u, v, plan, primal, _ = ReweightedW1(P, Q)._reduced(None, a, False, None)
     assert len(plan[0]) > 1
     yield "reduced", wasserstein_l1(P, Q).value, dict(xs=P.points, a=a, ys=Q.points, b=b, u=u, v=v, plan=plan,
                                                       primal=primal)
@@ -616,20 +618,21 @@ def test_candidate_list_enters_only_violating_arcs(monkeypatch, dim, sizes):
     assert abs(value - lp_wasserstein(P, Q)) <= 1e-8
 
 
-# -- warm-started re-solves --------------------------------------------------
+# -- bootstrap replicates: many reweightings against one target --------------
 
 def _bootstrap_instance(dim):
     """400 Poisson count rows merged for replicate laws, the truncated exact
-    Poisson target, and the sample's estimate against it."""
+    Poisson target, and the sample's reweightings against it."""
     lam = (0.5, 0.3, 0.7, 0.4)[:dim]
     target = truncate_small_atoms(poisson_vector_pmf(PoissonVectorParams(lam), 1e-10), 1e-9)
     sample = SampleAtoms(np.random.default_rng(4 + dim).poisson(lam, size=(400, dim)))
-    return sample, target, wasserstein_l1(sample.law(), target)
+    return sample, target, ReweightedW1(sample.law(), target)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_warm_resolve_of_bootstrap_subsets_equals_cold(dim):
-    sample, target, estimate = _bootstrap_instance(dim)
+    sample, target, w1 = _bootstrap_instance(dim)
+    estimate = w1.estimate
     ys, b = target.support_arrays()
     # the column duals and their c-transform certify the estimate
     xs, a = sample.law().support_arrays()
@@ -637,26 +640,34 @@ def test_warm_resolve_of_bootstrap_subsets_equals_cold(dim):
     assert abs(a @ u0 + b / b.sum() @ estimate.v - estimate.value) <= 1e-12
     rng = np.random.default_rng(70 + dim)
     for _ in range(4):
-        law = sample.law(rng.integers(0, 400, size=400))
-        cold = wasserstein_l1(law, target).value
-        assert abs(wasserstein_l1(law, target, start=estimate.v).value - cold) <= 1e-12
+        take = rng.integers(0, 400, size=400)
+        cold = wasserstein_l1(sample.law(take), target).value
+        assert abs(w1.replicate(sample.counts(take)).value - cold) <= 1e-12
 
 
-def _pivots(monkeypatch, P, Q, start=None):
+def _pivots(monkeypatch, solve):
     calls = []
     _cycle_spy(monkeypatch, lambda *args: calls.append(1))
-    value = wasserstein_l1(P, Q, start=start).value
+    value = solve().value
     monkeypatch.undo()
     return len(calls), value
 
 
 def test_warm_start_takes_fewer_pivots(monkeypatch):
-    sample, target, estimate = _bootstrap_instance(4)
+    sample, target, w1 = _bootstrap_instance(4)
+    w1.estimate  # noqa: B018 -- the start, solved before the pivots are counted
     take = np.random.default_rng(80).integers(0, 400, size=400)
-    cold, cold_value = _pivots(monkeypatch, sample.law(take), target)
-    warm, warm_value = _pivots(monkeypatch, sample.law(take), target, start=estimate.v)
+    cold, cold_value = _pivots(monkeypatch, lambda: wasserstein_l1(sample.law(take), target))
+    warm, warm_value = _pivots(monkeypatch, lambda: w1.replicate(sample.counts(take)))
     assert warm < cold
     assert abs(warm_value - cold_value) <= 1e-12
+
+
+def _solve_from(P, Q, start, want_flow=False):
+    """``wasserstein_l1(P, Q)`` with the simplex started from column duals
+    ``start`` on Q's atoms (d >= 2; at d = 1 there is no start)."""
+    w1 = ReweightedW1(P, Q)
+    return w1._solve(None, P.probs, want_flow, None if P.dim == 1 or start is None else w1._cell_start(start))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -667,22 +678,84 @@ def test_start_from_unrelated_target_gives_cold_value(dim):
     start = wasserstein_l1(random_pmf(np.random.default_rng(95 + dim), dim, 30), other).v
     assert start.shape == (n,)
     law = sample.law()
-    assert abs(wasserstein_l1(law, target, start=start).value - wasserstein_l1(law, target).value) <= 1e-12
+    assert abs(_solve_from(law, target, start).value - wasserstein_l1(law, target).value) <= 1e-12
 
 
-@pytest.mark.parametrize("bad", ["short", "long", "nan", "inf", "huge"])
-def test_start_of_wrong_length_or_bad_values_is_rejected(bad):
-    sample, target, estimate = _bootstrap_instance(2)
-    one = np.arange(len(estimate.v)) == 1
-    start = {
-        "short": estimate.v[:-1],
-        "long": np.append(estimate.v, 0.0),
-        "nan": np.where(one, np.nan, estimate.v),
-        "inf": np.where(one, -np.inf, estimate.v),
-        "huge": np.where(one, 1e300, estimate.v),
-    }[bad]
-    with pytest.raises(ParameterError, match="start"):
-        wasserstein_l1(sample.law(), target, start=start)
+def _assert_replicate_is_own_solve(P, Q, counts):
+    """``replicate(counts)`` against ``wasserstein_l1`` on the replicate's own
+    law, built as ``SampleAtoms.law`` builds it: value and truncation error
+    bit for bit, after the estimate and before it."""
+    live = counts > 0
+    own = wasserstein_l1(LatticePmf.from_arrays(P.dim, P.points[live], counts[live] * (1.0 / counts.sum())), Q)
+    for first in (True, False):
+        w1 = ReweightedW1(P, Q)
+        if first:
+            assert w1.estimate == wasserstein_l1(P, Q)
+        got = w1.replicate(counts)
+        assert (got.value, got.truncation_error) == (own.value, own.truncation_error)
+    return got
+
+
+@st.composite
+def replicate_cases(draw):
+    """A sample of count rows at d = 1..4 (shifted, so that its box and the
+    target's differ in both directions), a target with a tail account, and
+    bootstrap counts of the sample's distinct rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    lam = rng.uniform(0.3, 2.5, size=dim)
+    Q = truncate_small_atoms(poisson_vector_pmf(PoissonVectorParams(tuple(lam)), 1e-10), 1e-9)
+    reps = draw(st.integers(2, 200))
+    rows = rng.poisson(lam * rng.uniform(0.5, 2.0, size=dim), size=(reps, dim))
+    sample = SampleAtoms(rows + rng.integers(0, 3, size=dim) * draw(st.booleans()))
+    return sample.law(), Q, sample.counts(rng.integers(0, reps, size=reps))
+
+
+@settings(max_examples=80)
+@given(replicate_cases())
+def test_replicate_equals_solve_of_its_own_law(case):
+    _assert_replicate_is_own_solve(*case)
+
+
+def _replicate_named_cases():
+    for dim in (1, 2, 3):
+        rest = [1] * (dim - 1)
+        Q = LatticePmf(dim, {(0, *rest): 0.25, (3, *rest): 0.25, (9, *rest): 0.5})
+        P = LatticePmf(dim, {(1, *rest): 0.25, (4, *rest): 0.25, (6, *rest): 0.5})
+        # P's box on axis 0 is [1, 6]; the replicate keeps [1, 4] of it
+        yield f"loses the extreme atom on axis 0, d = {dim}", P, Q, np.array([3, 1, 0])
+        # P's atom at 12 lies beyond Q's support and the replicate drops it:
+        # the truncation error takes the replicate's diameter, and no tail of P
+        tailed = LatticePmf(dim, {(0, *rest): 0.25, (3, *rest): 0.25, (9, *rest): 0.499}, 0.001, 0.02)
+        beyond = LatticePmf(dim, {(1, *rest): 0.25, (4, *rest): 0.25, (12, *rest): 0.499}, 0.001, 0.02)
+        yield f"loses the atom beyond the target, d = {dim}", beyond, tailed, np.array([3, 1, 0])
+        # Q's atoms lie beyond P's box on both sides of axis 0
+        yield f"target beyond the box on both sides, d = {dim}", P, Q, np.array([1, 2, 5])
+        # on axis 0 P lies in [12, 15], Q in [0, 9]: the box collapses onto 9
+        far = shifted(P, np.eye(dim, dtype=int)[0] * 11)
+        yield f"disjoint on axis 0, d = {dim}", far, Q, np.array([0, 2, 1])
+        yield f"one-atom replicate, d = {dim}", P, Q, np.array([0, 7, 0])
+        # the replicate's law is Q's, in binary fractions: all mass cancels
+        same = LatticePmf(dim, {(0, *rest): 0.1, (3, *rest): 0.3, (9, *rest): 0.4, (10, *rest): 0.2})
+        yield f"full cancellation, d = {dim}", same, Q, np.array([1, 1, 2, 0])
+
+
+@pytest.mark.parametrize("case", list(_replicate_named_cases()), ids=lambda c: c[0])
+def test_replicate_named_cases(case):
+    name, P, Q, counts = case
+    got = _assert_replicate_is_own_solve(P, Q, counts)
+    live = counts > 0
+    law = LatticePmf.from_arrays(P.dim, P.points[live], counts[live] / counts.sum())
+    assert abs(got.value - lp_wasserstein(law, Q)) <= 1e-8
+    if name.startswith("full cancellation"):
+        assert got.value == 0.0
+
+
+@pytest.mark.parametrize("counts", [[1, 2], [1, 2, -1], [0, 0, 0], [1, np.nan, 1], [1, np.inf, 1]])
+def test_replicate_counts_are_checked(counts):
+    P = LatticePmf(2, {(0, 1): 0.5, (2, 2): 0.25, (3, 0): 0.25})
+    with pytest.raises(ParameterError, match="counts"):
+        ReweightedW1(P, dirac(1, 1)).replicate(np.array(counts, dtype=float))
 
 
 # -- the L1 envelope: certificates and potentials without an m x n array -------
@@ -816,7 +889,7 @@ def test_certificate_of_a_large_pair_stays_small_in_memory():
 def _assert_reduced_solve_exact(P, Q, start=None):
     """Value against the full-pair simplex and the LP, the returned duals and
     the lifted plan, all on the original atoms."""
-    res = wasserstein_l1(P, Q, want_flow=True, start=start)
+    res = _solve_from(P, Q, start, want_flow=True)
     assert abs(res.value - transport._certify(**full_pair_certificate(P, Q))) <= 1e-12
     assert abs(res.value - lp_wasserstein(P, Q)) <= 1e-8
     (xs, a), (ys, b) = P.support_arrays(), Q.support_arrays()
